@@ -10,7 +10,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
@@ -24,7 +23,6 @@ from .dilations import (
     verify_local_dilation,
 )
 from .io import (
-    ParseError,
     canonical_dumps,
     file_sha256,
     load_correlation,
@@ -34,7 +32,6 @@ from .io import (
     matrix_to_obj,
     model_to_obj,
     save_json,
-    vector_to_obj,
     witness_to_obj,
 )
 from .linalg import Tolerance, mat_norm
@@ -60,37 +57,34 @@ def main():
     """Verification toolkit for bipartite quantum correlation models."""
 
 
-def common_options(f):
-    f = click.option("--tol", type=float, default=1e-9, show_default=True,
-                     help="Tolerance for all approximate checks.")(f)
-    f = click.option("--seed", type=int, default=0, show_default=True,
-                     help="Seed for randomized subroutines.")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-                     default="json", show_default=True, help="Report format.")(f)
-    return f
+class _Input(click.Path):
+    """An existing file a command reads: parsed for the command, hashed for its report."""
+
+    def __init__(self, kind: str):
+        super().__init__(exists=True)
+        self.kind = kind
+
+    def load(self, path):
+        # Looked up per call, so that rebinding a loader in this module (as
+        # perfbench's tracer does) takes effect.
+        loaders = {"model": load_model, "correlation": load_correlation,
+                   "witness": load_witness, "decomposition": load_decomposition}
+        return loaders[self.kind](path)
 
 
-def guarded(f):
-    """Translate input problems into exit code 2 with a stderr diagnostic."""
-
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (ParseError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+MODEL, CORRELATION, WITNESS, DECOMPOSITION = (
+    _Input(kind) for kind in ("model", "correlation", "witness", "decomposition"))
 
 
-def _provenance(paths, seed: int, tol: float) -> dict:
-    return {
-        "inputs": {str(p): file_sha256(p) for p in paths},
-        "seed": seed,
-        "tol": tol,
-        "version": __version__,
-    }
+def _common_params() -> list[click.Option]:
+    return [
+        click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]),
+                     default="json", show_default=True, help="Report format."),
+        click.Option(["--seed"], type=int, default=0, show_default=True,
+                     help="Seed for randomized subroutines."),
+        click.Option(["--tol"], type=float, default=1e-9, show_default=True,
+                     help="Tolerance for all approximate checks."),
+    ]
 
 
 def _render_text(obj, prefix="") -> list[str]:
@@ -105,98 +99,110 @@ def _render_text(obj, prefix="") -> list[str]:
     return lines
 
 
-def _finish(report: dict, fmt: str, passed: bool):
-    if fmt == "json":
-        click.echo(canonical_dumps(report))
-    else:
-        click.echo("\n".join(_render_text(report)))
-    sys.exit(0 if passed else 1)
+def report(*, tensor: bool = False, validated: bool = True):
+    """Register the decorated body as the subcommand named after it.
+
+    The body declares its own click arguments and options.  Every parameter
+    typed MODEL, CORRELATION, WITNESS or DECOMPOSITION is parsed, hashed into
+    the provenance, and passed to the body positionally in declaration order
+    (an omitted optional input is None); the other parameters arrive by
+    keyword, with ``tol`` as a :class:`Tolerance`.  Each model must be a
+    tensor-product model when ``tensor`` is set and must pass validation when
+    ``validated`` is set.  The body returns ``(fields, passed)``; the command
+    adds its name and the provenance, prints the report and exits 0 if
+    ``passed``, else 1.  Any ValueError, parse errors included, is bad input:
+    exit 2 with the message on stderr and nothing on stdout.
+    """
+
+    def decorate(body):
+        name = body.__name__.replace("_", "-")
+        params = list(reversed(body.__click_params__)) + _common_params()
+
+        def run(fmt, seed, tol, **kwargs):
+            try:
+                tolerance = Tolerance(tol)
+                paths, inputs = [], []
+                for param in params:
+                    if not isinstance(param.type, _Input):
+                        continue
+                    path = kwargs.pop(param.name)
+                    if path is None:
+                        inputs.append(None)
+                        continue
+                    obj = param.type.load(path)
+                    if param.type is MODEL and tensor and not isinstance(obj, QuantumModel):
+                        raise ValueError(f"{name} needs a tensor-product model")
+                    if param.type is MODEL and validated:
+                        rep = validate_model(obj, tolerance)
+                        if not rep.valid:
+                            raise ValueError(f"model is not valid: {rep}")
+                    paths.append(path)
+                    inputs.append(obj)
+                fields, passed = body(*inputs, tol=tolerance, seed=seed, **kwargs)
+                fields["command"] = name
+                fields["provenance"] = {
+                    "inputs": {str(p): file_sha256(p) for p in paths},
+                    "seed": seed,
+                    "tol": tol,
+                    "version": __version__,
+                }
+                out = (canonical_dumps(fields) if fmt == "json"
+                       else "\n".join(_render_text(fields)))
+            except ValueError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            click.echo(out)
+            sys.exit(0 if passed else 1)
+
+        return main.command(name, params=params, help=body.__doc__)(run)
+
+    return decorate
 
 
-def _require_valid(model, tol: Tolerance):
-    rep = validate_model(model, tol)
-    if not rep.valid:
-        raise ValueError(f"model is not valid: {rep}")
-
-
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def validate(model_file, tol, seed, fmt):
+@report(validated=False)
+@click.argument("model_file", type=MODEL)
+def validate(model, tol, seed):
     """Check the model invariants (POVM structure, commutation, unit state)."""
-    model = load_model(model_file)
-    rep = validate_model(model, Tolerance(tol))
-    report = {
-        "command": "validate",
-        "verdicts": {"valid": rep.valid},
-        "violations": [
-            {"name": v.name, "location": v.location, "residual": v.residual}
-            for v in rep.violations
-        ],
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, rep.valid)
+    rep = validate_model(model, tol)
+    violations = [{"name": v.name, "location": v.location, "residual": v.residual}
+                  for v in rep.violations]
+    return {"verdicts": {"valid": rep.valid}, "violations": violations}, rep.valid
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def correlation(model_file, tol, seed, fmt):
+@report()
+@click.argument("model_file", type=MODEL)
+def correlation(model, tol, seed):
     """Extract the correlation table of a valid model."""
-    model = load_model(model_file)
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    corr = correlation_of(model, tolerance)
-    report = {
-        "command": "correlation",
-        "scenario": {"nX": corr.scenario.nX, "nY": corr.scenario.nY,
-                     "nA": corr.scenario.nA, "nB": corr.scenario.nB},
+    corr = correlation_of(model, tol)
+    sc = corr.scenario
+    return {
+        "scenario": {"nX": sc.nX, "nY": sc.nY, "nA": sc.nA, "nB": sc.nB},
         "p": corr.p.tolist(),
         "notes": corr.notes,
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, True)
+    }, True
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def schmidt(model_file, tol, seed, fmt):
+@report(tensor=True, validated=False)
+@click.argument("model_file", type=MODEL)
+def schmidt(model, tol, seed):
     """Schmidt coefficients and rank of a tensor model's state."""
-    model = load_model(model_file)
-    if not isinstance(model, QuantumModel):
-        raise ValueError("schmidt analysis needs a tensor-product model")
-    sd = schmidt_decompose(model.psi, model.dimA, model.dimB, Tolerance(tol))
-    report = {
-        "command": "schmidt",
+    sd = schmidt_decompose(model.psi, model.dimA, model.dimB, tol)
+    return {
         "coefficients": [float(c) for c in sd.coefficients],
         "rank": sd.rank,
         "witnesses": {"left_basis": matrix_to_obj(sd.left),
                       "right_basis": matrix_to_obj(sd.right)},
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, True)
+    }, True
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def support(model_file, tol, seed, fmt):
+@report(tensor=True)
+@click.argument("model_file", type=MODEL)
+def support(model, tol, seed):
     """Support projections and the centrally-supported verdict (both criteria)."""
-    model = load_model(model_file)
-    if not isinstance(model, QuantumModel):
-        raise ValueError("support analysis needs a tensor-product model")
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    data = support_of(model, tolerance)
-    transfer_verdict, transfer_res = is_centrally_supported_via_transfer(model, tolerance)
+    data = support_of(model, tol)
+    transfer_verdict, transfer_res = is_centrally_supported_via_transfer(model, tol)
     agree = data.centrally_supported == transfer_verdict
-    report = {
-        "command": "support",
+    return {
         "verdicts": {
             "centrally_supported": data.centrally_supported,
             "transfer_criterion": transfer_verdict,
@@ -208,73 +214,51 @@ def support(model_file, tol, seed, fmt):
             "transfer": transfer_res,
         },
         "witnesses": {"support_model": model_to_obj(data.supportModel)},
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, agree)
+    }, agree
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def naimark(model_file, tol, seed, fmt):
+@report()
+@click.argument("model_file", type=MODEL)
+def naimark(model, tol, seed):
     """Naimark-dilate every POVM in the model and verify the dilation."""
-    model = load_model(model_file)
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
     residuals = {}
     witnesses = {}
     for label, families in (("M", model.M), ("N", model.N)):
         for x, povm in enumerate(families):
-            nd = naimark_dilate(povm, tolerance)
-            worst = max(
+            nd = naimark_dilate(povm, tol)
+            residuals[f"{label}[{x}]"] = max(
                 mat_norm(nd.V.conj().T @ p @ nd.V - m) for p, m in zip(nd.P, povm)
             )
-            residuals[f"{label}[{x}]"] = worst
             witnesses[f"{label}[{x}].V"] = matrix_to_obj(nd.V)
-    passed = max(residuals.values()) <= tol * 10
-    report = {
-        "command": "naimark",
+    passed = max(residuals.values()) <= tol.eps * 10
+    return {
         "verdicts": {"all_within_tolerance": passed},
         "residuals": residuals,
         "witnesses": witnesses,
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, passed)
+    }, passed
 
 
-@main.command("round-binary")
-@click.argument("model_file", type=click.Path(exists=True))
+@report(tensor=True)
+@click.argument("model_file", type=MODEL)
 @click.option("--assert-extremal", is_flag=True,
               help="Assert that the correlation is an extreme point (required; "
                    "the toolkit cannot decide extremality).")
-@common_options
-@guarded
-def round_binary(model_file, assert_extremal, tol, seed, fmt):
+def round_binary(model, assert_extremal, tol, seed):
     """Round a binary POVM model to a projective model with the same correlation."""
-    model = load_model(model_file)
-    if not isinstance(model, QuantumModel):
-        raise ValueError("binary rounding needs a tensor-product model")
     if not assert_extremal:
         raise ValueError("binary rounding is only sound for extreme correlations; "
                          "pass --assert-extremal to assert this")
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
     try:
-        rounded, witness = binary_round(model, True, tolerance)
+        rounded, witness = binary_round(model, True, tol)
     except LemmaViolated as exc:
-        report = {
-            "command": "round-binary",
+        return {
             "verdicts": {"rounded": False, "lemma_violated": True,
                          "extremality_asserted": True},
             "violation": {"side": exc.side, "x": exc.x,
                           "eigenvalue": exc.eigenvalue, "residual": exc.residual},
-            "provenance": _provenance([model_file], seed, tol),
-        }
-        _finish(report, fmt, False)
-        return
-    corr_gap = float(np.abs(correlation_of(rounded, tolerance).p
-                            - correlation_of(model, tolerance).p).max())
+        }, False
+    corr_gap = float(np.abs(correlation_of(rounded, tol).p
+                            - correlation_of(model, tol).p).max())
     psi_mat = model.psi.reshape(model.dimA, model.dimB)
     effect_res = {}
     for x in range(model.scenario.nX):
@@ -285,75 +269,51 @@ def round_binary(model_file, assert_extremal, tol, seed, fmt):
         for b in range(2):
             diff = model.N[y][b] - rounded.N[y][b]
             effect_res[f"N[{y}][{b}]"] = float(np.linalg.norm((psi_mat @ diff.T).reshape(-1)))
-    passed = corr_gap <= tol * 10 and max(effect_res.values()) <= tol * 10
-    report = {
-        "command": "round-binary",
+    passed = corr_gap <= tol.eps * 10 and max(effect_res.values()) <= tol.eps * 10
+    return {
         "verdicts": {"rounded": True, "lemma_violated": False,
                      "extremality_asserted": True, "correlation_preserved": passed},
         "residuals": {"correlation_gap": corr_gap, "effects_on_state": effect_res},
         "witnesses": {"rounded_model": model_to_obj(rounded),
                       "dilation": witness_to_obj(witness)},
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, passed)
+    }, passed
 
 
-@main.command("sync-verify")
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def sync_verify(model_file, tol, seed, fmt):
+@report(tensor=True)
+@click.argument("model_file", type=MODEL)
+def sync_verify(model, tol, seed):
     """Run every check a synchronous model must satisfy."""
-    model = load_model(model_file)
-    if not isinstance(model, QuantumModel):
-        raise ValueError("synchronous verification needs a tensor-product model")
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    rep = synchronous_verify(model, tolerance)
-    report = {
-        "command": "sync-verify",
+    rep = synchronous_verify(model, tol)
+    return {
         "verdicts": {"passed": rep.passed, "full_rank": rep.full_rank,
                      "projective_state": rep.projective_state},
         "residuals": {"swap_transfer": rep.swap_residuals,
                       "projectivity": rep.projectivity_residuals},
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, rep.passed)
+    }, rep.passed
 
 
-@main.command()
-@click.argument("corr_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def xor(corr_file, tol, seed, fmt):
+@report()
+@click.argument("corr_file", type=CORRELATION)
+def xor(corr, tol, seed):
     """XOR correlation matrix, unbiasedness, and rank of a binary behaviour."""
-    corr = load_correlation(corr_file)
-    xc = xor_of(corr, Tolerance(tol))
-    report = {
-        "command": "xor",
+    xc = xor_of(corr, tol)
+    return {
         "c": [[float(v) for v in row] for row in xc.c],
         "verdicts": {"unbiased": xc.unbiased},
         "rank": xc.rank,
-        "provenance": _provenance([corr_file], seed, tol),
-    }
-    _finish(report, fmt, True)
+    }, True
 
 
-@main.command("xor-certify")
-@click.argument("corr_file", type=click.Path(exists=True))
+@report()
+@click.argument("corr_file", type=CORRELATION)
 @click.option("--assert-extremal", is_flag=True,
               help="Assert the correlation is extreme (recorded verbatim).")
-@click.option("--decomposition", "decomposition_file", type=click.Path(exists=True),
+@click.option("--decomposition", "decomposition_file", type=DECOMPOSITION,
               default=None, help="Convex decomposition refuting extremality.")
-@common_options
-@guarded
-def xor_certify(corr_file, assert_extremal, decomposition_file, tol, seed, fmt):
+def xor_certify(corr, decomposition, assert_extremal, tol, seed):
     """Grant or deny the even-rank commuting-operator self-test certificate."""
-    corr = load_correlation(corr_file)
-    decomposition = load_decomposition(decomposition_file) if decomposition_file else None
-    cert = xor_selftest_certificate(corr, assert_extremal, decomposition, Tolerance(tol))
-    report = {
-        "command": "xor-certify",
+    cert = xor_selftest_certificate(corr, assert_extremal, decomposition, tol)
+    return {
         "verdicts": {
             "granted": cert.granted,
             "unbiased": cert.unbiased,
@@ -365,105 +325,72 @@ def xor_certify(corr_file, assert_extremal, decomposition_file, tol, seed, fmt):
         "reasons": cert.reasons,
         "note": "extremality is an asserted input: the toolkit never decides it, "
                 "it only refutes it given a convex decomposition",
-        "provenance": _provenance(
-            [corr_file] + ([decomposition_file] if decomposition_file else []), seed, tol),
-    }
-    _finish(report, fmt, cert.granted)
+    }, cert.granted
 
 
-@main.command("state-equal")
-@click.argument("model1", type=click.Path(exists=True))
-@click.argument("model2", type=click.Path(exists=True))
-@common_options
-@guarded
-def state_equal(model1, model2, tol, seed, fmt):
+@report()
+@click.argument("model1", type=MODEL)
+@click.argument("model2", type=MODEL)
+def state_equal(m1, m2, tol, seed):
     """Decide whether two models induce the same abstract state."""
-    m1, m2 = load_model(model1), load_model(model2)
-    tolerance = Tolerance(tol)
-    _require_valid(m1, tolerance)
-    _require_valid(m2, tolerance)
-    equal, witness = states_equal(m1, m2, tolerance)
-    report = {
-        "command": "state-equal",
-        "verdicts": {"equal": equal},
-        "provenance": _provenance([model1, model2], seed, tol),
-    }
-    if equal:
-        report["witnesses"] = {"unitary": matrix_to_obj(witness.unitary)}
-        report["residuals"] = {
+    equal, witness = states_equal(m1, m2, tol)
+    if not equal:
+        return {
+            "verdicts": {"equal": False},
+            "distinguishing": {
+                "wordA": [list(l) for l in witness.wordA.letters],
+                "wordB": [list(l) for l in witness.wordB.letters],
+                "value1": [witness.value1.real, witness.value1.imag],
+                "value2": [witness.value2.real, witness.value2.imag],
+            },
+        }, False
+    return {
+        "verdicts": {"equal": True},
+        "witnesses": {"unitary": matrix_to_obj(witness.unitary)},
+        "residuals": {
             "state": witness.state_residual,
             "intertwiner": witness.intertwiner_residual,
             "gram": witness.gram_residual,
-        }
-        report["words_checked"] = witness.words_checked
-    else:
-        report["distinguishing"] = {
-            "wordA": [list(l) for l in witness.wordA.letters],
-            "wordB": [list(l) for l in witness.wordB.letters],
-            "value1": [witness.value1.real, witness.value1.imag],
-            "value2": [witness.value2.real, witness.value2.imag],
-        }
-    _finish(report, fmt, equal)
+        },
+        "words_checked": witness.words_checked,
+    }, True
 
 
-@main.command("find-dilation")
-@click.argument("model_s", type=click.Path(exists=True))
-@click.argument("model_t", type=click.Path(exists=True))
+@report(tensor=True)
+@click.argument("model_s", type=MODEL)
+@click.argument("model_t", type=MODEL)
 @click.option("--witness-out", type=click.Path(), default=None,
               help="Write the found witness to this file.")
-@common_options
-@guarded
-def find_dilation(model_s, model_t, witness_out, tol, seed, fmt):
+def find_dilation(s, t, witness_out, tol, seed):
     """Search for a witness that MODEL_T is a local dilation of MODEL_S."""
-    s, t = load_model(model_s), load_model(model_t)
-    if not isinstance(s, QuantumModel) or not isinstance(t, QuantumModel):
-        raise ValueError("dilation search needs tensor-product models")
-    tolerance = Tolerance(tol)
-    _require_valid(s, tolerance)
-    _require_valid(t, tolerance)
     try:
-        witness = find_local_dilation(s, t, seed=seed, tol=tolerance)
+        witness = find_local_dilation(s, t, seed=seed, tol=tol)
     except NotDilatable as exc:
-        report = {
-            "command": "find-dilation",
+        return {
             "verdicts": {"found": False},
             "reason": exc.reason,
             "obstruction": {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in exc.obstruction.items()},
-            "provenance": _provenance([model_s, model_t], seed, tol),
-        }
-        _finish(report, fmt, False)
-        return
-    rep = verify_local_dilation(s, t, witness, tolerance)
+        }, False
+    rep = verify_local_dilation(s, t, witness, tol)
     if witness_out:
         save_json(witness_out, witness_to_obj(witness))
-    report = {
-        "command": "find-dilation",
+    return {
         "verdicts": {"found": True, "verified": rep.passed},
         "residuals": {"max": rep.max_residual, "per_index": rep.residuals},
         "schmidt_ranks": rep.schmidt_ranks,
         "witnesses": {"dilation": witness_to_obj(witness)},
-        "provenance": _provenance([model_s, model_t], seed, tol),
-    }
-    _finish(report, fmt, rep.passed)
+    }, rep.passed
 
 
-@main.command("verify-dilation")
-@click.argument("model_s", type=click.Path(exists=True))
-@click.argument("model_t", type=click.Path(exists=True))
-@click.argument("witness_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def verify_dilation(model_s, model_t, witness_file, tol, seed, fmt):
+@report(tensor=True, validated=False)
+@click.argument("model_s", type=MODEL)
+@click.argument("model_t", type=MODEL)
+@click.argument("witness_file", type=WITNESS)
+def verify_dilation(s, t, witness, tol, seed):
     """Verify a local-dilation witness for MODEL_S over MODEL_T."""
-    s, t = load_model(model_s), load_model(model_t)
-    if not isinstance(s, QuantumModel) or not isinstance(t, QuantumModel):
-        raise ValueError("dilation verification needs tensor-product models")
-    witness = load_witness(witness_file)
-    tolerance = Tolerance(tol)
-    rep = verify_local_dilation(s, t, witness, tolerance)
-    report = {
-        "command": "verify-dilation",
+    rep = verify_local_dilation(s, t, witness, tol)
+    return {
         "verdicts": {
             "passed": rep.passed,
             "isometries_ok": rep.isometry_ok,
@@ -476,56 +403,40 @@ def verify_dilation(model_s, model_t, witness_file, tol, seed, fmt):
             "moments": rep.moment_residual,
         },
         "schmidt_ranks": rep.schmidt_ranks,
-        "provenance": _provenance([model_s, model_t, witness_file], seed, tol),
-    }
-    _finish(report, fmt, rep.passed)
+    }, rep.passed
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def irrep(model_file, tol, seed, fmt):
+@report()
+@click.argument("model_file", type=MODEL)
+def irrep(model, tol, seed):
     """Irreducible (block (x) multiplicity) decomposition of both local algebras."""
-    model = load_model(model_file)
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    report = {
-        "command": "irrep",
-        "provenance": _provenance([model_file], seed, tol),
-    }
+    fields = {}
     passed = True
     for side, family in (("A", model.M), ("B", model.N)):
         gens = [op for povm in family for op in povm]
         try:
-            dec = irrep_decompose(gens, seed=seed, tol=tolerance)
+            dec = irrep_decompose(gens, seed=seed, tol=tol)
         except AlgebraNotSemisimpleNumerically as exc:
-            report[f"side_{side}"] = {"error": str(exc)}
+            fields[f"side_{side}"] = {"error": str(exc)}
             passed = False
             continue
         defect = max(mat_norm(dec.reassemble(i) - gens[i]) for i in range(len(gens)))
-        report[f"side_{side}"] = {
+        fields[f"side_{side}"] = {
             "blocks": [{"irrep_dim": b.n, "multiplicity": b.m} for b in dec.blocks],
             "commutant_dim": dec.commutant_dim,
             "irreducible": dec.irreducible,
             "reassembly_defect": defect,
             "ambiguous_pairs": [list(map(float, pair)) for pair in dec.ambiguous_pairs],
         }
-    _finish(report, fmt, passed)
+    return fields, passed
 
 
-@main.command()
-@click.argument("model_file", type=click.Path(exists=True))
-@common_options
-@guarded
-def cyclic(model_file, tol, seed, fmt):
+@report()
+@click.argument("model_file", type=MODEL)
+def cyclic(model, tol, seed):
     """Restrict a model to the cyclic subspace generated by its state."""
-    model = load_model(model_file)
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    cm = cyclic_restrict(model, tolerance)
-    report = {
-        "command": "cyclic",
+    cm = cyclic_restrict(model, tol)
+    return {
         "verdicts": {"already_cyclic": not cm.restricted},
         "cyclic_dim": cm.dim,
         "basis_words": [
@@ -533,25 +444,17 @@ def cyclic(model_file, tol, seed, fmt):
             for w in cm.basis_words
         ],
         "witnesses": {"restricted_model": model_to_obj(cm.model)},
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, True)
+    }, True
 
 
-@main.command("tilted-sos")
-@click.argument("model_file", type=click.Path(exists=True))
+@report()
+@click.argument("model_file", type=MODEL)
 @click.option("--alpha", type=float, required=True,
               help="Tilt parameter in [0, 2).")
-@common_options
-@guarded
-def tilted_sos(model_file, alpha, tol, seed, fmt):
+def tilted_sos(model, alpha, tol, seed):
     """Evaluate the tilted-CHSH SOS certificate on a model."""
-    model = load_model(model_file)
-    tolerance = Tolerance(tol)
-    _require_valid(model, tolerance)
-    cert = verify_tilted_sos(model, alpha, tolerance)
-    report = {
-        "command": "tilted-sos",
+    cert = verify_tilted_sos(model, alpha, tol)
+    return {
         "alpha": cert.alpha,
         "lambda": cert.lam,
         "delta": cert.delta,
@@ -562,9 +465,7 @@ def tilted_sos(model_file, alpha, tol, seed, fmt):
             "identity_defect_2": cert.identity_defects[1],
             "state": cert.state_residuals,
         },
-        "provenance": _provenance([model_file], seed, tol),
-    }
-    _finish(report, fmt, cert.identities_ok)
+    }, cert.identities_ok
 
 
 if __name__ == "__main__":

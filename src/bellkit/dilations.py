@@ -25,7 +25,7 @@ from .linalg import (
     psd_sqrt,
     structural_predicates,
 )
-from .models import QuantumModel, Word, correlation_of, evaluate_moment
+from .models import QuantumModel, correlation_of, moments_agree_up_to
 from .reps import _intertwiner, irrep_decompose
 from .schmidt import schmidt_decompose
 from .support import support_of
@@ -197,18 +197,7 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
 
     moment_residual = None
     if support_of(T, tol).centrally_supported:
-        moment_residual = 0.0
-        letters_a = [(x, a) for x in range(sc.nX) for a in range(sc.nA)]
-        letters_b = [(y, b) for y in range(sc.nY) for b in range(sc.nB)]
-        words_a = _words_up_to(letters_a, 3)
-        words_b = _words_up_to(letters_b, 3)
-        for wa in words_a:
-            for wb in words_b:
-                if len(wa) + len(wb) > 3:
-                    continue
-                f_s = evaluate_moment(S, Word("A", wa), Word("B", wb))
-                f_t = evaluate_moment(T, Word("A", wa), Word("B", wb))
-                moment_residual = max(moment_residual, abs(f_s - f_t))
+        moment_residual = moments_agree_up_to(S, T, 3, tol)[1]
 
     passed = (isometry_ok and aux_norm_residual <= tol.eps
               and max_residual <= tol.eps and rank_consistent
@@ -223,15 +212,6 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
         rank_consistent=rank_consistent,
         moment_residual=moment_residual,
     )
-
-
-def _words_up_to(letters, max_len: int):
-    words = [()]
-    level = [()]
-    for _ in range(max_len):
-        level = [w + (l,) for w in level for l in letters]
-        words.extend(level)
-    return words
 
 
 class NotDilatable(RuntimeError):

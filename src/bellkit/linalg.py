@@ -8,6 +8,7 @@ All approximate comparisons go through :class:`Tolerance`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"tolerance must be nonnegative, got {self.eps}")
+        if not math.isfinite(self.eps) or self.eps < 0:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.eps}")
 
     def close(self, x, y) -> bool:
         x, y = complex(x), complex(y)

@@ -200,48 +200,41 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
             rep.add("POVM completeness", f"{label}[{x}]", comp_res)
 
 
-def validate_quantum_model(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Every violated model invariant with its residual; valid iff none."""
-    rep = ValidationReport()
-    sc = m.scenario
-    _check_povm_family(rep, m.M, "M", sc.nX, sc.nA, m.dimA, tol)
-    _check_povm_family(rep, m.N, "N", sc.nY, sc.nB, m.dimB, tol)
-    if len(m.psi) != m.dimA * m.dimB:
-        rep.add("state dimension", "psi", abs(len(m.psi) - m.dimA * m.dimB))
-    else:
-        norm_res = abs(float(np.linalg.norm(m.psi)) - 1.0)
-        if norm_res > tol.eps:
-            rep.add("state normalization", "psi", norm_res)
-    return rep
-
-
-def validate_commuting_model(m: CommutingModel, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    rep = ValidationReport()
-    sc = m.scenario
-    _check_povm_family(rep, m.M, "M", sc.nX, sc.nA, m.dim, tol)
-    _check_povm_family(rep, m.N, "N", sc.nY, sc.nB, m.dim, tol)
-    if len(m.psi) != m.dim:
-        rep.add("state dimension", "psi", abs(len(m.psi) - m.dim))
-    else:
-        norm_res = abs(float(np.linalg.norm(m.psi)) - 1.0)
-        if norm_res > tol.eps:
-            rep.add("state normalization", "psi", norm_res)
-    for x, povm in enumerate(m.M):
-        for a, ma in enumerate(povm):
-            for y, qovm in enumerate(m.N):
-                for b, nb in enumerate(qovm):
-                    res = mat_norm(ma @ nb - nb @ ma)
-                    if res > tol.eps * (1 + mat_norm(ma) * mat_norm(nb)):
-                        rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
-    return rep
-
-
 def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+    """Every violated model invariant with its residual; valid iff none.
+
+    Checks the POVM families, then the state, then (commuting models only)
+    that every M-operator commutes with every N-operator.
+    """
     if isinstance(m, QuantumModel):
-        return validate_quantum_model(m, tol)
+        dimA, dimB, dim = m.dimA, m.dimB, m.dimA * m.dimB
+    elif isinstance(m, CommutingModel):
+        dimA = dimB = dim = m.dim
+    else:
+        raise TypeError(f"not a model: {type(m)}")
+    rep = ValidationReport()
+    sc = m.scenario
+    _check_povm_family(rep, m.M, "M", sc.nX, sc.nA, dimA, tol)
+    _check_povm_family(rep, m.N, "N", sc.nY, sc.nB, dimB, tol)
+    if len(m.psi) != dim:
+        rep.add("state dimension", "psi", abs(len(m.psi) - dim))
+    else:
+        norm_res = abs(float(np.linalg.norm(m.psi)) - 1.0)
+        if norm_res > tol.eps:
+            rep.add("state normalization", "psi", norm_res)
     if isinstance(m, CommutingModel):
-        return validate_commuting_model(m, tol)
-    raise TypeError(f"not a model: {type(m)}")
+        for x, povm in enumerate(m.M):
+            for a, ma in enumerate(povm):
+                for y, qovm in enumerate(m.N):
+                    for b, nb in enumerate(qovm):
+                        res = mat_norm(ma @ nb - nb @ ma)
+                        if res > tol.eps * (1 + mat_norm(ma) * mat_norm(nb)):
+                            rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
+    return rep
+
+
+# Exported names; each accepts either kind of model.
+validate_quantum_model = validate_commuting_model = validate_model
 
 
 def _apply_word_vec(model, word: Word, vec: np.ndarray) -> np.ndarray:

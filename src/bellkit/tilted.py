@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm
 from .models import QuantumModel, Scenario
+from .presets import _X, _Z, _binary_povm
 
 __all__ = [
     "NCPoly",
@@ -255,60 +255,24 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     )
 
 
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _angles_model(params) -> QuantumModel:
-    theta, ta0, ta1, tb0, tb1 = params
-    psi = np.zeros(4)
-    psi[0] = math.cos(theta)
-    psi[3] = math.sin(theta)
-
-    def povm(t):
-        obs = math.cos(t) * _Z + math.sin(t) * _X
-        return [(np.eye(2) + obs) / 2, (np.eye(2) - obs) / 2]
-
-    return QuantumModel(
-        scenario=Scenario(2, 2, 2, 2), dimA=2, dimB=2,
-        M=[povm(ta0), povm(ta1)], N=[povm(tb0), povm(tb1)], psi=psi,
-    )
-
-
-def _tilted_value(params, alpha: float) -> float:
-    theta, ta0, ta1, tb0, tb1 = params
-    c2t = math.cos(2 * theta)
-    s2t = math.sin(2 * theta)
-
-    def corr(ta, tb):
-        # <psi| O(ta) (x) O(tb) |psi> for psi = cos t|00> + sin t|11>
-        return math.cos(ta) * math.cos(tb) + s2t * math.sin(ta) * math.sin(tb)
-
-    mean_a0 = math.cos(ta0) * c2t
-    return (alpha * mean_a0 + corr(ta0, tb0) + corr(ta0, tb1)
-            + corr(ta1, tb0) - corr(ta1, tb1))
-
-
 def optimal_tilted_model(alpha: float, seed: int = 0) -> QuantumModel:
     """Optimal 2-qubit projective model for the tilted-CHSH functional.
 
-    Seeded derivative-free search (Nelder-Mead with multistart) over the
-    five-angle family: state cos(t)|00> + sin(t)|11>, observables
-    cos(.)Z + sin(.)X on each side.  The returned model satisfies
-    f(eta) = sqrt(8 + 2 alpha^2) to well below 1e-6.
+    The closed form of Acin, Massar and Pironio (PRL 108, 100402 (2012)):
+    state cos(t)|00> + sin(t)|11> with sin 2t = sqrt((4 - alpha^2)/(4 + alpha^2)),
+    A0 = Z, A1 = X and B0, B1 = cos(mu) Z +- sin(mu) X with tan(mu) = sin 2t.
+    It reaches f(eta) = sqrt(8 + 2 alpha^2).  ``seed`` is accepted for
+    compatibility and ignored.
     """
     if not 0 <= alpha < 2:
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
-    rng = np.random.default_rng(seed)
     s2t = math.sqrt((4 - alpha**2) / (4 + alpha**2))
+    theta = 0.5 * math.asin(s2t)
     mu = math.atan(s2t)
-    guesses = [np.array([0.5 * math.asin(s2t), 0.0, math.pi / 2, mu, -mu])]
-    guesses += [rng.uniform(-math.pi, math.pi, size=5) for _ in range(4)]
-
-    best = None
-    for g in guesses:
-        res = minimize(lambda p: -_tilted_value(p, alpha), g, method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 20000})
-        if best is None or res.fun < best.fun:
-            best = res
-    return _angles_model(best.x)
+    b0 = math.cos(mu) * _Z + math.sin(mu) * _X
+    b1 = math.cos(mu) * _Z - math.sin(mu) * _X
+    return QuantumModel(
+        scenario=Scenario(2, 2, 2, 2), dimA=2, dimB=2,
+        M=[_binary_povm(_Z), _binary_povm(_X)], N=[_binary_povm(b0), _binary_povm(b1)],
+        psi=np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)]),
+    )

@@ -1,12 +1,16 @@
 """File formats, canonical serialization, and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bellkit
 from bellkit.cli import main
 from bellkit.io import (
     ParseError,
@@ -113,6 +117,16 @@ class TestCliCommands:
         path.write_text("{not json")
         res = invoke(["validate", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, tmp_path, tol):
+        obj = model_to_obj(chsh_ideal_model())
+        obj["psi"] = [[0.0, 0.0]] * 4  # invalid: any usable tolerance reports it
+        path = tmp_path / "zero_state.json"
+        save_json(path, obj)
+        res = invoke(["validate", str(path), "--tol", tol, "--format", "text"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
 
     def test_missing_file_exits_2(self):
         res = invoke(["validate", "no_such_file.json"])
@@ -242,3 +256,10 @@ class TestCliCommands:
         res = invoke(["support", str(FIXTURES / "exA_S.model.json")])
         report = json.loads(res.output)
         assert canonical_dumps(report) == res.output.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(bellkit.__file__).resolve().parent.parent)
+    code = "import sys, bellkit.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -198,3 +198,9 @@ def test_tolerance_contract():
     assert not tol.close(1.0, 1.0 + 5e-8)
     with pytest.raises(ValueError):
         Tolerance(-1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_tolerance_rejects_non_finite(eps):
+    with pytest.raises(ValueError, match="finite"):
+        Tolerance(eps)

@@ -6,7 +6,8 @@ Run from the repository root:  python tools/make_fixtures.py
 
 from pathlib import Path
 
-from bellkit.io import canonical_dumps, correlation_to_obj, model_to_obj
+from bellkit.dilations import trivial_witness
+from bellkit.io import canonical_dumps, correlation_to_obj, model_to_obj, witness_to_obj
 from bellkit.models import correlation_of
 from bellkit.presets import chsh_ideal_model, example_pair
 
@@ -28,6 +29,7 @@ def main():
     chsh = chsh_ideal_model()
     write("chsh_ideal.model.json", model_to_obj(chsh))
     write("chsh.corr.json", correlation_to_obj(correlation_of(chsh)))
+    write("chsh_ideal.witness.json", witness_to_obj(trivial_witness(chsh)))
 
 
 if __name__ == "__main__":
