@@ -420,12 +420,11 @@ def irrep(model, tol, seed):
             fields[f"side_{side}"] = {"error": str(exc)}
             passed = False
             continue
-        defect = max(mat_norm(dec.reassemble(i) - gens[i]) for i in range(len(gens)))
         fields[f"side_{side}"] = {
             "blocks": [{"irrep_dim": b.n, "multiplicity": b.m} for b in dec.blocks],
             "commutant_dim": dec.commutant_dim,
             "irreducible": dec.irreducible,
-            "reassembly_defect": defect,
+            "reassembly_defect": dec.reassembly_defect,
             "ambiguous_pairs": [list(map(float, pair)) for pair in dec.ambiguous_pairs],
         }
     return fields, passed

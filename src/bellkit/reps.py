@@ -97,12 +97,39 @@ def _apply_letter(model, letter, vec: np.ndarray) -> np.ndarray:
     return _apply_word_vec(model, Word("A" if side == 0 else "B", ((x, a),)), vec)
 
 
+def _principal_generators(gens, floor: float) -> list[np.ndarray]:
+    """Combinations ``h_j = s_j u_j`` of the traceless parts of ``gens``.
+
+    ``u_j``, ``s_j`` come from the thin SVD ``U S V^H`` of the d^2 x k matrix
+    of flattened traceless parts.  The commutator map kills I and is linear,
+    so the maps of the inputs, stacked, equal ``(conj(V) (x) Id)`` times the
+    maps of the ``h_j``, stacked: an isometry, so both stacks have the same
+    singular values and right singular vectors.  The ``h_j`` with
+    ``s_j <= floor`` are dropped; at least one is kept.
+    """
+    d = gens[0].shape[0]
+    eye = np.eye(d)
+    flat = np.array([(g - np.trace(g) / d * eye).reshape(-1) for g in gens]).T
+    u, s, _ = np.linalg.svd(flat, full_matrices=False)
+    keep = max(1, int(np.sum(s > floor)))
+    return [(u[:, j] * s[j]).reshape(d, d) for j in range(keep)]
+
+
 def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Hilbert-Schmidt-orthonormal basis of {T : [T, G] = 0 for all G}.
 
     Computed as the joint null space of the stacked linear maps
     ``T -> G T - T G``; for a family realizing ``(+) M_{n_i} (x) Id_{m_i}``
-    the dimension is ``sum m_i^2``.
+    the dimension is ``sum m_i^2``.  That null space depends only on the
+    span of the generators plus the identity, so the maps are stacked for
+    the few principal combinations of the generators' traceless parts that
+    span it, not for every input: adjoints of Hermitian effects, the last
+    effect of a POVM, duplicates and multiples add no rows.  The stack of
+    the kept combinations has the singular values of the full stack up to
+    ``2 sqrt(k) * 1e-3`` of the rank cutoff (k inputs), so the rank cut, and
+    the bound on ``[G, T]`` for every input G, are those of the full stack.
+    The SVD is thin: the stack has at least as many rows as columns, so
+    ``vh`` is still the full d^2 x d^2 right basis.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -111,14 +138,14 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators must be square with a common dimension")
-    eye = np.eye(d)
-    rows = [np.kron(g, eye) - np.kron(eye, g.T) for g in gens]
-    stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
     # scale by the generators, not svals[0]: for near-central families the
     # whole map is fp noise and a relative cutoff would see rank everywhere
     scale = max(1.0, max(mat_norm(g) for g in gens))
     cutoff = max(tol.eps, 1e-12) * scale
+    eye = np.eye(d)
+    rows = [np.kron(g, eye) - np.kron(eye, g.T)
+            for g in _principal_generators(gens, 1e-3 * cutoff)]
+    _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     null_dim = d * d - int(np.sum(svals > cutoff))
     return [vh[-(k + 1), :].conj().reshape(d, d) for k in range(null_dim)][::-1]
 
@@ -143,6 +170,8 @@ class RepDecomposition:
     blocks: list[RepBlock]
     dim: int
     ambiguous_pairs: list[tuple[int, int, float]] = field(default_factory=list)
+    # max over generators of ||reassemble(i) - g_i||, set by irrep_decompose
+    reassembly_defect: float = 0.0
 
     @property
     def irreducible(self) -> bool:
@@ -213,7 +242,7 @@ def _intertwiner(gens1, gens2, tol: Tolerance):
         return None, np.inf
     eye = np.eye(n)
     rows = [np.kron(eye, g1.T) - np.kron(g2, eye) for g1, g2 in zip(gens1, gens2)]
-    _, svals, vh = np.linalg.svd(np.vstack(rows))
+    _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     x = vh[-1, :].conj().reshape(n, n)
     u_svd, s_x, vh_x = np.linalg.svd(x)
     if s_x[-1] < 1e-6 * s_x[0]:
@@ -294,6 +323,7 @@ def irrep_decompose(generators, seed: int = 0,
         raise AlgebraNotSemisimpleNumerically(
             f"reassembly defect {defect:.3e} exceeds tolerance; input too ill-conditioned"
         )
+    dec.reassembly_defect = defect
     return dec
 
 

@@ -19,6 +19,7 @@ from bellkit.presets import (
     example_pair,
     random_povm,
     random_quantum_model,
+    random_state,
     tensor_with_auxiliary,
 )
 from bellkit.schmidt import schmidt_decompose
@@ -137,6 +138,15 @@ class TestFindLocalDilation:
         rep = verify_local_dilation(big, m, w, Tolerance(1e-8))
         assert rep.passed and rep.max_residual < 1e-8
         assert rep.schmidt_ranks == {"psi": 4, "psi_tilde": 2, "aux": 2}
+
+    def test_sixteen_dim_auxiliary(self):
+        m = chsh_ideal_model()
+        aux = random_state(np.random.default_rng(16), 16 * 16)
+        big = tensor_with_auxiliary(m, aux, 16, 16)
+        w = find_local_dilation(big, m, seed=0)
+        rep = verify_local_dilation(big, m, w, Tolerance(1e-8))
+        assert rep.passed
+        assert rep.schmidt_ranks == {"psi": 32, "psi_tilde": 2, "aux": 16}
 
     def test_direct_sum_spread_state(self):
         m = chsh_ideal_model()

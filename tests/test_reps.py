@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from bellkit.linalg import dagger, mat_norm
+from bellkit.linalg import DEFAULT_TOL, dagger, mat_norm
 from bellkit.models import CommutingModel, Scenario, QuantumModel, correlation_of, evaluate_moment, Word
 from bellkit.presets import (
     chsh_ideal_model,
     commuting_from_tensor,
     example_pair,
+    random_pvm,
     random_quantum_model,
     random_state,
     tensor_with_auxiliary,
@@ -94,6 +95,88 @@ class TestCommutant:
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
 
 
+def jordan_pair(rng, d):
+    """Two random rank-d/2 projections: d/2 inequivalent 2-dim irreps (Jordan)."""
+    return random_pvm(rng, d, 2)[0], random_pvm(rng, d, 2)[0]
+
+
+def redundant_additions(gens):
+    """Generators inside span{I, gens}; adding them must not change the commutant."""
+    p, q = gens[0], gens[1]
+    d = p.shape[0]
+    return {
+        "adjoints": [dagger(g) for g in gens],
+        "complement": [np.eye(d) - p],
+        "duplicate": [p.copy()],
+        "scalar-multiple": [2.5 * q],
+        # p q lies in the algebra, so it and its adjoint leave the commutant alone
+        "non-hermitian-and-adjoint": [p @ q, dagger(p @ q)],
+    }
+
+
+def assert_commutant_basis(basis, gens):
+    """HS-orthonormal and commuting with every generator within the rank cutoff."""
+    gram = np.array([[np.trace(dagger(a) @ b) for b in basis] for a in basis])
+    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
+    cutoff = DEFAULT_TOL.eps * max(1.0, max(mat_norm(g) for g in gens))
+    for t in basis:
+        for g in gens:
+            assert mat_norm(g @ t - t @ g) <= cutoff
+
+
+class TestCommutantRedundancy:
+    @pytest.mark.parametrize("family", ["jordan", "blocks"])
+    @pytest.mark.parametrize("addition", [
+        "adjoints", "complement", "duplicate", "scalar-multiple", "non-hermitian-and-adjoint",
+    ])
+    def test_redundant_generators_leave_commutant(self, family, addition):
+        rng = np.random.default_rng(31)
+        if family == "jordan":
+            gens, expected = list(jordan_pair(rng, 6)), 3
+        else:
+            gens, _ = constructed_rep(rng, [(2, 2), (1, 1)])
+            expected = 5
+        assert len(commutant_basis(gens)) == expected
+        full = gens + redundant_additions(gens)[addition]
+        basis = commutant_basis(full)
+        assert len(basis) == expected
+        assert_commutant_basis(basis, full)
+
+    def test_all_additions_at_once(self):
+        rng = np.random.default_rng(32)
+        gens = list(jordan_pair(rng, 8))
+        full = gens + [g for extra in redundant_additions(gens).values() for g in extra]
+        basis = commutant_basis(full)
+        assert len(basis) == 4
+        assert_commutant_basis(basis, full)
+
+    def test_identity_only_family(self):
+        gens = [np.eye(3), 2.0 * np.eye(3), np.eye(3)]
+        basis = commutant_basis(gens)
+        assert len(basis) == 9
+        assert_commutant_basis(basis, gens)
+
+    def test_near_parallel_generators(self):
+        # P(1e-11) adds a direction far below the rank cut; P(pi/4) must still count
+        def proj(theta):
+            v = np.array([np.cos(theta / 2), np.sin(theta / 2)])
+            return np.outer(v, v)
+
+        gens = [proj(0.0), proj(1e-11), proj(np.pi / 4)]
+        basis = commutant_basis(gens)
+        assert len(basis) == 1
+        assert_commutant_basis(basis, gens)
+        assert irrep_decompose(gens, seed=0).irreducible
+
+    def test_rank_cut_counts_every_copy(self):
+        # eps X alone sits below the 1e-9 cut (singular value 2 eps), but two
+        # copies stack to 2 sqrt(2) eps above it, as in the full stacked map
+        p = np.diag([1.0, 0.0])
+        x = 0.4e-9 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert len(commutant_basis([p, x])) == 2
+        assert len(commutant_basis([p, x, x])) == 1
+
+
 class TestIrrepDecompose:
     def test_chsh_alice_irreducible(self):
         m = chsh_ideal_model()
@@ -144,6 +227,16 @@ class TestIrrepDecompose:
             assert defect < 1e-8
             u = dec.change_of_basis()
             assert mat_norm(dagger(u) @ u - np.eye(d)) < 1e-10
+
+    @pytest.mark.parametrize("d", [24, 32])
+    def test_binary_pvm_jordan_blocks_at_scale(self, d):
+        rng = np.random.default_rng(d)
+        gens = random_pvm(rng, d, 2) + random_pvm(rng, d, 2)
+        dec = irrep_decompose(gens, seed=0)
+        assert len(dec.blocks) == d // 2
+        assert all((b.n, b.m) == (2, 1) for b in dec.blocks)
+        assert dec.commutant_dim == len(commutant_basis(gens)) == d // 2
+        assert dec.reassembly_defect < 1e-8
 
     def test_povm_family_blocks(self):
         # diag(a, b, b) algebra: two inequivalent characters, multiplicities 1 and 2
