@@ -22,6 +22,7 @@ from .presets import _X, _Z, _binary_povm
 
 __all__ = [
     "NCPoly",
+    "evaluate_all",
     "TiltedChshPolynomials",
     "tilted_chsh_build",
     "TiltedChshCertificate",
@@ -39,7 +40,9 @@ class NCPoly:
     Stored as a monomial-to-coefficient map; monomials are tuples of
     generator indices.  No simplification is performed beyond merging equal
     monomials; commutation between the a and b letters only enters when a
-    polynomial is evaluated on concrete operators.
+    polynomial is evaluated on concrete operators.  Evaluation goes through
+    ``evaluate_all``, whose prefix table forms each monomial product once
+    however many terms and polynomials share it.
     """
 
     __slots__ = ("terms",)
@@ -97,18 +100,38 @@ class NCPoly:
         return self * self
 
     def evaluate(self, gens: list[np.ndarray]) -> np.ndarray:
-        """Substitute concrete matrices for the generators."""
-        d = gens[0].shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for mono, coeff in self.terms.items():
-            term = np.eye(d, dtype=complex)
-            for idx in mono:
-                term = term @ gens[idx]
-            out += coeff * term
-        return out
+        """Substitute concrete matrices for the generators.
+
+        The one-polynomial case of ``evaluate_all``.
+        """
+        return evaluate_all([self], gens)[0]
 
     def __repr__(self):
         return f"NCPoly({len(self.terms)} terms)"
+
+
+def evaluate_all(polys: list[NCPoly], gens: list[np.ndarray]) -> list[np.ndarray]:
+    """Substitute concrete matrices for the generators in several polynomials.
+
+    Every monomial product is formed once, in a prefix table shared by all the
+    polynomials: ``table[mono] = table[mono[:-1]] @ gens[mono[-1]]``, seeded
+    with ``table[()] = I``.  That is the left-to-right product ``I @ g1 @ g2
+    @ ...`` of a monomial evaluated on its own, and each polynomial sums its
+    terms in its own order, so every result is bitwise the one-at-a-time
+    evaluation; only the repeated products are gone.
+    """
+    d = gens[0].shape[0]
+    table = {(): np.eye(d, dtype=complex)}
+    outs = []
+    for poly in polys:
+        out = np.zeros((d, d), dtype=complex)
+        for mono, coeff in poly.terms.items():
+            for k in range(1, len(mono) + 1):
+                if mono[:k] not in table:
+                    table[mono[:k]] = table[mono[:k - 1]] @ gens[mono[k - 1]]
+            out += coeff * table[mono]
+        outs.append(out)
+    return outs
 
 
 @dataclass(frozen=True)
@@ -227,18 +250,17 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     gens = _observable_generators(m)
     psi = m.psi
 
-    lhs_p, rhs1_p, rhs2_p = polys.identity_sides()
-    lhs = lhs_p.evaluate(gens)
-    defect1 = mat_norm(lhs - rhs1_p.evaluate(gens))
-    defect2 = mat_norm(lhs - rhs2_p.evaluate(gens))
+    lhs, rhs1, rhs2, eta, *ops = evaluate_all(
+        [*polys.identity_sides(), polys.eta, *polys.r, *polys.s], gens)
+    defect1 = mat_norm(lhs - rhs1)
+    defect2 = mat_norm(lhs - rhs2)
 
-    f_eta = float(np.real(np.vdot(psi, polys.eta.evaluate(gens) @ psi)))
+    f_eta = float(np.real(np.vdot(psi, eta @ psi)))
     residuals: dict[str, float] = {}
-    for i, r in enumerate(polys.r, start=1):
-        op = r.evaluate(gens)
-        residuals[f"r{i}^2"] = float(np.real(np.vdot(op @ psi, op @ psi)))
-    for j, s in enumerate(polys.s, start=1):
-        op = s.evaluate(gens)
+    for i, op in enumerate(ops[:4], start=1):
+        v = op @ psi
+        residuals[f"r{i}^2"] = float(np.real(np.vdot(v, v)))
+    for j, op in enumerate(ops[4:], start=1):
         residuals[f"s{j}"] = float(np.real(np.vdot(psi, op @ psi)))
 
     identities_ok = max(defect1, defect2) <= max(tol.eps, 1e-8)

@@ -34,6 +34,7 @@ CASES = {
     "cyclic": ["cyclic", CHSH],
     "round_binary": ["round-binary", CHSH, "--assert-extremal"],
     "tilted_sos": ["tilted-sos", CHSH, "--alpha", "0"],
+    "tilted_sos_alpha15": ["tilted-sos", CHSH, "--alpha", "1.5"],
     "sync_verify": ["sync-verify", EXA_S],
     "state_equal": ["state-equal", EXA_S, EXA_SHAT],
     "find_dilation_obstructed": ["find-dilation", EXA_S, EXA_SHAT],

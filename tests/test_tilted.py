@@ -1,13 +1,26 @@
 """Tilted-CHSH polynomials, SOS identities, and the optimizer oracle."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from bellkit.models import Scenario
-from bellkit.presets import chsh_ideal_model, random_quantum_model
+from bellkit.presets import (
+    _X,
+    _Z,
+    _binary_povm,
+    chsh_ideal_model,
+    commuting_from_tensor,
+    random_quantum_model,
+    random_state,
+    tensor_with_auxiliary,
+)
 from bellkit.models import QuantumModel
 from bellkit.tilted import (
     NCPoly,
+    evaluate_all,
     optimal_tilted_model,
     tilted_chsh_build,
     verify_tilted_sos,
@@ -29,6 +42,58 @@ class TestNCPoly:
         a = NCPoly.gen(0)
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose((a * a - 1).evaluate([x]), np.zeros((2, 2)))
+
+
+def _naive_evaluate(poly, gens):
+    """One polynomial on its own, each monomial rebuilt from I left to right."""
+    d = gens[0].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for mono, coeff in poly.terms.items():
+        term = np.eye(d, dtype=complex)
+        for idx in mono:
+            term = term @ gens[idx]
+        out += coeff * term
+    return out
+
+
+def _certificate_polys(alpha):
+    """lhs, rhs1, rhs2, eta, r1..r4, s1..s8: what verify_tilted_sos evaluates."""
+    polys = tilted_chsh_build(alpha)
+    return [*polys.identity_sides(), polys.eta, *polys.r, *polys.s]
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.5])
+    def test_bitwise_equal_to_one_at_a_time(self, alpha):
+        """The shared prefix table changes no bit, -0.0 against 0.0 included."""
+        rng = np.random.default_rng(107)
+        gens = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+                for _ in range(4)]
+        polys = _certificate_polys(alpha)
+        assert len(polys) == 16
+        for poly, op in zip(polys, evaluate_all(polys, gens), strict=True):
+            naive = _naive_evaluate(poly, gens)
+            assert op.tobytes() == naive.tobytes()
+            assert poly.evaluate(gens).tobytes() == naive.tobytes()
+
+    def test_zero_polynomial(self):
+        gens = [np.diag([1.0, -1.0, 2.0])] * 4
+        zero = np.zeros((3, 3), dtype=complex)
+        assert NCPoly({(0, 1): 0.0}).terms == {}
+        assert NCPoly().evaluate(gens).tobytes() == zero.tobytes()
+        ops = evaluate_all([NCPoly(), NCPoly.gen(2), NCPoly()], gens)
+        assert [op.tobytes() for op in ops] == [zero.tobytes(), (zero + gens[2]).tobytes(),
+                                                zero.tobytes()]
+
+    def test_multi_generator_evaluation(self):
+        """Pauli algebra: XY - YX = 2iZ and ZXY = iI."""
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        y = np.array([[0.0, -1j], [1j, 0.0]])
+        z = np.diag([1.0, -1.0])
+        a, b, c = NCPoly.gen(0), NCPoly.gen(1), NCPoly.gen(2)
+        p = a * b - b * a + 2 * (c * a * b) + 0.5
+        expected = 2j * z + (0.5 + 2j) * np.eye(2)
+        np.testing.assert_array_equal(p.evaluate([x, y, z]), expected)
 
 
 class TestBuild:
@@ -120,3 +185,33 @@ class TestOptimizer:
         cert = verify_tilted_sos(chsh_ideal_model(), 0.0)
         assert cert.optimal
         assert max(cert.state_residuals.values()) < 1e-12
+
+
+def _b_turned(m, angle):
+    """The optimal model with both B observables cos(mu) Z +- sin(mu) X at mu + angle."""
+    b0 = (m.N[0][0] - m.N[0][1]).real
+    mu = math.atan2(b0[0, 1], b0[0, 0]) + angle
+    return dataclasses.replace(m, N=[_binary_povm(math.cos(mu) * _Z + sign * math.sin(mu) * _X)
+                                     for sign in (1, -1)])
+
+
+class TestAtScale:
+    def test_dimA16_auxiliary_tensor_and_commuting(self):
+        """Tilted optimum (x) C^8 (x) C^8 on a 256-dim space, and B turned 0.3 rad off."""
+        alpha = 1.5
+        aux = random_state(np.random.default_rng(109), 64)
+        base = optimal_tilted_model(alpha)
+        for m, optimal in ((base, True), (_b_turned(base, 0.3), False)):
+            big = tensor_with_auxiliary(m, aux, 8, 8)
+            assert (big.dimA, big.dimB) == (16, 16)
+            cert = verify_tilted_sos(big, alpha)
+            assert cert.identities_ok
+            assert cert.optimal is optimal
+            comm = verify_tilted_sos(commuting_from_tensor(big), alpha)
+            assert (comm.identities_ok, comm.optimal) == (cert.identities_ok, cert.optimal)
+            assert abs(comm.f_eta - cert.f_eta) <= 1e-12
+            for got, want in zip(comm.identity_defects, cert.identity_defects):
+                assert abs(got - want) <= 1e-12
+            assert comm.state_residuals.keys() == cert.state_residuals.keys()
+            for key, want in cert.state_residuals.items():
+                assert abs(comm.state_residuals[key] - want) <= 1e-12, key
