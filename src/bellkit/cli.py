@@ -35,7 +35,7 @@ from .io import (
     witness_to_obj,
 )
 from .linalg import Tolerance, mat_norm
-from .models import QuantumModel, correlation_of, validate_model
+from .models import QuantumModel, _act, correlation_of, validate_model
 from .reps import AlgebraNotSemisimpleNumerically, cyclic_restrict, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
 from .special import (
@@ -259,16 +259,13 @@ def round_binary(model, assert_extremal, tol, seed):
         }, False
     corr_gap = float(np.abs(correlation_of(rounded, tol).p
                             - correlation_of(model, tol).p).max())
-    psi_mat = model.psi.reshape(model.dimA, model.dimB)
     effect_res = {}
-    for x in range(model.scenario.nX):
-        for a in range(2):
-            diff = model.M[x][a] - rounded.M[x][a]
-            effect_res[f"M[{x}][{a}]"] = float(np.linalg.norm((diff @ psi_mat).reshape(-1)))
-    for y in range(model.scenario.nY):
-        for b in range(2):
-            diff = model.N[y][b] - rounded.N[y][b]
-            effect_res[f"N[{y}][{b}]"] = float(np.linalg.norm((psi_mat @ diff.T).reshape(-1)))
+    for side, name, ops, rops in (("A", "M", model.M, rounded.M),
+                                  ("B", "N", model.N, rounded.N)):
+        for x in range(len(ops)):
+            for a in range(2):
+                effect_res[f"{name}[{x}][{a}]"] = float(np.linalg.norm(
+                    _act(model, side, ops[x][a] - rops[x][a], model.psi)))
     passed = corr_gap <= tol.eps * 10 and max(effect_res.values()) <= tol.eps * 10
     return {
         "verdicts": {"rounded": True, "lemma_violated": False,

@@ -25,7 +25,7 @@ from .linalg import (
     psd_sqrt,
     structural_predicates,
 )
-from .models import QuantumModel, correlation_of, moments_agree_up_to
+from .models import QuantumModel, _act, correlation_of, moments_agree_up_to
 from .reps import _intertwiner, irrep_decompose
 from .schmidt import schmidt_decompose
 from .support import support_of
@@ -148,11 +148,18 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
     multiplicativity constraint (isometries preserve Schmidt rank, so
     rank(psi) must equal rank(psi~) * rank(aux)).  When T is centrally
     supported the abstract states must agree; moments are compared on all
-    word pairs of total length up to 3.
+    word pairs of total length up to 3.  The models are not validated here,
+    but POVM counts that do not match the scenario raise ValueError.
     """
     if S.scenario != T.scenario:
         raise ValueError("models live in different scenarios")
     sc = S.scenario
+    for name, m in (("S", S), ("T", T)):
+        for label, fam, n_in, n_out in (("M", m.M, sc.nX, sc.nA), ("N", m.N, sc.nY, sc.nB)):
+            if len(fam) != n_in or any(len(povm) != n_out for povm in fam):
+                raise ValueError(
+                    f"{name}.{label} has outcome counts {[len(povm) for povm in fam]}, "
+                    f"but the scenario needs {n_in} inputs with {n_out} outcomes each")
     if w.IA.shape != (T.dimA * w.dimAuxA, S.dimA):
         raise ValueError(
             f"IA has shape {w.IA.shape}, expected ({T.dimA * w.dimAuxA}, {S.dimA})")
@@ -180,8 +187,8 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
         else:
             x, a = la
             y, b = lb
-            measured = (S.M[x][a] @ S.psi.reshape(S.dimA, S.dimB) @ S.N[y][b].T).reshape(-1)
-            target_core = (T.M[x][a] @ T.psi.reshape(T.dimA, T.dimB) @ T.N[y][b].T).reshape(-1)
+            measured = _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi))
+            target_core = _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi))
             label = f"(x={x},a={a},y={y},b={b})"
         lhs = _regroup(_apply_local(w.IA, w.IB, measured, S.dimA, S.dimB),
                        T.dimA, w.dimAuxA, T.dimB, w.dimAuxB)
@@ -295,38 +302,27 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     # intertwiners from the supported irreps of S onto T's operators
     inter_a: dict[int, np.ndarray] = {}
-    for i in lam_a:
-        blk = dec_a.blocks[i]
-        if blk.n != T.dimA:
-            raise NotDilatable(
-                f"A-side component {i} has irrep dimension {blk.n} != dim H~_A = {T.dimA}; "
-                "its state component cannot equal the ideal state",
-                {"kind": "component-state", "side": "A", "block": i},
-            )
-        u, res = _intertwiner(blk.generators, _flat(T.M), tol)
-        if u is None or res > tol.eps * 100:
-            raise NotDilatable(
-                f"A-side component {i} is not unitarily equivalent to the ideal "
-                f"representation (residual {res:.3e})",
-                {"kind": "component-state", "side": "A", "block": i, "residual": res},
-            )
-        inter_a[i] = u
     inter_b: dict[int, np.ndarray] = {}
-    for j in lam_b:
-        blk = dec_b.blocks[j]
-        if blk.n != T.dimB:
-            raise NotDilatable(
-                f"B-side component {j} has irrep dimension {blk.n} != dim H~_B = {T.dimB}",
-                {"kind": "component-state", "side": "B", "block": j},
-            )
-        u, res = _intertwiner(blk.generators, _flat(T.N), tol)
-        if u is None or res > tol.eps * 100:
-            raise NotDilatable(
-                f"B-side component {j} is not unitarily equivalent to the ideal "
-                f"representation (residual {res:.3e})",
-                {"kind": "component-state", "side": "B", "block": j, "residual": res},
-            )
-        inter_b[j] = u
+    for side, dec, lam, inter, dim_tilde, ideal in (
+            ("A", dec_a, lam_a, inter_a, T.dimA, T.M),
+            ("B", dec_b, lam_b, inter_b, T.dimB, T.N)):
+        for i in lam:
+            blk = dec.blocks[i]
+            if blk.n != dim_tilde:
+                raise NotDilatable(
+                    f"{side}-side component {i} has irrep dimension {blk.n} != "
+                    f"dim H~_{side} = {dim_tilde}; its state component cannot equal the "
+                    "ideal state",
+                    {"kind": "component-state", "side": side, "block": i},
+                )
+            u, res = _intertwiner(blk.generators, _flat(ideal), tol)
+            if u is None or res > tol.eps * 100:
+                raise NotDilatable(
+                    f"{side}-side component {i} is not unitarily equivalent to the ideal "
+                    f"representation (residual {res:.3e})",
+                    {"kind": "component-state", "side": side, "block": i, "residual": res},
+                )
+            inter[i] = u
 
     # auxiliary space offsets: supported blocks contribute their multiplicity
     # space, unreached blocks their whole subspace

@@ -151,24 +151,31 @@ def obj_to_model(obj, where: str = "model"):
         raise ParseError(f"{where}: field 'kind' must be 'tensor' or 'commuting', got {kind!r}")
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
     try:
-        M = [[obj_to_matrix(op, f"{where}.M[{x}][{a}]") for a, op in enumerate(povm)]
-             for x, povm in enumerate(obj["M"])]
-        N = [[obj_to_matrix(op, f"{where}.N[{y}][{b}]") for b, op in enumerate(povm)]
-             for y, povm in enumerate(obj["N"])]
+        M = _obj_to_family(obj["M"], f"{where}.M")
+        N = _obj_to_family(obj["N"], f"{where}.N")
         psi = obj_to_vector(obj["psi"], f"{where}.psi")
+        if kind == "tensor":
+            return QuantumModel(scenario=sc, dimA=_int_field(obj, "dimA", where),
+                                dimB=_int_field(obj, "dimB", where), M=M, N=N, psi=psi)
+        return CommutingModel(scenario=sc, dim=_int_field(obj, "dim", where),
+                              M=M, N=N, psi=psi)
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from None
-    if kind == "tensor":
-        try:
-            dimA, dimB = int(obj["dimA"]), int(obj["dimB"])
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing field {exc}") from None
-        return QuantumModel(scenario=sc, dimA=dimA, dimB=dimB, M=M, N=N, psi=psi)
+
+
+def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
+    if not isinstance(obj, list) or not all(isinstance(povm, list) for povm in obj):
+        raise ParseError(f"{where}: expected a list of lists of matrices")
+    return [[obj_to_matrix(op, f"{where}[{x}][{a}]") for a, op in enumerate(povm)]
+            for x, povm in enumerate(obj)]
+
+
+def _int_field(obj: dict, key: str, where: str) -> int:
+    """``obj[key]`` as an int; a missing key raises KeyError for the caller."""
     try:
-        dim = int(obj["dim"])
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from None
-    return CommutingModel(scenario=sc, dim=dim, M=M, N=N, psi=psi)
+        return int(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: field '{key}' must be an integer ({exc})") from None
 
 
 def correlation_to_obj(c: Correlation) -> dict:
@@ -185,7 +192,7 @@ def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
     try:
         p = np.array(obj["p"], dtype=float)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad table 'p' ({exc})") from None
     if p.shape != (sc.nA, sc.nB, sc.nX, sc.nY):
         raise ParseError(
@@ -221,8 +228,8 @@ def obj_to_witness(obj, where: str = "witness") -> DilationWitness:
             IA=obj_to_matrix(obj["IA"], f"{where}.IA"),
             IB=obj_to_matrix(obj["IB"], f"{where}.IB"),
             aux=obj_to_vector(obj["aux"], f"{where}.aux"),
-            dimAuxA=int(obj["dimAuxA"]),
-            dimAuxB=int(obj["dimAuxB"]),
+            dimAuxA=_int_field(obj, "dimAuxA", where),
+            dimAuxB=_int_field(obj, "dimAuxB", where),
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from None
@@ -256,7 +263,7 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
     """Convex decomposition file: {"components": [{"weight": w, "correlation": {...}}]}."""
     obj = _load_json(path)
     where = str(path)
-    if not isinstance(obj, dict) or "components" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ParseError(f"{where}: expected an object with a 'components' list")
     out = []
     for k, comp in enumerate(obj["components"]):

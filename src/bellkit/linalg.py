@@ -20,14 +20,12 @@ __all__ = [
     "as_vector",
     "dagger",
     "kron",
-    "kron_all",
     "partial_trace",
     "hermitian_eig",
     "cluster_eigenvalues",
     "orthonormalize",
     "StructuralFlags",
     "structural_predicates",
-    "is_hermitian",
     "psd_sqrt",
     "schmidt_rank_of_matrix",
     "mat_norm",
@@ -56,9 +54,6 @@ class Tolerance:
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.eps
-
-    def residual_ok(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.eps * (1 + abs(scale))
 
 
 DEFAULT_TOL = Tolerance()
@@ -94,13 +89,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(*ms) -> np.ndarray:
-    out = as_matrix(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
 def partial_trace(rho, dimA: int, dimB: int, keep: str = "A") -> np.ndarray:
     """Reduced matrix of a (dimA*dimB)-square operator.
 
@@ -117,11 +105,6 @@ def partial_trace(rho, dimA: int, dimB: int, keep: str = "A") -> np.ndarray:
     if keep == "B":
         return np.einsum("kikj->ij", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    m = as_matrix(m)
-    return mat_norm(m - dagger(m)) <= tol.eps * (1 + mat_norm(m))
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float = EIG_CLUSTER_GAP) -> list[slice]:

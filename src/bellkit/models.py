@@ -237,19 +237,25 @@ def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
 validate_quantum_model = validate_commuting_model = validate_model
 
 
+def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``op`` acting on the ``side`` ("A" or "B") factor of ``vec``.
+
+    On a commuting model this is ``op @ vec``; on a tensor model ``vec`` is
+    the dimA x dimB coefficient matrix P (index ``i_A * dimB + i_B``) and the
+    result is ``op P`` for side A and ``P op^T`` for side B, flattened.
+    """
+    if not isinstance(model, QuantumModel):
+        return op @ vec
+    P = vec.reshape(model.dimA, model.dimB)
+    return (op @ P if side == "A" else P @ op.T).reshape(-1)
+
+
 def _apply_word_vec(model, word: Word, vec: np.ndarray) -> np.ndarray:
     """pi(word) |vec| on the model's representation space."""
-    out = vec
-    tensor = isinstance(model, QuantumModel)
+    family = model.M if word.side == "A" else model.N
     for x, a in reversed(word.letters):  # rightmost letter acts first
-        op = model.M[x][a] if word.side == "A" else model.N[x][a]
-        if not tensor:
-            out = op @ out
-        elif word.side == "A":
-            out = (op @ out.reshape(model.dimA, model.dimB)).reshape(-1)
-        else:
-            out = (out.reshape(model.dimA, model.dimB) @ op.T).reshape(-1)
-    return out
+        vec = _act(model, word.side, family[x][a], vec)
+    return vec
 
 
 def evaluate_moment(model, wA: Word, wB: Word) -> complex:

@@ -26,7 +26,7 @@ from .linalg import (
     hermitian_eig,
     mat_norm,
 )
-from .models import CommutingModel, QuantumModel, Scenario, Word, _apply_word_vec
+from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _apply_word_vec
 
 __all__ = [
     "AlgebraNotSemisimpleNumerically",
@@ -94,7 +94,7 @@ def scenario_letters(sc: Scenario) -> list[tuple[int, int, int]]:
 
 def _apply_letter(model, letter, vec: np.ndarray) -> np.ndarray:
     side, x, a = letter
-    return _apply_word_vec(model, Word("A" if side == 0 else "B", ((x, a),)), vec)
+    return _act(model, "AB"[side], (model.M, model.N)[side][x][a], vec)
 
 
 def _principal_generators(gens, floor: float) -> list[np.ndarray]:
@@ -401,9 +401,8 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
         return CyclicModel(model=model, basis_words=words, dim=r, restricted=False)
     q = np.column_stack(basis)
 
-    def compress(side: str, x: int, a: int) -> np.ndarray:
-        word = Word(side, ((x, a),))
-        acted = np.column_stack([_apply_word_vec(model, word, q[:, j]) for j in range(r)])
+    def compress(side: str, op: np.ndarray) -> np.ndarray:
+        acted = np.column_stack([_act(model, side, op, q[:, j]) for j in range(r)])
         t = dagger(q) @ acted
         return (t + dagger(t)) / 2
 
@@ -411,8 +410,8 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
     small = CommutingModel(
         scenario=sc,
         dim=r,
-        M=[[compress("A", x, a) for a in range(sc.nA)] for x in range(sc.nX)],
-        N=[[compress("B", y, b) for b in range(sc.nB)] for y in range(sc.nY)],
+        M=[[compress("A", model.M[x][a]) for a in range(sc.nA)] for x in range(sc.nX)],
+        N=[[compress("B", model.N[y][b]) for b in range(sc.nB)] for y in range(sc.nY)],
         psi=dagger(q) @ model.psi,
     )
     return CyclicModel(model=small, basis_words=words, dim=r, restricted=True)

@@ -27,6 +27,7 @@ from .linalg import (
 from .models import (
     Correlation,
     QuantumModel,
+    _act,
     classify,
     correlation_of,
     is_projective_state,
@@ -80,12 +81,11 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
             f"correlation is not synchronous: max off-diagonal p(a,b|x,x) = {worst_sync:.3e}"
         )
 
-    psi_mat = m.psi.reshape(m.dimA, m.dimB)
     swap: dict[str, float] = {}
     for x in range(sc.nX):
         for a in range(sc.nA):
-            lhs = (m.M[x][a] @ psi_mat).reshape(-1)
-            rhs = (psi_mat @ m.N[x][a].T).reshape(-1)
+            lhs = _act(m, "A", m.M[x][a], m.psi)
+            rhs = _act(m, "B", m.N[x][a], m.psi)
             swap[f"(x={x},a={a})"] = float(np.linalg.norm(lhs - rhs))
 
     flags = classify(m, tol)
@@ -126,13 +126,14 @@ class LemmaViolated(RuntimeError):
         )
 
 
-def _round_effect(op: np.ndarray, act, x: int, side: str, tol: Tolerance) -> np.ndarray:
-    """Projection onto the eigenvalue-1 part of a binary POVM effect.
+def _round_effect(m: QuantumModel, side: str, x: int, tol: Tolerance) -> np.ndarray:
+    """Projection onto the eigenvalue-1 part of the binary effect ``[x][0]`` of ``side``.
 
     Every eigenvalue cluster must be ~0, ~1, or have an eigenspace whose
-    projector annihilates the state (checked through ``act``); otherwise
-    LemmaViolated is raised.
+    projector annihilates the state on that side; otherwise LemmaViolated is
+    raised.
     """
+    op = (m.M if side == "A" else m.N)[x][0]
     vals, vecs = hermitian_eig(op, tol)
     proj = np.zeros_like(op)
     for block in cluster_eigenvalues(vals, EIG_CLUSTER_GAP):
@@ -143,9 +144,9 @@ def _round_effect(op: np.ndarray, act, x: int, side: str, tol: Tolerance) -> np.
         elif abs(lam) < tol.eps:
             continue
         else:
-            residual = float(np.linalg.norm(act(cols @ dagger(cols))))
+            residual = float(np.linalg.norm(_act(m, side, cols @ dagger(cols), m.psi)))
             if residual >= tol.eps:
-                raise LemmaViolated(side, x, lam, residual)
+                raise LemmaViolated("M" if side == "A" else "N", x, lam, residual)
     return (proj + dagger(proj)) / 2
 
 
@@ -166,16 +167,11 @@ def binary_round(m: QuantumModel, extremal_assertion: bool,
     if not extremal_assertion:
         raise ValueError("binary rounding is only sound for extreme correlations; "
                          "pass extremal_assertion=True to assert this")
-    psi_mat = m.psi.reshape(m.dimA, m.dimB)
-
-    P = []
-    for x in range(sc.nX):
-        p0 = _round_effect(m.M[x][0], lambda pr: (pr @ psi_mat).reshape(-1), x, "M", tol)
-        P.append([p0, np.eye(m.dimA) - p0])
-    Q = []
-    for y in range(sc.nY):
-        q0 = _round_effect(m.N[y][0], lambda pr: (psi_mat @ pr.T).reshape(-1), y, "N", tol)
-        Q.append([q0, np.eye(m.dimB) - q0])
+    P, Q = [], []
+    for side, n_inputs, dim, family in (("A", sc.nX, m.dimA, P), ("B", sc.nY, m.dimB, Q)):
+        for x in range(n_inputs):
+            p0 = _round_effect(m, side, x, tol)
+            family.append([p0, np.eye(dim) - p0])
 
     rounded = QuantumModel(scenario=sc, dimA=m.dimA, dimB=m.dimB, M=P, N=Q, psi=m.psi)
     return rounded, trivial_witness(m)

@@ -50,16 +50,12 @@ def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
 
     residuals: dict[str, float] = {}
     worst = 0.0
-    for x, povm in enumerate(m.M):
-        for a, op in enumerate(povm):
-            r = mat_norm(PiA @ op - op @ PiA)
-            residuals[f"[PiA,M[{x}][{a}]]"] = r
-            worst = max(worst, r)
-    for y, povm in enumerate(m.N):
-        for b, op in enumerate(povm):
-            r = mat_norm(PiB @ op - op @ PiB)
-            residuals[f"[PiB,N[{y}][{b}]]"] = r
-            worst = max(worst, r)
+    for side, name, fam, Pi in (("A", "M", m.M, PiA), ("B", "N", m.N, PiB)):
+        for x, povm in enumerate(fam):
+            for a, op in enumerate(povm):
+                r = mat_norm(Pi @ op - op @ Pi)
+                residuals[f"[Pi{side},{name}[{x}][{a}]]"] = r
+                worst = max(worst, r)
 
     psi_small = np.einsum("ai,ab,bj->ij", basisA.conj(), m.psi.reshape(m.dimA, m.dimB),
                           basisB.conj()).reshape(-1)
@@ -82,31 +78,17 @@ def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
     )
 
 
-def _best_transfer_residual(op: np.ndarray, psi_mat: np.ndarray, side: str) -> float:
-    """min_X || (op (x) Id) psi - (Id (x) X) psi || (side A; mirrored for B).
+def _best_transfer_residual(op: np.ndarray, P: np.ndarray) -> float:
+    """min_X || (op (x) Id) psi - (Id (x) X) psi || for coefficient matrix P.
 
-    The unknown acts on the opposite factor; the minimization is a linear
-    least-squares problem in vec(X).
+    With ``psi = vec(P)`` the two vectors are ``op P`` and ``P X^T``, so the
+    minimum is the residual of the least-squares solve ``P Y = op P``.  Pass
+    ``P.T`` for an operator on the B factor: the problem is the same with the
+    factors swapped.
     """
-    if side == "A":
-        target = (op @ psi_mat).reshape(-1)
-        dB = psi_mat.shape[1]
-        # (Id (x) X) psi  has (i,j) component  sum_k X[j,k] psi[i,k]
-        design = np.zeros((psi_mat.size, dB * dB), dtype=complex)
-        for j in range(dB):
-            for k in range(dB):
-                design[j::dB, j * dB + k] = psi_mat[:, k]
-    else:
-        target = (psi_mat @ op.T).reshape(-1)
-        dA = psi_mat.shape[0]
-        # (X (x) Id) psi  has (i,j) component  sum_k X[i,k] psi[k,j]
-        dB = psi_mat.shape[1]
-        design = np.zeros((psi_mat.size, dA * dA), dtype=complex)
-        for i in range(dA):
-            for k in range(dA):
-                design[i * dB:(i + 1) * dB, i * dA + k] = psi_mat[k, :]
-    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    return float(np.linalg.norm(design @ sol - target))
+    target = op @ P
+    sol, _, _, _ = np.linalg.lstsq(P, target, rcond=None)
+    return float(np.linalg.norm(P @ sol - target))
 
 
 def is_centrally_supported_via_transfer(m: QuantumModel, tol: Tolerance = DEFAULT_TOL):
@@ -120,14 +102,10 @@ def is_centrally_supported_via_transfer(m: QuantumModel, tol: Tolerance = DEFAUL
     psi_mat = m.psi.reshape(m.dimA, m.dimB)
     residuals: dict[str, float] = {}
     worst = 0.0
-    for x, povm in enumerate(m.M):
-        for a, op in enumerate(povm):
-            r = _best_transfer_residual(op, psi_mat, "A")
-            residuals[f"transfer M[{x}][{a}]"] = r
-            worst = max(worst, r)
-    for y, povm in enumerate(m.N):
-        for b, op in enumerate(povm):
-            r = _best_transfer_residual(op, psi_mat, "B")
-            residuals[f"transfer N[{y}][{b}]"] = r
-            worst = max(worst, r)
+    for name, fam, P in (("M", m.M, psi_mat), ("N", m.N, psi_mat.T)):
+        for x, povm in enumerate(fam):
+            for a, op in enumerate(povm):
+                r = _best_transfer_residual(op, P)
+                residuals[f"transfer {name}[{x}][{a}]"] = r
+                worst = max(worst, r)
     return bool(worst <= tol.eps), residuals

@@ -118,6 +118,17 @@ class TestVerifyLocalDilation:
         with pytest.raises(ValueError):
             verify_local_dilation(s3, m, w)
 
+    @pytest.mark.parametrize("which", ["S", "T"])
+    def test_outcome_count_mismatch_rejected(self, which):
+        """A POVM with fewer outcomes than the scenario is bad input, not an
+        IndexError from the residual loop."""
+        m = chsh_ideal_model()
+        short = QuantumModel(scenario=m.scenario, dimA=2, dimB=2,
+                             M=m.M, N=[m.N[0], m.N[1][:1]], psi=m.psi)
+        S, T = (short, m) if which == "S" else (m, short)
+        with pytest.raises(ValueError, match=rf"{which}\.N has outcome counts \[2, 1\]"):
+            verify_local_dilation(S, T, trivial_witness(m))
+
 
 class TestFindLocalDilation:
     def test_self_dilation_unitary_witness(self):

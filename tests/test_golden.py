@@ -29,6 +29,7 @@ CASES = {
     "correlation": ["correlation", CHSH],
     "schmidt": ["schmidt", CHSH],
     "support": ["support", CHSH],
+    "support_exa_s": ["support", EXA_S],
     "naimark": ["naimark", CHSH],
     "irrep": ["irrep", CHSH],
     "cyclic": ["cyclic", CHSH],

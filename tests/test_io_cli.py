@@ -128,6 +128,54 @@ class TestCliCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("model", "M", 5), ("model", "M", None), ("model", "M", [5]),
+        ("model", "N", 5), ("model", "N", None), ("model", "N", [5]),
+        ("model", "dimA", None), ("model", "dimB", [2]),
+        ("witness", "dimAuxA", None), ("witness", "dimAuxB", "two"),
+        ("decomposition", "components", 5), ("decomposition", "components", None),
+        ("correlation", "p", {}),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, kind, field, value):
+        """A wrongly typed field is a parse error: exit 2, a message, no traceback."""
+        chsh = str(FIXTURES / "chsh_ideal.model.json")
+        objs = {
+            "model": model_to_obj(chsh_ideal_model()),
+            "witness": witness_to_obj(trivial_witness(chsh_ideal_model())),
+            "decomposition": {"components": []},
+            "correlation": correlation_to_obj(correlation_of(chsh_ideal_model())),
+        }
+        obj = objs[kind]
+        obj[field] = value
+        path = tmp_path / f"bad_{kind}.json"
+        path.write_text(json.dumps(obj))
+        args = {
+            "model": ["validate", str(path)],
+            "witness": ["verify-dilation", chsh, chsh, str(path)],
+            "decomposition": ["xor-certify", str(FIXTURES / "chsh.corr.json"),
+                              "--decomposition", str(path)],
+            "correlation": ["xor", str(path)],
+        }[kind]
+        res = invoke(args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in res.stderr
+
+    def test_verify_dilation_short_povm_exits_2(self, tmp_path):
+        """verify-dilation does not validate its models; a POVM with fewer
+        outcomes than the scenario must still be bad input, not an IndexError."""
+        obj = model_to_obj(chsh_ideal_model())
+        obj["M"][1] = obj["M"][1][:1]
+        path = tmp_path / "short.json"
+        save_json(path, obj)
+        chsh = str(FIXTURES / "chsh_ideal.model.json")
+        res = invoke(["verify-dilation", str(path), chsh,
+                      str(FIXTURES / "chsh_ideal.witness.json")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "S.M has outcome counts [2, 1]" in res.stderr
+
     def test_missing_file_exits_2(self):
         res = invoke(["validate", "no_such_file.json"])
         assert res.exit_code == 2

@@ -8,6 +8,8 @@ from bellkit.models import (
     Scenario,
     QuantumModel,
     Word,
+    _act,
+    _apply_word_vec,
     classify,
     correlation_of,
     evaluate_moment,
@@ -199,3 +201,38 @@ class TestProjectiveState:
         padded = block_padded_model(base, rng, 2, 2)  # junk blocks are POVMs
         assert is_projective_state(padded)
         assert not classify(padded).projective
+
+
+class TestTensorFactorAction:
+    """``_act`` is bitwise the inline reshape/transpose it replaced."""
+
+    @staticmethod
+    def _vectors(rng, dim):
+        cols = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        return [cols[:, 0].copy(), cols[:, 1]]  # contiguous and strided
+
+    @pytest.mark.parametrize("dimA,dimB", [(3, 5), (5, 3), (2, 2)])
+    def test_tensor_model(self, dimA, dimB):
+        rng = np.random.default_rng(dimA * 10 + dimB)
+        m = random_quantum_model(rng, Scenario(2, 2, 2, 2), dimA, dimB)
+        for vec in self._vectors(rng, dimA * dimB):
+            P = vec.reshape(dimA, dimB)
+            for op in (m.M[0][0], m.M[1][1]):
+                assert _act(m, "A", op, vec).tobytes() == (op @ P).reshape(-1).tobytes()
+            for op in (m.N[0][1], m.N[1][0]):
+                assert _act(m, "B", op, vec).tobytes() == (P @ op.T).reshape(-1).tobytes()
+            inner = (m.M[0][0] @ P).reshape(-1)
+            old = (m.M[1][0] @ inner.reshape(dimA, dimB)).reshape(-1)
+            word = Word("A", ((1, 0), (0, 0)))
+            assert _apply_word_vec(m, word, vec).tobytes() == old.tobytes()
+            two_sided = (m.M[0][1] @ P @ m.N[1][1].T).reshape(-1)
+            nested = _act(m, "B", m.N[1][1], _act(m, "A", m.M[0][1], vec))
+            assert nested.tobytes() == two_sided.tobytes()
+
+    def test_commuting_model(self):
+        rng = np.random.default_rng(7)
+        m = commuting_from_tensor(random_quantum_model(rng, Scenario(2, 2, 2, 2), 3, 5))
+        for vec in self._vectors(rng, 15):
+            for side, fam in (("A", m.M), ("B", m.N)):
+                op = fam[1][0]
+                assert _act(m, side, op, vec).tobytes() == (op @ vec).tobytes()

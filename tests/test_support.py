@@ -1,8 +1,9 @@
 """Support projections, support models, and the two centrally-supported criteria."""
 
 import numpy as np
+import pytest
 
-from bellkit.linalg import mat_norm
+from bellkit.linalg import DEFAULT_TOL, mat_norm
 from bellkit.models import Scenario, Word, correlation_of, evaluate_moment, validate_quantum_model
 from bellkit.presets import (
     block_padded_model,
@@ -102,3 +103,58 @@ def test_support_model_preserves_state_when_central():
             v1 = evaluate_moment(padded, Word("A", wa), Word("B", wb))
             v2 = evaluate_moment(data.supportModel, Word("A", wa), Word("B", wb))
             assert abs(v1 - v2) < 1e-9
+
+
+def _kronecker_transfer_residual(op, psi_mat, side):
+    """Reference: the least-squares transfer solved over vec(X) with a
+    d^2-column design matrix, one column per entry of the unknown X."""
+    if side == "A":
+        target = (op @ psi_mat).reshape(-1)
+        dB = psi_mat.shape[1]
+        design = np.zeros((psi_mat.size, dB * dB), dtype=complex)
+        for j in range(dB):
+            for k in range(dB):
+                design[j::dB, j * dB + k] = psi_mat[:, k]
+    else:
+        target = (psi_mat @ op.T).reshape(-1)
+        dA, dB = psi_mat.shape
+        design = np.zeros((psi_mat.size, dA * dA), dtype=complex)
+        for i in range(dA):
+            for k in range(dA):
+                design[i * dB:(i + 1) * dB, i * dA + k] = psi_mat[k, :]
+    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    return float(np.linalg.norm(design @ sol - target))
+
+
+def _transfer_fixtures():
+    """(label, model, centrally supported); random POVMs on the larger factor
+    of a non-square generic state do not commute with its support."""
+    rng = np.random.default_rng(31)
+    sc = Scenario(2, 2, 2, 2)
+    yield "random 3x5", random_quantum_model(rng, sc, 3, 5), False
+    yield "random 5x3", random_quantum_model(rng, sc, 5, 3), False
+    yield "padded 3x5", block_padded_model(random_quantum_model(rng, sc, 2, 2), rng, 1, 3), True
+    yield "padded 5x3", block_padded_model(random_quantum_model(rng, sc, 2, 2), rng, 3, 1), True
+    yield "mixing 4x4", support_mixing_model(rng, 4, 2, sc), False
+    yield "mixing 3x5", block_padded_model(support_mixing_model(rng, 3, 1, sc), rng, 0, 2), False
+    yield "mixing 5x3", block_padded_model(support_mixing_model(rng, 3, 2, sc), rng, 2, 0), False
+
+
+@pytest.mark.parametrize("label,m,central", list(_transfer_fixtures()))
+def test_transfer_solve_matches_kronecker_reference(label, m, central):
+    """The direct solve lstsq(P, op P) (P^T for B) reproduces the design-matrix
+    residuals on both sides, for dimA != dimB and rank-deficient states."""
+    psi_mat = m.psi.reshape(m.dimA, m.dimB)
+    ok, residuals = is_centrally_supported_via_transfer(m)
+    reference = {}
+    for side, name, fam in (("A", "M", m.M), ("B", "N", m.N)):
+        for x, povm in enumerate(fam):
+            for a, op in enumerate(povm):
+                reference[f"transfer {name}[{x}][{a}]"] = _kronecker_transfer_residual(
+                    op, psi_mat, side)
+    assert residuals.keys() == reference.keys()
+    for key, ref in reference.items():
+        assert abs(residuals[key] - ref) < 1e-12, (label, key, residuals[key], ref)
+    assert ok == (max(reference.values()) <= DEFAULT_TOL.eps)
+    assert ok == support_of(m).centrally_supported
+    assert ok == central
