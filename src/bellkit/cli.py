@@ -380,7 +380,7 @@ def find_dilation(s, t, witness_out, tol, seed):
     }, rep.passed
 
 
-@report(tensor=True, validated=False)
+@report(tensor=True)
 @click.argument("model_s", type=MODEL)
 @click.argument("model_t", type=MODEL)
 @click.argument("witness_file", type=WITNESS)

@@ -121,8 +121,7 @@ def _scenario_to_obj(sc: Scenario) -> dict:
 
 def _obj_to_scenario(obj, where: str) -> Scenario:
     try:
-        return Scenario(nX=int(obj["nX"]), nY=int(obj["nY"]),
-                        nA=int(obj["nA"]), nB=int(obj["nB"]))
+        return Scenario(*(_int_field(obj, key, where) for key in ("nX", "nY", "nA", "nB")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad scenario ({exc})") from None
 
@@ -171,11 +170,14 @@ def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
 
 
 def _int_field(obj: dict, key: str, where: str) -> int:
-    """``obj[key]`` as an int; a missing key raises KeyError for the caller."""
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: field '{key}' must be an integer ({exc})") from None
+    """``obj[key]`` as an int: a non-bool int or an integral float, else a
+    ParseError; a missing key raises KeyError for the caller."""
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{where}: field '{key}' must be an integer, got {value!r}")
 
 
 def correlation_to_obj(c: Correlation) -> dict:

@@ -238,16 +238,18 @@ validate_quantum_model = validate_commuting_model = validate_model
 
 
 def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``op`` acting on the ``side`` ("A" or "B") factor of ``vec``.
+    """``op`` acting on the ``side`` ("A" or "B") factor of ``vec``, a state
+    vector or a d x k block of them.
 
-    On a commuting model this is ``op @ vec``; on a tensor model ``vec`` is
-    the dimA x dimB coefficient matrix P (index ``i_A * dimB + i_B``) and the
-    result is ``op P`` for side A and ``P op^T`` for side B, flattened.
+    On a commuting model this is ``op @ vec``; on a tensor model each column
+    is the dimA x dimB coefficient matrix P (index ``i_A * dimB + i_B``) and
+    becomes ``op P`` for side A and ``P op^T`` for side B.
     """
     if not isinstance(model, QuantumModel):
         return op @ vec
-    P = vec.reshape(model.dimA, model.dimB)
-    return (op @ P if side == "A" else P @ op.T).reshape(-1)
+    if side == "A":
+        return (op @ vec.reshape(model.dimA, -1)).reshape(vec.shape)
+    return (vec.T.reshape(-1, model.dimB) @ op.T).reshape(vec.T.shape).T
 
 
 def _apply_word_vec(model, word: Word, vec: np.ndarray) -> np.ndarray:

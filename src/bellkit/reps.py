@@ -344,23 +344,24 @@ class CyclicModel:
 
 
 def _cyclic_frame(model, tol: Tolerance):
-    """BFS over canonical words: returns (words, raw vectors, orthonormal basis).
+    """BFS over canonical words: returns (words, Q), Q's columns orthonormal.
 
     Level L+1 candidates are letters prepended to the retained level-L words,
-    processed in length-lex order; a candidate is retained when its residual
-    after projection on the basis so far is at least eps * (1 + max norm).
-    Two consecutive empty levels terminate (with this scheme the level after
-    an empty one is vacuously empty, so a single empty level suffices).
+    processed in length-lex order.  Each is projected twice on the basis so
+    far, ``r -= Q (Q^H r)``, and becomes Q's next column when the residual
+    norm is at least 2 eps (word vectors have norm <= 1).  The search ends at
+    the first level that retains nothing, or when Q spans the whole space.
     """
     letters = scenario_letters(model.scenario)
     psi = model.psi
     cutoff = tol.eps * 2.0  # word vectors have norm <= 1
-    words = [CombinedWord()]
-    raws = [psi.copy()]
-    basis = [psi / np.linalg.norm(psi)]
-    level = [(CombinedWord(), psi.copy())]
     total_dim = len(psi)
-    while level and len(basis) < total_dim:
+    Q = np.zeros((total_dim, total_dim), dtype=complex)
+    Q[:, 0] = psi / np.linalg.norm(psi)
+    r = 1
+    words = [CombinedWord()]
+    level = [(CombinedWord(), psi)]
+    while level and r < total_dim:
         candidates: dict = {}
         for letter in letters:
             for w, raw in level:
@@ -372,18 +373,17 @@ def _cyclic_frame(model, tol: Tolerance):
             cw, vec = candidates[key]
             resid = vec.copy()
             for _ in range(2):
-                for b in basis:
-                    resid = resid - b * np.vdot(b, resid)
+                resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
             norm = float(np.linalg.norm(resid))
             if norm >= cutoff:
-                basis.append(resid / norm)
+                Q[:, r] = resid / norm
+                r += 1
                 words.append(cw)
-                raws.append(vec)
                 next_level.append((cw, vec))
-                if len(basis) == total_dim:
+                if r == total_dim:
                     break
         level = next_level
-    return words, raws, basis
+    return words, Q[:, :r]
 
 
 def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
@@ -394,16 +394,13 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
     carrier is a CommutingModel.  Correlations and word moments are preserved
     exactly.
     """
-    words, _, basis = _cyclic_frame(model, tol)
-    full_dim = len(model.psi)
-    r = len(basis)
-    if r == full_dim:
+    words, q = _cyclic_frame(model, tol)
+    r = q.shape[1]
+    if r == len(model.psi):
         return CyclicModel(model=model, basis_words=words, dim=r, restricted=False)
-    q = np.column_stack(basis)
 
     def compress(side: str, op: np.ndarray) -> np.ndarray:
-        acted = np.column_stack([_act(model, side, op, q[:, j]) for j in range(r)])
-        t = dagger(q) @ acted
+        t = dagger(q) @ _act(model, side, op, q)
         return (t + dagger(t)) / 2
 
     sc = model.scenario
@@ -458,6 +455,9 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     letter so the induced map is forced to intertwine) are compared.  Returns
     ``(True, EquivalenceWitness)`` with the unitary between the cyclic spaces,
     or ``(False, DistinguishingMoment)`` with a word pair and both values.
+    The unitary is the map w psi_1 -> w psi_2 on the frame: with the thin SVD
+    ``v1 = U S V^H`` of model 1's frame, ``u = v2 V S^-1 U^H``.  Its
+    intertwiner residual is the largest ``||u L_1 - L_2 u||_2`` over letters.
     """
     if m1.scenario != m2.scenario:
         raise ValueError("states_equal requires a common scenario")
@@ -467,9 +467,8 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
 
     merged = {w.key(): w for w in c1.basis_words}
     merged.update({w.key(): w for w in c2.basis_words})
-    base_words = [merged[k] for k in sorted(merged)]
     extended = dict(merged)
-    for w in base_words:
+    for w in merged.values():
         for letter in letters:
             cw = w.prepend(letter)
             extended.setdefault(cw.key(), cw)
@@ -489,24 +488,14 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
             wordA=wa, wordB=wb, value1=complex(g1[i, j]), value2=complex(g2[i, j])
         )
 
-    # shared Gram -> common orthonormalization -> forced unitary
-    g = (g1 + g2) / 2
-    vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
-    keep = vals > max(vals.max(initial=0.0), 1.0) * 1e-12
-    coeff = vecs[:, keep] @ np.diag(1.0 / np.sqrt(vals[keep]))
-    q1 = v1 @ coeff
-    q2 = v2 @ coeff
-    u = q2 @ dagger(q1)
+    # v1 spans c1's space (its rows), so all c1.dim singular values are kept
+    U, s, Vh = np.linalg.svd(v1, full_matrices=False)
+    u = (v2 @ dagger(Vh) / s) @ dagger(U)
     state_res = float(np.linalg.norm(u @ c1.model.psi - c2.model.psi))
-    inter_res = 0.0
-    for letter in letters:
-        lhs = np.column_stack(
-            [u @ _apply_letter(c1.model, letter, q1[:, j]) for j in range(q1.shape[1])]
-        )
-        rhs = np.column_stack(
-            [_apply_letter(c2.model, letter, u @ q1[:, j]) for j in range(q1.shape[1])]
-        )
-        inter_res = max(inter_res, float(np.linalg.norm(lhs - rhs, 2)))
+    eye = np.eye(c1.dim, dtype=complex)
+    inter_res = max(float(np.linalg.norm(u @ _apply_letter(c1.model, letter, eye)
+                                         - _apply_letter(c2.model, letter, u), 2))
+                    for letter in letters)
     witness = EquivalenceWitness(
         unitary=u,
         state_residual=state_res,

@@ -33,6 +33,7 @@ CASES = {
     "naimark": ["naimark", CHSH],
     "irrep": ["irrep", CHSH],
     "cyclic": ["cyclic", CHSH],
+    "cyclic_exa_s": ["cyclic", EXA_S],
     "round_binary": ["round-binary", CHSH, "--assert-extremal"],
     "tilted_sos": ["tilted-sos", CHSH, "--alpha", "0"],
     "tilted_sos_alpha15": ["tilted-sos", CHSH, "--alpha", "1.5"],

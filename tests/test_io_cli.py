@@ -135,6 +135,10 @@ class TestCliCommands:
         ("witness", "dimAuxA", None), ("witness", "dimAuxB", "two"),
         ("decomposition", "components", 5), ("decomposition", "components", None),
         ("correlation", "p", {}),
+        ("model", "dimA", 2.9), ("model", "dimA", True), ("model", "dimB", False),
+        ("witness", "dimAuxA", 1.5), ("witness", "dimAuxB", True),
+        ("model", "scenario", {"nX": 2.7, "nY": 2, "nA": 2, "nB": 2}),
+        ("correlation", "scenario", {"nX": 2, "nY": 2, "nA": True, "nB": 2}),
     ])
     def test_malformed_field_exits_2(self, tmp_path, kind, field, value):
         """A wrongly typed field is a parse error: exit 2, a message, no traceback."""
@@ -162,9 +166,19 @@ class TestCliCommands:
         assert res.stderr.startswith(f"error: {path}")
         assert "Traceback" not in res.stderr
 
+    def test_integral_float_size_accepted(self, tmp_path):
+        obj = model_to_obj(chsh_ideal_model())
+        obj["dimA"] = 2.0
+        obj["scenario"]["nX"] = 2.0
+        path = tmp_path / "float_sizes.json"
+        path.write_text(json.dumps(obj))
+        m = load_model(path)
+        assert (m.dimA, m.scenario.nX) == (2, 2)
+        assert type(m.dimA) is int and type(m.scenario.nX) is int
+
     def test_verify_dilation_short_povm_exits_2(self, tmp_path):
-        """verify-dilation does not validate its models; a POVM with fewer
-        outcomes than the scenario must still be bad input, not an IndexError."""
+        """verify-dilation validates its models; a POVM with fewer outcomes
+        than the scenario is bad input, not an IndexError."""
         obj = model_to_obj(chsh_ideal_model())
         obj["M"][1] = obj["M"][1][:1]
         path = tmp_path / "short.json"
@@ -174,7 +188,22 @@ class TestCliCommands:
                       str(FIXTURES / "chsh_ideal.witness.json")])
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert "S.M has outcome counts [2, 1]" in res.stderr
+        assert "model is not valid: POVM outcome count at M[1]" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_verify_dilation_invalid_model_exits_2(self, tmp_path):
+        """A model whose state has norm 2 gets no verdict, even with a witness
+        that would pass on it."""
+        obj = model_to_obj(chsh_ideal_model())
+        obj["psi"] = [[2 * re, 2 * im] for re, im in obj["psi"]]
+        path = tmp_path / "norm2.json"
+        save_json(path, obj)
+        res = invoke(["verify-dilation", str(path), str(path),
+                      str(FIXTURES / "chsh_ideal.witness.json")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "model is not valid: state normalization at psi" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_file_exits_2(self):
         res = invoke(["validate", "no_such_file.json"])

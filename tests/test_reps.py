@@ -4,20 +4,35 @@ import numpy as np
 import pytest
 
 from bellkit.linalg import DEFAULT_TOL, dagger, mat_norm
-from bellkit.models import CommutingModel, Scenario, QuantumModel, correlation_of, evaluate_moment, Word
+from bellkit.models import (
+    CommutingModel,
+    QuantumModel,
+    Scenario,
+    Word,
+    _act,
+    correlation_of,
+    evaluate_moment,
+)
 from bellkit.presets import (
+    block_padded_model,
     chsh_ideal_model,
     commuting_from_tensor,
     example_pair,
+    random_povm,
     random_pvm,
     random_quantum_model,
     random_state,
     tensor_with_auxiliary,
 )
 from bellkit.reps import (
+    CombinedWord,
+    _apply_letter,
+    _cyclic_frame,
+    _frame_vectors,
     commutant_basis,
     cyclic_restrict,
     irrep_decompose,
+    scenario_letters,
     states_equal,
 )
 
@@ -422,3 +437,170 @@ class TestStatesEqual:
         other = random_quantum_model(rng, Scenario(1, 1, 2, 2), 2, 2)
         agree, gap = moments_agree_up_to(s3, other, max_length=2)
         assert not agree and gap > 1e-3
+
+
+# ------------------------------------------- references for the frame and unitary
+
+def reference_cyclic_frame(model, tol):
+    """The per-vector Gram-Schmidt frame that ``_cyclic_frame`` replaced."""
+    letters = scenario_letters(model.scenario)
+    psi = model.psi
+    words, basis = [CombinedWord()], [psi / np.linalg.norm(psi)]
+    level = [(CombinedWord(), psi.copy())]
+    while level and len(basis) < len(psi):
+        candidates = {}
+        for letter in letters:
+            for w, raw in level:
+                cw = w.prepend(letter)
+                if cw.key() not in candidates:
+                    candidates[cw.key()] = (cw, _apply_letter(model, letter, raw))
+        next_level = []
+        for key in sorted(candidates):
+            cw, vec = candidates[key]
+            resid = vec.copy()
+            for _ in range(2):
+                for b in basis:
+                    resid = resid - b * np.vdot(b, resid)
+            norm = float(np.linalg.norm(resid))
+            if norm >= tol.eps * 2.0:
+                basis.append(resid / norm)
+                words.append(cw)
+                next_level.append((cw, vec))
+                if len(basis) == len(psi):
+                    break
+        level = next_level
+    return words, np.column_stack(basis)
+
+
+def reference_restrict(model, tol):
+    """(restricted model, basis words), compressing one column at a time."""
+    words, q = reference_cyclic_frame(model, tol)
+    if q.shape[1] == len(model.psi):
+        return model, words
+
+    def compress(side, op):
+        acted = np.column_stack([_act(model, side, op, q[:, j]) for j in range(q.shape[1])])
+        t = dagger(q) @ acted
+        return (t + dagger(t)) / 2
+
+    sc = model.scenario
+    return CommutingModel(
+        scenario=sc, dim=q.shape[1],
+        M=[[compress("A", op) for op in povm] for povm in model.M],
+        N=[[compress("B", op) for op in povm] for povm in model.N],
+        psi=dagger(q) @ model.psi,
+    ), words
+
+
+def reference_states_equal(m1, m2, tol):
+    """The same frame and Gram comparison, with the unitary from the eigh of
+    the averaged Gram (cut at 1e-12 of its top eigenvalue) that states_equal
+    replaced.  Returns a dict of what the comparison decided."""
+    (r1, words1), (r2, words2) = reference_restrict(m1, tol), reference_restrict(m2, tol)
+    letters = scenario_letters(m1.scenario)
+    merged = {w.key(): w for w in words1 + words2}
+    extended = dict(merged)
+    for key in sorted(merged):
+        for letter in letters:
+            cw = merged[key].prepend(letter)
+            extended.setdefault(cw.key(), cw)
+    frame_words = [extended[k] for k in sorted(extended)]
+    v1, v2 = _frame_vectors(r1, frame_words), _frame_vectors(r2, frame_words)
+    g1, g2 = dagger(v1) @ v1, dagger(v2) @ v2
+    diff = np.abs(g1 - g2)
+    out = {"gram_residual": float(diff.max()), "words_checked": len(frame_words)}
+    if out["gram_residual"] > tol.eps * 2.0:
+        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        out["moment"] = frame_words[i].adjoint_times(frame_words[j]).word_pair()
+        return False, out
+    g = (g1 + g2) / 2
+    vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
+    keep = vals > max(vals.max(initial=0.0), 1.0) * 1e-12
+    coeff = vecs[:, keep] @ np.diag(1.0 / np.sqrt(vals[keep]))
+    out["unitary"] = (v2 @ coeff) @ dagger(v1 @ coeff)
+    return True, out
+
+
+def local_rotation(m, rng):
+    ua, ub = rand_unitary(rng, m.dimA), rand_unitary(rng, m.dimB)
+    return QuantumModel(
+        scenario=m.scenario, dimA=m.dimA, dimB=m.dimB,
+        M=[[ua @ op @ dagger(ua) for op in povm] for povm in m.M],
+        N=[[ub @ op @ dagger(ub) for op in povm] for povm in m.N],
+        psi=np.kron(ua, ub) @ m.psi,
+    )
+
+
+def seeded_pair(kind, d):
+    """(m1, m2, restricted) on a (2,2,2,2) scenario; every kind but "other"
+    induces equal states.  "padded" pads a d-2 model with a 2-dim junk block
+    per side, so the first model's cyclic subspace is proper."""
+    rng = np.random.default_rng(1000 + d)
+    sc = Scenario(2, 2, 2, 2)
+    if kind == "padded":
+        base = random_quantum_model(rng, sc, d - 2, d - 2)
+        return block_padded_model(base, rng, 2, 2), local_rotation(base, rng), True
+    base = random_quantum_model(rng, sc, d, d)
+    if kind == "rotation":
+        return base, local_rotation(base, rng), False
+    if kind == "commuting":
+        return base, commuting_from_tensor(base), False
+    other = QuantumModel(scenario=sc, dimA=d, dimB=d, M=base.M,
+                         N=[base.N[0], random_povm(rng, d, 2)], psi=base.psi)
+    return base, other, False
+
+
+PAIRS = [("rotation", 8), ("commuting", 8), ("other", 8), ("rotation", 10), ("padded", 10)]
+
+
+class TestFrameAndUnitaryAgainstReference:
+    """The blocked cyclic frame and the SVD unitary decide what the per-vector
+    Gram-Schmidt frame and the Gram-eigh unitary decided, at benchmark sizes."""
+
+    @pytest.mark.parametrize("kind,d", PAIRS)
+    def test_cyclic_frame_retains_the_same_words(self, kind, d):
+        for m in seeded_pair(kind, d)[:2]:
+            words, q = _cyclic_frame(m, DEFAULT_TOL)
+            ref_words, ref_q = reference_cyclic_frame(m, DEFAULT_TOL)
+            assert words == ref_words
+            np.testing.assert_allclose(q, ref_q, atol=1e-9)
+            assert mat_norm(dagger(q) @ q - np.eye(q.shape[1])) < 1e-13
+
+    @pytest.mark.parametrize("kind,d", PAIRS)
+    def test_states_equal_matches_reference(self, kind, d):
+        m1, m2, restricted = seeded_pair(kind, d)
+        equal, witness = states_equal(m1, m2)
+        ref_equal, ref = reference_states_equal(m1, m2, DEFAULT_TOL)
+        assert equal == ref_equal == (kind != "other")
+        assert cyclic_restrict(m1).restricted == restricted
+        if not equal:
+            assert (witness.wordA, witness.wordB) == ref["moment"]
+            return
+        assert witness.words_checked == ref["words_checked"]
+        if restricted:
+            assert abs(witness.gram_residual - ref["gram_residual"]) < 1e-12
+        else:
+            assert witness.gram_residual == ref["gram_residual"]
+        np.testing.assert_allclose(witness.unitary, ref["unitary"], atol=1e-9)
+        assert witness.state_residual < 1e-12
+        assert witness.intertwiner_residual < 1e-12
+
+    def test_unitary_at_d12(self):
+        m1, m2, _ = seeded_pair("rotation", 12)
+        equal, witness = states_equal(m1, m2)
+        assert equal
+        u = witness.unitary
+        assert u.shape == (144, 144)
+        assert mat_norm(u @ dagger(u) - np.eye(144)) <= 1e-12
+
+    @pytest.mark.parametrize("dimA,dimB", [(3, 5), (5, 3), (4, 4)])
+    def test_act_on_a_block_matches_columns(self, dimA, dimB):
+        rng = np.random.default_rng(dimA * 10 + dimB)
+        m = random_quantum_model(rng, Scenario(2, 2, 2, 2), dimA, dimB)
+        block = rng.normal(size=(dimA * dimB, 7)) + 1j * rng.normal(size=(dimA * dimB, 7))
+        for model in (m, commuting_from_tensor(m)):
+            for side, op in (("A", model.M[1][0]), ("B", model.N[0][1])):
+                by_column = np.column_stack(
+                    [_act(model, side, op, block[:, j]) for j in range(7)])
+                np.testing.assert_allclose(_act(model, side, op, block), by_column,
+                                           rtol=0, atol=1e-14)
