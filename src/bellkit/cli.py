@@ -188,7 +188,7 @@ def schmidt(model, tol, seed):
     """Schmidt coefficients and rank of a tensor model's state."""
     sd = schmidt_decompose(model.psi, model.dimA, model.dimB, tol)
     return {
-        "coefficients": [float(c) for c in sd.coefficients],
+        "coefficients": sd.coefficients.tolist(),
         "rank": sd.rank,
         "witnesses": {"left_basis": matrix_to_obj(sd.left),
                       "right_basis": matrix_to_obj(sd.right)},
@@ -295,7 +295,7 @@ def xor(corr, tol, seed):
     """XOR correlation matrix, unbiasedness, and rank of a binary behaviour."""
     xc = xor_of(corr, tol)
     return {
-        "c": [[float(v) for v in row] for row in xc.c],
+        "c": xc.c.tolist(),
         "verdicts": {"unbiased": xc.unbiased},
         "rank": xc.rank,
     }, True

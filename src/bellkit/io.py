@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ def _emit(obj, parts: list[str]):
 
 def matrix_to_obj(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def obj_to_matrix(obj, where: str) -> np.ndarray:
@@ -105,7 +106,7 @@ def obj_to_matrix(obj, where: str) -> np.ndarray:
 
 def vector_to_obj(v: np.ndarray) -> list:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(e.real), float(e.imag)] for e in v]
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def obj_to_vector(obj, where: str) -> np.ndarray:
@@ -120,9 +121,12 @@ def _scenario_to_obj(sc: Scenario) -> dict:
 
 
 def _obj_to_scenario(obj, where: str) -> Scenario:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    counts = [_int_field(obj, key, where) for key in ("nX", "nY", "nA", "nB")]
     try:
-        return Scenario(*(_int_field(obj, key, where) for key in ("nX", "nY", "nA", "nB")))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Scenario(*counts)
+    except ValueError as exc:
         raise ParseError(f"{where}: bad scenario ({exc})") from None
 
 
@@ -171,7 +175,9 @@ def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     """``obj[key]`` as an int: a non-bool int or an integral float, else a
-    ParseError; a missing key raises KeyError for the caller."""
+    ParseError, also when the key is missing."""
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
     value = obj[key]
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -183,8 +189,7 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 def correlation_to_obj(c: Correlation) -> dict:
     return {
         "scenario": _scenario_to_obj(c.scenario),
-        "p": [[[[float(v) for v in row] for row in plane] for plane in cube]
-              for cube in c.p.tolist()],
+        "p": c.p.tolist(),
     }
 
 
@@ -200,6 +205,9 @@ def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
         raise ParseError(
             f"{where}: table shape {p.shape} does not match scenario "
             f"(expected ({sc.nA},{sc.nB},{sc.nX},{sc.nY}))")
+    if not np.isfinite(p).all():
+        a, b, x, y = np.argwhere(~np.isfinite(p))[0]
+        raise ParseError(f"{where}: non-finite entry {p[a, b, x, y]} at p[{a}][{b}][{x}][{y}]")
     if p.min() < -1e-9:
         raise ParseError(f"{where}: negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)  # decimal round-trip dust
@@ -269,12 +277,15 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
         raise ParseError(f"{where}: expected an object with a 'components' list")
     out = []
     for k, comp in enumerate(obj["components"]):
-        try:
-            weight = float(comp["weight"])
-            corr = obj_to_correlation(comp["correlation"], f"{where}.components[{k}]")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}.components[{k}]: {exc}") from None
-        out.append((weight, corr))
+        here = f"{where}.components[{k}]"
+        if not isinstance(comp, dict) or "weight" not in comp or "correlation" not in comp:
+            raise ParseError(f"{here}: expected an object with 'weight' and 'correlation'")
+        weight = comp["weight"]
+        # False for NaN, +-inf and ints too large for a float
+        finite = isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max
+        if isinstance(weight, bool) or not finite:
+            raise ParseError(f"{here}: field 'weight' must be a finite number, got {weight!r}")
+        out.append((float(weight), obj_to_correlation(comp["correlation"], here)))
     return out
 
 

@@ -4,12 +4,15 @@ A quantum model is a pair of local POVM families plus a bipartite pure state;
 a commuting model puts both families on one space and requires them to
 commute.  Word moments ``<psi| M^{x1}_{a1}...  (x) N^{y1}_{b1}... |psi>`` are
 the single currency for everything observable: correlations are just the
-degree-(1,1) moments.
+degree-(1,1) moments.  Every word vector ``pi_A(A) pi_B(B) psi`` is built by
+``_word_vector`` in one per-call table: one letter acting on the cached vector
+of the word one letter shorter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -252,12 +255,29 @@ def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (vec.T.reshape(-1, model.dimB) @ op.T).reshape(vec.T.shape).T
 
 
-def _apply_word_vec(model, word: Word, vec: np.ndarray) -> np.ndarray:
-    """pi(word) |vec| on the model's representation space."""
-    family = model.M if word.side == "A" else model.N
-    for x, a in reversed(word.letters):  # rightmost letter acts first
-        vec = _act(model, word.side, family[x][a], vec)
-    return vec
+def _word_vector(model, lettersA, lettersB, table: dict) -> np.ndarray:
+    """pi_A(lettersA) pi_B(lettersB) psi, cached in ``table`` by letter tuples.
+
+    B's letters act first, rightmost first, then A's: the vector of a word is
+    its first letter acting on the vector of the rest.
+    """
+    key = (lettersA, lettersB)
+    if key not in table:
+        if lettersA:
+            x, a = lettersA[0]
+            rest = _word_vector(model, lettersA[1:], lettersB, table)
+            table[key] = _act(model, "A", model.M[x][a], rest)
+        elif lettersB:
+            y, b = lettersB[0]
+            rest = _word_vector(model, (), lettersB[1:], table)
+            table[key] = _act(model, "B", model.N[y][b], rest)
+        else:
+            table[key] = model.psi
+    return table[key]
+
+
+def _moment(model, lettersA, lettersB, table: dict) -> complex:
+    return complex(np.vdot(model.psi, _word_vector(model, lettersA, lettersB, table)))
 
 
 def evaluate_moment(model, wA: Word, wB: Word) -> complex:
@@ -275,9 +295,7 @@ def evaluate_moment(model, wA: Word, wB: Word) -> complex:
     for y, b in wB.letters:
         if not (0 <= y < sc.nY and 0 <= b < sc.nB):
             raise IndexError(f"B-letter ({y},{b}) outside scenario {sc}")
-    v = _apply_word_vec(model, wB, model.psi)
-    v = _apply_word_vec(model, wA, v)
-    return complex(np.vdot(model.psi, v))
+    return _moment(model, wA.letters, wB.letters, {})
 
 
 def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
@@ -290,11 +308,12 @@ def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
     sc = model.scenario
     p = np.zeros((sc.nA, sc.nB, sc.nX, sc.nY))
     max_imag = 0.0
+    table: dict = {}
     for x in range(sc.nX):
         for y in range(sc.nY):
             for a in range(sc.nA):
                 for b in range(sc.nB):
-                    val = evaluate_moment(model, Word("A", ((x, a),)), Word("B", ((y, b),)))
+                    val = _moment(model, ((x, a),), ((y, b),), table)
                     max_imag = max(max_imag, abs(val.imag))
                     p[a, b, x, y] = val.real
     if max_imag >= tol.eps:
@@ -343,20 +362,16 @@ def moments_agree_up_to(m1, m2, max_length: int, tol: Tolerance = DEFAULT_TOL):
     letters_b = [(y, b) for y in range(sc.nY) for b in range(sc.nB)]
 
     def words(letters):
-        out = [()]
-        level = [()]
-        for _ in range(max_length):
-            level = [w + (l,) for w in level for l in letters]
-            out.extend(level)
-        return out
+        return [w for n in range(max_length + 1) for w in product(letters, repeat=n)]
 
     worst = 0.0
+    table1: dict = {}
+    table2: dict = {}
     for wa in words(letters_a):
         for wb in words(letters_b):
             if len(wa) + len(wb) > max_length:
                 continue
-            gap = abs(evaluate_moment(m1, Word("A", wa), Word("B", wb))
-                      - evaluate_moment(m2, Word("A", wa), Word("B", wb)))
+            gap = abs(_moment(m1, wa, wb, table1) - _moment(m2, wa, wb, table2))
             worst = max(worst, gap)
     return worst <= tol.eps * 2, worst
 
@@ -369,18 +384,10 @@ def is_projective_state(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     only outside the support of psi still yields True: the state cannot see it.
     """
     sc = m.scenario
-    empty_b = Word("B")
-    empty_a = Word("A")
-    for x in range(sc.nX):
-        for a in range(sc.nA):
-            lin = evaluate_moment(m, Word("A", ((x, a),)), empty_b)
-            sq = evaluate_moment(m, Word("A", ((x, a), (x, a))), empty_b)
-            if not tol.is_zero(lin - sq):
-                return False
-    for y in range(sc.nY):
-        for b in range(sc.nB):
-            lin = evaluate_moment(m, empty_a, Word("B", ((y, b),)))
-            sq = evaluate_moment(m, empty_a, Word("B", ((y, b), (y, b))))
-            if not tol.is_zero(lin - sq):
-                return False
+    pairs = [(((x, a),), ()) for x in range(sc.nX) for a in range(sc.nA)]
+    pairs += [((), ((y, b),)) for y in range(sc.nY) for b in range(sc.nB)]
+    table: dict = {}
+    for wa, wb in pairs:  # one letter, then the letter squared
+        if not tol.is_zero(_moment(m, wa, wb, table) - _moment(m, wa * 2, wb * 2, table)):
+            return False
     return True

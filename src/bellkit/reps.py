@@ -26,7 +26,7 @@ from .linalg import (
     hermitian_eig,
     mat_norm,
 )
-from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _apply_word_vec
+from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _word_vector
 
 __all__ = [
     "AlgebraNotSemisimpleNumerically",
@@ -347,10 +347,11 @@ def _cyclic_frame(model, tol: Tolerance):
     """BFS over canonical words: returns (words, Q), Q's columns orthonormal.
 
     Level L+1 candidates are letters prepended to the retained level-L words,
-    processed in length-lex order.  Each is projected twice on the basis so
-    far, ``r -= Q (Q^H r)``, and becomes Q's next column when the residual
-    norm is at least 2 eps (word vectors have norm <= 1).  The search ends at
-    the first level that retains nothing, or when Q spans the whole space.
+    processed in length-lex order.  Each candidate's vector, from the word
+    vector table, is projected twice on the basis so far, ``r -= Q (Q^H r)``,
+    and becomes Q's next column when the residual norm is at least 2 eps
+    (word vectors have norm <= 1).  The search ends at the first level that
+    retains nothing, or when Q spans the whole space.
     """
     letters = scenario_letters(model.scenario)
     psi = model.psi
@@ -360,18 +361,13 @@ def _cyclic_frame(model, tol: Tolerance):
     Q[:, 0] = psi / np.linalg.norm(psi)
     r = 1
     words = [CombinedWord()]
-    level = [(CombinedWord(), psi)]
+    level = [CombinedWord()]
+    table: dict = {}
     while level and r < total_dim:
-        candidates: dict = {}
-        for letter in letters:
-            for w, raw in level:
-                cw = w.prepend(letter)
-                if cw.key() not in candidates:
-                    candidates[cw.key()] = (cw, _apply_letter(model, letter, raw))
+        candidates = {w.prepend(letter) for letter in letters for w in level}
         next_level = []
-        for key in sorted(candidates):
-            cw, vec = candidates[key]
-            resid = vec.copy()
+        for cw in sorted(candidates, key=CombinedWord.key):
+            resid = _word_vector(model, cw.lettersA, cw.lettersB, table).copy()
             for _ in range(2):
                 resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
             norm = float(np.linalg.norm(resid))
@@ -379,7 +375,7 @@ def _cyclic_frame(model, tol: Tolerance):
                 Q[:, r] = resid / norm
                 r += 1
                 words.append(cw)
-                next_level.append((cw, vec))
+                next_level.append(cw)
                 if r == total_dim:
                     break
         level = next_level
@@ -437,16 +433,6 @@ class DistinguishingMoment:
                 f"f2 = {self.value2:.6g}")
 
 
-def _frame_vectors(model, words) -> np.ndarray:
-    cols = []
-    for cw in words:
-        wa, wb = cw.word_pair()
-        v = _apply_word_vec(model, wb, model.psi)
-        v = _apply_word_vec(model, wa, v)
-        cols.append(v)
-    return np.column_stack(cols)
-
-
 def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     """Whether two models induce the same abstract state.
 
@@ -465,17 +451,16 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     c2 = cyclic_restrict(m2, tol)
     letters = scenario_letters(m1.scenario)
 
-    merged = {w.key(): w for w in c1.basis_words}
-    merged.update({w.key(): w for w in c2.basis_words})
-    extended = dict(merged)
-    for w in merged.values():
-        for letter in letters:
-            cw = w.prepend(letter)
-            extended.setdefault(cw.key(), cw)
-    frame_words = [extended[k] for k in sorted(extended)]
+    merged = set(c1.basis_words) | set(c2.basis_words)
+    extended = merged | {w.prepend(letter) for w in merged for letter in letters}
+    frame_words = sorted(extended, key=CombinedWord.key)
 
-    v1 = _frame_vectors(c1.model, frame_words)
-    v2 = _frame_vectors(c2.model, frame_words)
+    def frame(model) -> np.ndarray:
+        table: dict = {}
+        return np.column_stack([_word_vector(model, w.lettersA, w.lettersB, table)
+                                for w in frame_words])
+
+    v1, v2 = frame(c1.model), frame(c2.model)
     g1 = dagger(v1) @ v1
     g2 = dagger(v2) @ v2
     diff = np.abs(g1 - g2)

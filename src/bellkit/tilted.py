@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm
 from .models import QuantumModel, Scenario
-from .presets import _X, _Z, _binary_povm
+from .presets import _X, _Z, _binary_povm, commuting_from_tensor
 
 __all__ = [
     "NCPoly",
@@ -208,13 +208,7 @@ def tilted_chsh_build(alpha: float) -> TiltedChshPolynomials:
 def _observable_generators(m) -> list[np.ndarray]:
     """[a0, a1, b0, b1] as matrices on the model's full space."""
     if isinstance(m, QuantumModel):
-        eyeA, eyeB = np.eye(m.dimA), np.eye(m.dimB)
-        return [
-            np.kron(m.M[0][0] - m.M[0][1], eyeB),
-            np.kron(m.M[1][0] - m.M[1][1], eyeB),
-            np.kron(eyeA, m.N[0][0] - m.N[0][1]),
-            np.kron(eyeA, m.N[1][0] - m.N[1][1]),
-        ]
+        m = commuting_from_tensor(m)
     return [
         m.M[0][0] - m.M[0][1],
         m.M[1][0] - m.M[1][1],

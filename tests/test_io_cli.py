@@ -29,6 +29,8 @@ from bellkit.presets import chsh_ideal_model, example_pair, tensor_with_auxiliar
 from bellkit.dilations import trivial_witness
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CHSH_CORR = correlation_to_obj(correlation_of(chsh_ideal_model()))
+NAN = float("nan")
 
 
 def invoke(args):
@@ -139,6 +141,12 @@ class TestCliCommands:
         ("witness", "dimAuxA", 1.5), ("witness", "dimAuxB", True),
         ("model", "scenario", {"nX": 2.7, "nY": 2, "nA": 2, "nB": 2}),
         ("correlation", "scenario", {"nX": 2, "nY": 2, "nA": True, "nB": 2}),
+        ("model", "scenario", 5), ("model", "scenario", {"nX": 2, "nY": 2, "nA": 2}),
+        ("correlation", "scenario", [2, 2, 2, 2]),
+        ("correlation", "p", [[[[NAN] * 2] * 2] * 2] * 2),
+        ("decomposition", "components", [{"weight": NAN, "correlation": CHSH_CORR}]),
+        ("decomposition", "components", [{"weight": True, "correlation": CHSH_CORR}]),
+        ("decomposition", "components", [{"weight": 1.0, "correlation": {**CHSH_CORR, "p": [1]}}]),
     ])
     def test_malformed_field_exits_2(self, tmp_path, kind, field, value):
         """A wrongly typed field is a parse error: exit 2, a message, no traceback."""
@@ -164,6 +172,7 @@ class TestCliCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: {path}")
+        assert res.stderr.count(str(path)) == 1
         assert "Traceback" not in res.stderr
 
     def test_integral_float_size_accepted(self, tmp_path):

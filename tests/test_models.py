@@ -1,5 +1,7 @@
 """Model validation, correlation extraction, and word moments."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from bellkit.models import (
     QuantumModel,
     Word,
     _act,
-    _apply_word_vec,
+    _word_vector,
     classify,
     correlation_of,
     evaluate_moment,
     is_projective_state,
+    moments_agree_up_to,
     validate_commuting_model,
     validate_quantum_model,
 )
@@ -223,8 +226,8 @@ class TestTensorFactorAction:
                 assert _act(m, "B", op, vec).tobytes() == (P @ op.T).reshape(-1).tobytes()
             inner = (m.M[0][0] @ P).reshape(-1)
             old = (m.M[1][0] @ inner.reshape(dimA, dimB)).reshape(-1)
-            word = Word("A", ((1, 0), (0, 0)))
-            assert _apply_word_vec(m, word, vec).tobytes() == old.tobytes()
+            nested_a = _act(m, "A", m.M[1][0], _act(m, "A", m.M[0][0], vec))
+            assert nested_a.tobytes() == old.tobytes()
             two_sided = (m.M[0][1] @ P @ m.N[1][1].T).reshape(-1)
             nested = _act(m, "B", m.N[1][1], _act(m, "A", m.M[0][1], vec))
             assert nested.tobytes() == two_sided.tobytes()
@@ -236,3 +239,71 @@ class TestTensorFactorAction:
             for side, fam in (("A", m.M), ("B", m.N)):
                 op = fam[1][0]
                 assert _act(m, side, op, vec).tobytes() == (op @ vec).tobytes()
+
+
+def reference_word_vector(model, lettersA, lettersB):
+    """The letter loop that the word vector table replaced: B's letters act on
+    psi, rightmost first, then A's."""
+    v = model.psi
+    for side, letters in (("B", lettersB), ("A", lettersA)):
+        family = model.M if side == "A" else model.N
+        for x, a in reversed(letters):
+            v = _act(model, side, family[x][a], v)
+    return v
+
+
+def words_up_to(letters, n):
+    return [w for k in range(n + 1) for w in product(letters, repeat=k)]
+
+
+class TestWordVectorTable:
+    """Every vector and moment read through the word vector table is bitwise
+    the letter loop's, whatever order the table is filled in."""
+
+    SC = Scenario(2, 3, 2, 2)
+
+    def models(self):
+        rng = np.random.default_rng(77)
+        wide = random_quantum_model(rng, self.SC, 3, 5)
+        tall = random_quantum_model(rng, self.SC, 5, 3)
+        return [wide, tall, commuting_from_tensor(wide)]
+
+    def mixed_words(self, n):
+        sc = self.SC
+        words_a = words_up_to([(x, a) for x in range(sc.nX) for a in range(sc.nA)], n)
+        words_b = words_up_to([(y, b) for y in range(sc.nY) for b in range(sc.nB)], n)
+        return [(wa, wb) for wa in words_a for wb in words_b if len(wa) + len(wb) <= n]
+
+    def test_word_vectors_and_moments(self):
+        words = self.mixed_words(4)
+        order = np.random.default_rng(5).permutation(len(words))
+        for m in self.models():
+            table = {}
+            for k in order:
+                wa, wb = words[k]
+                ref = reference_word_vector(m, wa, wb)
+                assert _word_vector(m, wa, wb, table).tobytes() == ref.tobytes()
+                moment = evaluate_moment(m, Word("A", wa), Word("B", wb))
+                assert np.complex128(moment).tobytes() == np.vdot(m.psi, ref).tobytes()
+            assert len(table) == len(words)
+
+    def test_correlation_of(self):
+        sc = self.SC
+        for m in self.models():
+            p = np.zeros((sc.nA, sc.nB, sc.nX, sc.nY))
+            for x, y, a, b in np.ndindex(sc.nX, sc.nY, sc.nA, sc.nB):
+                ref = reference_word_vector(m, ((x, a),), ((y, b),))
+                p[a, b, x, y] = np.vdot(m.psi, ref).real
+            p = np.clip(p, 0.0, None)
+            for x, y in np.ndindex(sc.nX, sc.nY):
+                p[:, :, x, y] /= p[:, :, x, y].sum()
+            assert correlation_of(m).p.tobytes() == p.tobytes()
+
+    def test_moments_agree_up_to_worst_gap(self):
+        wide, tall, commuting = self.models()
+        for m1, m2 in ((wide, commuting), (wide, tall)):
+            ref = max(abs(np.vdot(m1.psi, reference_word_vector(m1, wa, wb))
+                          - np.vdot(m2.psi, reference_word_vector(m2, wa, wb)))
+                      for wa, wb in self.mixed_words(4))
+            _, worst = moments_agree_up_to(m1, m2, max_length=4)
+            assert np.float64(worst).tobytes() == np.float64(ref).tobytes()

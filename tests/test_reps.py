@@ -28,7 +28,6 @@ from bellkit.reps import (
     CombinedWord,
     _apply_letter,
     _cyclic_frame,
-    _frame_vectors,
     commutant_basis,
     cyclic_restrict,
     irrep_decompose,
@@ -472,6 +471,20 @@ def reference_cyclic_frame(model, tol):
     return words, np.column_stack(basis)
 
 
+def reference_frame_vectors(model, words):
+    """Each frame word's vector rebuilt from psi, B's letters first, rightmost
+    first, then A's: the letter loop that the word vector table replaced."""
+    cols = []
+    for cw in words:
+        v = model.psi
+        for side, letters in (("B", cw.lettersB), ("A", cw.lettersA)):
+            family = model.M if side == "A" else model.N
+            for x, a in reversed(letters):
+                v = _act(model, side, family[x][a], v)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
 def reference_restrict(model, tol):
     """(restricted model, basis words), compressing one column at a time."""
     words, q = reference_cyclic_frame(model, tol)
@@ -505,7 +518,8 @@ def reference_states_equal(m1, m2, tol):
             cw = merged[key].prepend(letter)
             extended.setdefault(cw.key(), cw)
     frame_words = [extended[k] for k in sorted(extended)]
-    v1, v2 = _frame_vectors(r1, frame_words), _frame_vectors(r2, frame_words)
+    v1 = reference_frame_vectors(r1, frame_words)
+    v2 = reference_frame_vectors(r2, frame_words)
     g1, g2 = dagger(v1) @ v1, dagger(v2) @ v2
     diff = np.abs(g1 - g2)
     out = {"gram_residual": float(diff.max()), "words_checked": len(frame_words)}
