@@ -96,12 +96,45 @@ def matrix_to_obj(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), -1).tolist()
 
 
-def obj_to_matrix(obj, where: str) -> np.ndarray:
+def _is_finite_number(x) -> bool:
+    """A JSON number: an int or float (not a bool), finite as a float."""
+    # the bound is False for NaN, +-inf and ints too large for a float
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _complex_entries(obj, where: str) -> list[complex]:
+    """A list of ``[re, im]`` pairs of JSON numbers as complex values, else a
+    ParseError naming ``where`` and the first entry that is not one.
+    Non-finite values pass here; ``_finite`` rejects them on the array."""
     try:
-        rows = [[complex(e[0], e[1]) for e in row] for row in obj]
-        return np.array(rows, dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"{where}: bad matrix entry ({exc})") from None
+        if {type(x) for e in obj for x in e} <= {int, float}:
+            return [complex(re, im) for re, im in obj]
+    except (TypeError, ValueError, OverflowError):
+        pass  # a non-iterable entry, not a pair, or an int beyond float range
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected a list of [re, im] pairs")
+    k, e = next((k, e) for k, e in enumerate(obj) if not (
+        isinstance(e, list) and len(e) == 2 and all(map(_is_finite_number, e))))
+    raise ParseError(f"{where}[{k}]: expected an [re, im] pair of finite numbers, "
+                     f"got {e!r:.40}")
+
+
+def _finite(a: np.ndarray, where: str) -> np.ndarray:
+    """``a`` if every entry is finite, else a ParseError at the first that is not."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = "".join(f"[{i}]" for i in bad[0])
+        raise ParseError(f"{where}{at}: non-finite entry {a[tuple(bad[0])]}")
+    return a
+
+
+def obj_to_matrix(obj, where: str) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected a list of rows")
+    rows = [_complex_entries(row, f"{where}[{i}]") for i, row in enumerate(obj)]
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{where}: rows of unequal length")
+    return _finite(np.array(rows, dtype=complex), where)
 
 
 def vector_to_obj(v: np.ndarray) -> list:
@@ -110,10 +143,7 @@ def vector_to_obj(v: np.ndarray) -> list:
 
 
 def obj_to_vector(obj, where: str) -> np.ndarray:
-    try:
-        return np.array([complex(e[0], e[1]) for e in obj], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"{where}: bad vector entry ({exc})") from None
+    return _finite(np.array(_complex_entries(obj, where), dtype=complex), where)
 
 
 def _scenario_to_obj(sc: Scenario) -> dict:
@@ -193,21 +223,31 @@ def correlation_to_obj(c: Correlation) -> dict:
     }
 
 
+def _check_number_table(obj, where: str) -> None:
+    """Nested lists whose leaves are finite JSON numbers, else a ParseError
+    at the first bad leaf."""
+    if isinstance(obj, list):
+        for k, x in enumerate(obj):
+            _check_number_table(x, f"{where}[{k}]")
+    elif not _is_finite_number(obj):
+        raise ParseError(f"{where}: expected a finite number, got {obj!r:.40}")
+
+
 def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
+    if "p" not in obj:
+        raise ParseError(f"{where}: missing field 'p'")
+    _check_number_table(obj["p"], f"{where}.p")
     try:
         p = np.array(obj["p"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{where}: bad table 'p' ({exc})") from None
     if p.shape != (sc.nA, sc.nB, sc.nX, sc.nY):
         raise ParseError(
             f"{where}: table shape {p.shape} does not match scenario "
             f"(expected ({sc.nA},{sc.nB},{sc.nX},{sc.nY}))")
-    if not np.isfinite(p).all():
-        a, b, x, y = np.argwhere(~np.isfinite(p))[0]
-        raise ParseError(f"{where}: non-finite entry {p[a, b, x, y]} at p[{a}][{b}][{x}][{y}]")
     if p.min() < -1e-9:
         raise ParseError(f"{where}: negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)  # decimal round-trip dust
@@ -281,9 +321,7 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
         if not isinstance(comp, dict) or "weight" not in comp or "correlation" not in comp:
             raise ParseError(f"{here}: expected an object with 'weight' and 'correlation'")
         weight = comp["weight"]
-        # False for NaN, +-inf and ints too large for a float
-        finite = isinstance(weight, (int, float)) and abs(weight) <= sys.float_info.max
-        if isinstance(weight, bool) or not finite:
+        if not _is_finite_number(weight):
             raise ParseError(f"{here}: field 'weight' must be a finite number, got {weight!r}")
         out.append((float(weight), obj_to_correlation(comp["correlation"], here)))
     return out

@@ -115,6 +115,21 @@ def _principal_generators(gens, floor: float) -> list[np.ndarray]:
     return [(u[:, j] * s[j]).reshape(d, d) for j in range(keep)]
 
 
+def _commutator_columns(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns ``a_j d + b_j`` of the d^2 x d^2 Kronecker matrix of
+    ``X -> g X - X g``, without forming it.
+
+    Column j is the flattened ``g E - E g`` for the matrix unit E at
+    ``(a_j, b_j)``: its column ``b_j`` is ``g[:, a_j]``, its row ``a_j`` is
+    ``-g[b_j, :]``.
+    """
+    d, j = g.shape[0], np.arange(len(a))
+    out = np.zeros((d, d, len(a)), dtype=complex)
+    out[:, b, j] = g[:, a]
+    out[a, :, j] -= g[b, :]
+    return out.reshape(d * d, len(a))
+
+
 def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Hilbert-Schmidt-orthonormal basis of {T : [T, G] = 0 for all G}.
 
@@ -128,8 +143,34 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     the kept combinations has the singular values of the full stack up to
     ``2 sqrt(k) * 1e-3`` of the rank cutoff (k inputs), so the rank cut, and
     the bound on ``[G, T]`` for every input G, are those of the full stack.
-    The SVD is thin: the stack has at least as many rows as columns, so
-    ``vh`` is still the full d^2 x d^2 right basis.
+
+    Only block-diagonal unknowns enter the SVD (numerical block
+    diagonalization, after Murota, Kanno, Kojima and Kojima 2010 and Maehara
+    and Murota 2010).  H is the first input that is Hermitian within the
+    cutoff.  Every T in the commutant commutes with H, so in an eigenbasis V
+    of H it is block diagonal over H's eigenspaces: the stack acts on those
+    ``sum n_c^2`` unknowns T' instead of all d^2 entries, and each null
+    vector maps back as ``T = V T' V^H``.
+
+    H must be Hermitian and must be an input.  Commuting with a Hermitian
+    member is what confines T to its eigenspaces; the Hermitian part of a
+    non-Hermitian member is not in the algebra unless the family is
+    *-closed, and its eigenspaces cut true commutant elements: the Jordan
+    block [[0, 1], [0, 0]] has a 2-dimensional commutant, the eigenspaces of
+    its Hermitian part leave room for 1.  With no Hermitian input, or a
+    scalar H, there is one block and this is the full problem.
+
+    Eigenvalues closer than ``gap = max(1e3 cutoff, 1e-12 scale^2 / cutoff)``
+    share a block.  Merging eigenspaces only adds the unknowns that couple
+    them, so it never loses a commutant element; splitting is safe once the
+    eigenvalues are a gap apart.  The unknowns then left out meet singular
+    values of at least 1e3 cutoff in H's own map, and the eigenbasis error,
+    about ``eps_mach scale / gap``, moves a commutator by less than 1e-3 of
+    the cutoff.  H's own map stays in the stack, so the rank cut, not the
+    clustering, decides the dimension: unknowns coupling merged eigenvalues
+    delta > cutoff apart meet singular values of about delta and are cut like
+    any other.  The SVD is thin: the stack has at least as many rows as
+    columns, so ``vh`` is still the full right basis of the kept unknowns.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -142,12 +183,18 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     # whole map is fp noise and a relative cutoff would see rank everywhere
     scale = max(1.0, max(mat_norm(g) for g in gens))
     cutoff = max(tol.eps, 1e-12) * scale
-    eye = np.eye(d)
-    rows = [np.kron(g, eye) - np.kron(eye, g.T)
+    herm = next((g for g in gens if mat_norm(g - dagger(g)) <= cutoff), np.zeros((d, d)))
+    vals, v = np.linalg.eigh((herm + dagger(herm)) / 2)
+    blocks = cluster_eigenvalues(vals, max(1e3 * cutoff, 1e-12 * scale * scale / cutoff))
+    label = np.repeat(np.arange(len(blocks)), [blk.stop - blk.start for blk in blocks])
+    a, b = np.nonzero(label[:, None] == label[None, :])  # the block-diagonal unknowns
+    rows = [_commutator_columns(dagger(v) @ g @ v, a, b)
             for g in _principal_generators(gens, 1e-3 * cutoff)]
     _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-    null_dim = d * d - int(np.sum(svals > cutoff))
-    return [vh[-(k + 1), :].conj().reshape(d, d) for k in range(null_dim)][::-1]
+    rank = int(np.sum(svals > cutoff))
+    t = np.zeros((len(a) - rank, d, d), dtype=complex)
+    t[:, a, b] = vh[rank:].conj()
+    return list(v @ t @ dagger(v))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,69 @@ class TestCliCommands:
         assert res.stderr.count(str(path)) == 1
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("kind,leaf,value,location", [
+        ("model", ("M", 0, 0, 1, 0), [True, False], "M[0][0][1][0]"),
+        ("model", ("M", 1, 0, 0, 1, 0), "0.5", "M[1][0][0][1]"),
+        ("model", ("N", 0, 1, 1, 1), None, "N[0][1][1][1]"),
+        ("model", ("N", 1, 1, 0, 0, 1), 10 ** 400, "N[1][1][0][0]"),
+        ("model", ("psi", 2), [0.5], "psi[2]"),
+        ("model", ("psi", 3), None, "psi[3]"),
+        ("model", ("psi", 0, 0), NAN, "psi[0]"),
+        ("model", ("psi", 1, 1), float("inf"), "psi[1]"),
+        ("model", ("M", 0, 0, 0, 0, 0), NAN, "M[0][0][0][0]"),
+        ("model", ("N", 1, 0, 1, 0, 1), -float("inf"), "N[1][0][1][0]"),
+        ("witness", ("IA", 0, 0, 1), False, "IA[0][0]"),
+        ("witness", ("aux", 0, 0), NAN, "aux[0]"),
+        ("correlation", ("p", 0, 0, 0, 0), "0.25", "p[0][0][0][0]"),
+        ("correlation", ("p", 1, 0, 1, 0), True, "p[1][0][1][0]"),
+        ("correlation", ("p", 0, 1, 0, 1), None, "p[0][1][0][1]"),
+    ])
+    def test_bad_numeric_leaf_exits_2(self, tmp_path, kind, leaf, value, location):
+        """A leaf that is not a finite JSON number (bool, string, null, NaN,
+        inf, an int beyond float range) is a parse error naming its place."""
+        chsh = str(FIXTURES / "chsh_ideal.model.json")
+        obj = {
+            "model": model_to_obj(chsh_ideal_model()),
+            "witness": witness_to_obj(trivial_witness(chsh_ideal_model())),
+            "correlation": correlation_to_obj(correlation_of(chsh_ideal_model())),
+        }[kind]
+        parent = obj
+        for key in leaf[:-1]:
+            parent = parent[key]
+        parent[leaf[-1]] = value
+        path = tmp_path / f"bad_{kind}.json"
+        path.write_text(json.dumps(obj))
+        args = {
+            "model": ["validate", str(path)],
+            "witness": ["verify-dilation", chsh, chsh, str(path)],
+            "correlation": ["xor", str(path)],
+        }[kind]
+        res = invoke(args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {path}.{location}: ")
+        assert "Traceback" not in res.stderr
+
+    def test_boolean_entries_rejected_where_they_equal_the_numbers(self, tmp_path):
+        """CHSH's M[0][0] = diag(1, 0) written with true/false entries would
+        load as the same matrix and validate; it is a parse error instead."""
+        obj = json.loads((FIXTURES / "chsh_ideal.model.json").read_text())
+        obj["M"][0][0] = [[[re != 0, im != 0] for re, im in row] for row in obj["M"][0][0]]
+        path = tmp_path / "bool_entries.json"
+        path.write_text(json.dumps(obj))
+        res = invoke(["validate", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {path}.M[0][0][0][0]: ")
+
+    def test_string_probabilities_rejected(self, tmp_path):
+        obj = {"scenario": {"nX": 2, "nY": 2, "nA": 2, "nB": 2},
+               "p": [[[["0.25"] * 2] * 2] * 2] * 2}
+        path = tmp_path / "string_p.json"
+        path.write_text(json.dumps(obj))
+        res = invoke(["xor", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {path}.p[0][0][0][0]: ")
+
     def test_integral_float_size_accepted(self, tmp_path):
         obj = model_to_obj(chsh_ideal_model())
         obj["dimA"] = 2.0

@@ -1,5 +1,7 @@
 """Commutant, irrep decomposition, cyclic restriction, state equality."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,123 @@ class TestCommutantRedundancy:
         x = 0.4e-9 * np.array([[0.0, 1.0], [1.0, 0.0]])
         assert len(commutant_basis([p, x])) == 2
         assert len(commutant_basis([p, x, x])) == 1
+
+
+def full_stack_commutant(gens, eps=DEFAULT_TOL.eps):
+    """Reference: null space of every generator's d^2 x d^2 commutator map,
+    stacked, cut at commutant_basis's cutoff; returns a d^2 x r isometry."""
+    d = gens[0].shape[0]
+    eye = np.eye(d)
+    cutoff = eps * max(1.0, max(mat_norm(g) for g in gens))
+    stack = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return vh[int(np.sum(s > cutoff)):].conj().T
+
+
+def assert_matches_reference(gens, ref_gens=None, tol=DEFAULT_TOL):
+    """Same dimension as the full-stack reference, commutant projectors within
+    1e-12, and every ||[G, T]||_F <= 1e-12.  ``ref_gens`` may drop inputs that
+    lie in span{I, others}, which leaves the commutant unchanged."""
+    ref = full_stack_commutant(gens if ref_gens is None else ref_gens, tol.eps)
+    basis = np.array(commutant_basis(gens, tol))
+    assert len(basis) == ref.shape[1]
+    flat = basis.reshape(len(basis), -1).T
+    np.testing.assert_allclose(dagger(flat) @ flat, np.eye(len(basis)), atol=1e-12)
+    # ||P_ref - P_new||_2 = ||(I - P_ref) flat||_2 for orthonormal bases of equal size
+    assert np.linalg.norm(flat - ref @ (dagger(ref) @ flat)) <= 1e-12
+    for g in gens:
+        assert np.linalg.norm(g @ basis - basis @ g, axis=(1, 2)).max() <= 1e-12
+    return len(basis)
+
+
+def conjugated(gens, u):
+    return [u @ g @ dagger(u) for g in gens]
+
+
+class TestBlockDiagonalCommutant:
+    """commutant_basis against the full d^2-unknown stack it replaces."""
+
+    @pytest.mark.parametrize("d", [8, 16, 24, 32])
+    def test_binary_pvm_families(self, d):
+        rng = np.random.default_rng(100 + d)
+        p, q = random_pvm(rng, d, 2), random_pvm(rng, d, 2)
+        # the second effect of each PVM is I minus the first
+        assert assert_matches_reference(p + q, [p[0], q[0]]) == d // 2
+
+    @pytest.mark.parametrize("d", [8, 16, 24, 32])
+    def test_povm_families_with_multiplicity(self, d):
+        rng = np.random.default_rng(200 + d)
+        u = rand_unitary(rng, d)
+        e3 = conjugated([np.kron(e, np.eye(2)) for e in random_povm(rng, d // 2, 3)], u)
+        e2 = conjugated([np.kron(e, np.eye(2)) for e in random_povm(rng, d // 2, 2)], u)
+        assert assert_matches_reference(e3 + e2, e3[:2] + e2[:1]) == 4
+
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_chsh_tensor_auxiliary(self, k):
+        m = chsh_ideal_model()
+        gens = [np.kron(op, np.eye(k)) for povm in m.M for op in povm]
+        ref_gens = [np.kron(povm[0], np.eye(k)) for povm in m.M]
+        assert assert_matches_reference(gens, ref_gens) == k * k
+
+    def test_non_star_closed_family(self):
+        # the Hermitian part of the Jordan block would cut its commutant span{I, J}
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert assert_matches_reference([jordan]) == 2
+        rng = np.random.default_rng(41)
+        u = rand_unitary(rng, 6)
+        # H is the second input here: I (x) R1, with every eigenvalue doubled
+        gens = conjugated([np.kron(jordan, np.eye(3)), np.kron(np.eye(2), rand_herm(rng, 3)),
+                           np.kron(np.eye(2), rand_herm(rng, 3))], u)
+        assert assert_matches_reference(gens) == 2
+
+    def test_no_hermitian_generator(self):
+        rng = np.random.default_rng(42)
+        u = rand_unitary(rng, 6)
+        x = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+        gens = conjugated([np.kron(a, np.eye(2)) for a in x], u)
+        assert all(mat_norm(g - dagger(g)) > 1 for g in gens)
+        assert assert_matches_reference(gens) == 4
+
+    def test_scalar_first_generator(self):
+        rng = np.random.default_rng(43)
+        p, q = jordan_pair(rng, 8)
+        assert assert_matches_reference([2.0 * np.eye(8), p, q]) == 4
+
+    @staticmethod
+    def close_pair_family(rng, delta):
+        """H with eigenvalues 0, delta, 1, 1, 1/2; P projects on H's 1-eigenspace,
+        x acts inside it and y couples the 0- and 1/2-eigenvectors."""
+        u = rand_unitary(rng, 5)
+        h = u @ np.diag([0.0, delta, 1.0, 1.0, 0.5]) @ dagger(u)
+        p, x, y = np.zeros((3, 5, 5))
+        p[2, 2] = p[3, 3] = 1.0
+        x[2, 3] = x[3, 2] = 1.0
+        y[0, 4] = y[4, 0] = 1.0
+        return h, conjugated([p, x, y], u)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_eigenvalues_astride_the_merge_gap(self, factor):
+        # at the default tol the merge gap is 1e-3 (scale 1): H's eigenvalues
+        # 0 and delta share a block below it and are split above it
+        h, (p, x, y) = self.close_pair_family(np.random.default_rng(44), 1e-3 * factor)
+        # P does not tell 0 from delta: merged, only H's own map keeps them apart
+        assert assert_matches_reference([h]) == 1 + 1 + 4 + 1
+        assert assert_matches_reference([h, p]) == 1 + 1 + 4 + 1
+        assert assert_matches_reference([h, x, y]) == 1 + 1 + 2
+
+    def test_close_eigenvalues_share_a_block(self):
+        # split, the eigenvectors of 0 and 1e-5 would be mixed by about
+        # eps_mach / 1e-5 = 2e-11, and so would T's commutator with y
+        h, (_, x, y) = self.close_pair_family(np.random.default_rng(46), 1e-5)
+        assert assert_matches_reference([h, x, y]) == 1 + 1 + 2
+
+    def test_every_generator_order(self):
+        rng = np.random.default_rng(45)
+        gens, d = constructed_rep(rng, [(2, 2), (1, 1)])
+        # degenerate H, generic H, a non-Hermitian member, a scalar
+        family = [gens[0], gens[1], gens[0] @ gens[1], np.eye(d)]
+        for order in itertools.permutations(family):
+            assert assert_matches_reference(list(order)) == 5
 
 
 class TestIrrepDecompose:
