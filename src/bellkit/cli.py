@@ -34,7 +34,7 @@ from .io import (
     save_json,
     witness_to_obj,
 )
-from .linalg import Tolerance, mat_norm
+from .linalg import DEFAULT_TOL, Tolerance, mat_norm
 from .models import QuantumModel, _act, correlation_of, validate_model
 from .reps import AlgebraNotSemisimpleNumerically, cyclic_restrict, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
@@ -82,7 +82,7 @@ def _common_params() -> list[click.Option]:
                      default="json", show_default=True, help="Report format."),
         click.Option(["--seed"], type=int, default=0, show_default=True,
                      help="Seed for randomized subroutines."),
-        click.Option(["--tol"], type=float, default=1e-9, show_default=True,
+        click.Option(["--tol"], type=float, default=DEFAULT_TOL.eps, show_default=True,
                      help="Tolerance for all approximate checks."),
     ]
 
@@ -230,7 +230,7 @@ def naimark(model, tol, seed):
                 mat_norm(nd.V.conj().T @ p @ nd.V - m) for p, m in zip(nd.P, povm)
             )
             witnesses[f"{label}[{x}].V"] = matrix_to_obj(nd.V)
-    passed = max(residuals.values()) <= tol.eps * 10
+    passed = max(residuals.values()) <= tol.cut("residual")
     return {
         "verdicts": {"all_within_tolerance": passed},
         "residuals": residuals,
@@ -266,7 +266,8 @@ def round_binary(model, assert_extremal, tol, seed):
             for a in range(2):
                 effect_res[f"{name}[{x}][{a}]"] = float(np.linalg.norm(
                     _act(model, side, ops[x][a] - rops[x][a], model.psi)))
-    passed = corr_gap <= tol.eps * 10 and max(effect_res.values()) <= tol.eps * 10
+    cut = tol.cut("residual")
+    passed = corr_gap <= cut and max(effect_res.values()) <= cut
     return {
         "verdicts": {"rounded": True, "lemma_violated": False,
                      "extremality_asserted": True, "correlation_preserved": passed},

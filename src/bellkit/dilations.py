@@ -11,7 +11,7 @@ isometries block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from .linalg import (
     as_matrix,
     as_vector,
     dagger,
-    mat_norm,
     psd_sqrt,
     structural_predicates,
 )
-from .models import QuantumModel, _act, correlation_of, moments_agree_up_to
+from .models import (QuantumModel, ValidationReport, _act, _check_povm_family,
+                     correlation_of, moments_agree_up_to)
 from .reps import _intertwiner, irrep_decompose
 from .schmidt import schmidt_decompose
 from .support import support_of
@@ -59,20 +59,16 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Canonical Naimark dilation of a POVM.
 
     On K = H (x) C^k the projections are P_i = Id (x) |i><i| and the isometry
-    sends |h> to sum_i M_i^{1/2} |h> (x) |i>.
+    sends |h> to sum_i M_i^{1/2} |h> (x) |i>.  The POVM is checked as
+    ``validate_model`` checks a model's; a violation raises ValueError.
     """
     ops = [as_matrix(m) for m in povm]
     k = len(ops)
     d = ops[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for m in ops:
-        if m.shape != (d, d):
-            raise ValueError("POVM elements must be square with a common dimension")
-        if mat_norm(m - dagger(m)) > tol.eps * (1 + mat_norm(m)):
-            raise ValueError("POVM element is not Hermitian")
-        total = total + m
-    if mat_norm(total - np.eye(d)) > tol.eps * (1 + mat_norm(total)):
-        raise ValueError("POVM does not sum to the identity")
+    rep = ValidationReport()
+    _check_povm_family(rep, [ops], "POVM", 1, k, d, tol)
+    if not rep.valid:
+        raise ValueError(f"POVM is not valid: {rep}")
 
     v = np.zeros((d * k, d), dtype=complex)
     basis_k = np.eye(k)
@@ -122,18 +118,12 @@ class DilationReport:
     schmidt_ranks: dict[str, int]
     rank_consistent: bool
     moment_residual: float | None = None
-    details: dict = field(default_factory=dict)
 
 
 def _regroup(vec: np.ndarray, dT_A: int, dAuxA: int, dT_B: int, dAuxB: int) -> np.ndarray:
     """(H~_A (x) auxA) (x) (H~_B (x) auxB)  ->  (H~_A (x) H~_B) (x) (auxA (x) auxB)."""
     t = vec.reshape(dT_A, dAuxA, dT_B, dAuxB)
     return t.transpose(0, 2, 1, 3).reshape(-1)
-
-
-def _apply_local(IA: np.ndarray, IB: np.ndarray, vec: np.ndarray,
-                 dimA: int, dimB: int) -> np.ndarray:
-    return (IA @ vec.reshape(dimA, dimB) @ IB.T).reshape(-1)
 
 
 def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
@@ -190,7 +180,7 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
             measured = _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi))
             target_core = _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi))
             label = f"(x={x},a={a},y={y},b={b})"
-        lhs = _regroup(_apply_local(w.IA, w.IB, measured, S.dimA, S.dimB),
+        lhs = _regroup(w.IA @ measured.reshape(S.dimA, S.dimB) @ w.IB.T,
                        T.dimA, w.dimAuxA, T.dimB, w.dimAuxB)
         rhs = np.kron(target_core, w.aux)
         residuals[label] = float(np.linalg.norm(lhs - rhs))
@@ -255,7 +245,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
     p_s = correlation_of(S, tol).p
     p_t = correlation_of(T, tol).p
     corr_gap = float(np.abs(p_s - p_t).max())
-    if corr_gap > tol.eps * 10:
+    if corr_gap > tol.cut("residual"):
         raise NotDilatable(
             f"correlations differ (max gap {corr_gap:.3e}); a dilation preserves the correlation",
             {"kind": "correlation", "gap": corr_gap},
@@ -284,7 +274,6 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
     dec_a = irrep_decompose(_flat(S.M), seed=seed, tol=tol)
     dec_b = irrep_decompose(_flat(S.N), seed=seed + 1, tol=tol)
     psi_mat = S.psi.reshape(S.dimA, S.dimB)
-    weight_cut = 1e-12
 
     # per block pair: coefficient tensor reshaped to (irrep x irrep, mult x mult)
     comp: dict[tuple[int, int], dict] = {}
@@ -294,7 +283,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
             mat = (c.reshape(ba.n, ba.m, bb.n, bb.m)
                    .transpose(0, 2, 1, 3).reshape(ba.n * bb.n, ba.m * bb.m))
             weight = float(np.linalg.norm(mat))
-            if weight > weight_cut:
+            if weight > tol.cut("dust"):
                 comp[(i, j)] = {"mat": mat, "weight": weight}
 
     lam_a = sorted({i for i, _ in comp})
@@ -316,7 +305,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
                     {"kind": "component-state", "side": side, "block": i},
                 )
             u, res = _intertwiner(blk.generators, _flat(ideal), tol)
-            if u is None or res > tol.eps * 100:
+            if u is None or res > tol.cut("intertwiner"):
                 raise NotDilatable(
                     f"{side}-side component {i} is not unitarily equivalent to the ideal "
                     f"representation (residual {res:.3e})",
@@ -344,7 +333,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
         ba, bb = dec_a.blocks[i], dec_b.blocks[j]
         mat, weight = data["mat"], data["weight"]
         u_svd, svals, vh_svd = np.linalg.svd(mat)
-        if len(svals) > 1 and svals[1] > max(100 * tol.eps, 1e-10) * svals[0]:
+        if len(svals) > 1 and svals[1] > tol.cut("multiplicity") * svals[0]:
             raise NotDilatable(
                 f"component ({i},{j}) carries several distinct states across its "
                 f"multiplicity space (second singular value {svals[1]:.3e}); "
@@ -360,8 +349,9 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
             N=[[bb.generators[y * sc.nB + b] for b in range(sc.nB)] for y in range(sc.nY)],
             psi=psi_ij,
         )
-        gap = float(np.abs(correlation_of(comp_model, Tolerance(1e-6)).p - p_t).max())
-        if gap > max(100 * tol.eps, 1e-8):
+        comp_p = correlation_of(comp_model, Tolerance(tol.cut("coarse"))).p
+        gap = float(np.abs(comp_p - p_t).max())
+        if gap > tol.cut("reassembly"):
             raise NotDilatable(
                 f"component ({i},{j}) has correlation differing from p by {gap:.3e}",
                 {"kind": "component-correlation", "block": (i, j), "gap": gap},
@@ -369,7 +359,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
         mapped = np.kron(inter_a[i], inter_b[j]) @ psi_ij
         overlap = complex(np.vdot(T.psi, mapped))
-        if abs(abs(overlap) - 1.0) > 1e-7:
+        if abs(abs(overlap) - 1.0) > tol.cut("overlap"):
             raise NotDilatable(
                 f"component ({i},{j}) state has overlap modulus {abs(overlap):.6f} with "
                 "the ideal state; the component state differs from the ideal state",

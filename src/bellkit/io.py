@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dilations import DilationWitness
+from .linalg import DEFAULT_TOL
 from .models import CommutingModel, Correlation, QuantumModel, Scenario
 
 __all__ = [
@@ -248,11 +249,11 @@ def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
         raise ParseError(
             f"{where}: table shape {p.shape} does not match scenario "
             f"(expected ({sc.nA},{sc.nB},{sc.nX},{sc.nY}))")
-    if p.min() < -1e-9:
+    if p.min() < -DEFAULT_TOL.cut("rank"):
         raise ParseError(f"{where}: negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)  # decimal round-trip dust
     sums = p.sum(axis=(0, 1))
-    if np.abs(sums - 1.0).max() > 1e-6:
+    if np.abs(sums - 1.0).max() > DEFAULT_TOL.cut("coarse"):
         bad = np.abs(sums - 1.0).argmax()
         x, y = np.unravel_index(bad, sums.shape)
         raise ParseError(

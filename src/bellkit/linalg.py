@@ -31,15 +31,30 @@ __all__ = [
     "mat_norm",
 ]
 
-# Eigenvalues closer than this are treated as one degenerate cluster.
-EIG_CLUSTER_GAP = 1e-8
+# Every cut that is not a uniform eps rule: name -> (k, floor), the cut is max(k * eps, floor).
+# k = 0 is a fixed cut, floor = 0 a multiple of eps; one name per rule, with the decisions it cuts.
+_CUTS = {
+    "dust": (0.0, 1e-12),           # phase pivots, component weights, merge-gap floor
+    "rank": (0.0, 1e-9),            # Schmidt/support rank (relative), negative probabilities
+    "cluster": (0.0, 1e-8),         # eigenvalue clusters, a vanishing commutant element
+    "overlap": (0.0, 1e-7),         # component-state overlap modulus against 1
+    "coarse": (0.0, 1e-6),          # probability sums, component correlations, intertwiner rank
+    "commutant": (1.0, 1e-12),      # commutant rank cut (times the generator scale)
+    "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity defects
+    "frame": (2.0, 0.0),            # cyclic frame residuals, Gram and moment gaps
+    "residual": (10.0, 0.0),        # Naimark and rounding residuals, correlation gap
+    "intertwiner": (100.0, 0.0),    # irrep intertwiner residuals
+    "multiplicity": (100.0, 1e-10),  # component singular-value ratio across multiplicity
+    "reassembly": (100.0, 1e-8),    # irrep reassembly defect, component correlation gap
+}
 
 
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute-plus-relative tolerance used for all approximate checks.
 
-    ``close(x, y)`` tests ``|x - y| <= eps * (1 + max(|x|, |y|))``.
+    ``close(x, y)`` tests ``|x - y| <= eps * (1 + max(|x|, |y|))``; every
+    other cut is ``cut(name)``, from the one table above.
     """
 
     eps: float = 1e-9
@@ -54,6 +69,11 @@ class Tolerance:
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.eps
+
+    def cut(self, name: str) -> float:
+        """``max(k * eps, floor)`` for the named entry of the cut table."""
+        k, floor = _CUTS[name]
+        return max(k * self.eps, floor)
 
 
 DEFAULT_TOL = Tolerance()
@@ -107,7 +127,7 @@ def partial_trace(rho, dimA: int, dimB: int, keep: str = "A") -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def cluster_eigenvalues(vals: np.ndarray, gap: float = EIG_CLUSTER_GAP) -> list[slice]:
+def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
     """Slices of index ranges whose eigenvalues differ by less than ``gap``."""
     slices = []
     start = 0
@@ -120,7 +140,7 @@ def cluster_eigenvalues(vals: np.ndarray, gap: float = EIG_CLUSTER_GAP) -> list[
     return slices
 
 
-def _fix_column_phases(u: np.ndarray, negligible: float = 1e-12) -> np.ndarray:
+def _fix_column_phases(u: np.ndarray, negligible: float) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive."""
     u = u.copy()
     for j in range(u.shape[1]):
@@ -137,10 +157,10 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     """Spectral decomposition of a Hermitian matrix.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending and
-    eigenvectors as columns.  Inside each degenerate cluster (gap below
-    ``EIG_CLUSTER_GAP``) the columns are re-orthonormalized in index order and
-    each column's phase is fixed so its first non-negligible entry is real
-    positive, making the output reproducible.
+    eigenvectors as columns.  Inside each degenerate cluster (gap below the
+    ``cluster`` cut) the columns are re-orthonormalized in index order and
+    each column's phase is fixed so its first entry above the ``dust`` cut is
+    real positive, making the output reproducible.
     """
     h = as_matrix(h)
     if mat_norm(h - dagger(h)) > tol.eps * (1 + mat_norm(h)):
@@ -148,10 +168,10 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for block in cluster_eigenvalues(vals):
+    for block in cluster_eigenvalues(vals, tol.cut("cluster")):
         q, _ = np.linalg.qr(vecs[:, block])
         vecs[:, block] = q
-    vecs = _fix_column_phases(vecs)
+    vecs = _fix_column_phases(vecs, tol.cut("dust"))
     return vals.real, vecs
 
 
@@ -222,11 +242,11 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ dagger(vecs)
 
 
-def schmidt_rank_of_matrix(coeff: np.ndarray, rel_cut: float = 1e-9) -> int:
+def schmidt_rank_of_matrix(coeff: np.ndarray, rel_cut: float) -> int:
     """Numerical rank of a bipartite coefficient matrix.
 
     Singular values at or below ``rel_cut`` times the leading one count as
-    zero (matching the support-rank convention used everywhere else).
+    zero.
     """
     svals = np.linalg.svd(np.asarray(coeff, dtype=complex), compute_uv=False)
     if len(svals) == 0 or svals[0] == 0.0:

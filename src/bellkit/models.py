@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, mat_norm
-from .schmidt import SUPPORT_RANK_CUT
 
 __all__ = [
     "Scenario",
@@ -337,7 +336,7 @@ def classify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> ModelFlags:
         linalg.structural_predicates(op, tol).projection
         for fam in (m.M, m.N) for povm in fam for op in povm
     )
-    rank = linalg.schmidt_rank_of_matrix(m.psi.reshape(m.dimA, m.dimB), SUPPORT_RANK_CUT)
+    rank = linalg.schmidt_rank_of_matrix(m.psi.reshape(m.dimA, m.dimB), tol.cut("rank"))
     sc = m.scenario
     return ModelFlags(
         projective=projective,
@@ -373,7 +372,7 @@ def moments_agree_up_to(m1, m2, max_length: int, tol: Tolerance = DEFAULT_TOL):
                 continue
             gap = abs(_moment(m1, wa, wb, table1) - _moment(m2, wa, wb, table2))
             worst = max(worst, gap)
-    return worst <= tol.eps * 2, worst
+    return worst <= tol.cut("frame"), worst
 
 
 def is_projective_state(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    EIG_CLUSTER_GAP,
     Tolerance,
     as_matrix,
     cluster_eigenvalues,
@@ -42,10 +41,6 @@ __all__ = [
     "DistinguishingMoment",
     "scenario_letters",
 ]
-
-# Intertwiner residuals below tol merge two irreps, above AMBIGUOUS_FACTOR*tol
-# split them; the band in between is reported as ambiguous (and split).
-AMBIGUOUS_FACTOR = 100.0
 
 
 class AlgebraNotSemisimpleNumerically(RuntimeError):
@@ -160,17 +155,18 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     its Hermitian part leave room for 1.  With no Hermitian input, or a
     scalar H, there is one block and this is the full problem.
 
-    Eigenvalues closer than ``gap = max(1e3 cutoff, 1e-12 scale^2 / cutoff)``
-    share a block.  Merging eigenspaces only adds the unknowns that couple
-    them, so it never loses a commutant element; splitting is safe once the
-    eigenvalues are a gap apart.  The unknowns then left out meet singular
-    values of at least 1e3 cutoff in H's own map, and the eigenbasis error,
-    about ``eps_mach scale / gap``, moves a commutator by less than 1e-3 of
-    the cutoff.  H's own map stays in the stack, so the rank cut, not the
-    clustering, decides the dimension: unknowns coupling merged eigenvalues
-    delta > cutoff apart meet singular values of about delta and are cut like
-    any other.  The SVD is thin: the stack has at least as many rows as
-    columns, so ``vh`` is still the full right basis of the kept unknowns.
+    Eigenvalues closer than ``gap = max(1e3 cutoff, dust scale^2 / cutoff)``
+    share a block (``dust`` is the 1e-12 cut).  Merging eigenspaces only adds
+    the unknowns that couple them, so it never loses a commutant element;
+    splitting is safe once the eigenvalues are a gap apart.  The unknowns
+    then left out meet singular values of at least 1e3 cutoff in H's own
+    map, and the eigenbasis error, about ``eps_mach scale / gap``, moves a
+    commutator by less than 1e-3 of the cutoff.  H's own map stays in the
+    stack, so the rank cut, not the clustering, decides the dimension:
+    unknowns coupling merged eigenvalues delta > cutoff apart meet singular
+    values of about delta and are cut like any other.  The SVD is thin: the
+    stack has at least as many rows as columns, so ``vh`` is still the full
+    right basis of the kept unknowns.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -182,10 +178,11 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     # scale by the generators, not svals[0]: for near-central families the
     # whole map is fp noise and a relative cutoff would see rank everywhere
     scale = max(1.0, max(mat_norm(g) for g in gens))
-    cutoff = max(tol.eps, 1e-12) * scale
+    cutoff = tol.cut("commutant") * scale
     herm = next((g for g in gens if mat_norm(g - dagger(g)) <= cutoff), np.zeros((d, d)))
     vals, v = np.linalg.eigh((herm + dagger(herm)) / 2)
-    blocks = cluster_eigenvalues(vals, max(1e3 * cutoff, 1e-12 * scale * scale / cutoff))
+    gap = max(1e3 * cutoff, tol.cut("dust") * scale * scale / cutoff)
+    blocks = cluster_eigenvalues(vals, gap)
     label = np.repeat(np.arange(len(blocks)), [blk.stop - blk.start for blk in blocks])
     a, b = np.nonzero(label[:, None] == label[None, :])  # the block-diagonal unknowns
     rows = [_commutator_columns(dagger(v) @ g @ v, a, b)
@@ -263,10 +260,10 @@ def _split_invariant(basis: np.ndarray, work_gens, rng, tol) -> list[np.ndarray]
         return [basis]
     for _ in range(8):
         t = _random_commutant_element(com, rng)
-        if mat_norm(t) < 1e-8:
+        if mat_norm(t) < tol.cut("cluster"):
             continue
-        vals, vecs = hermitian_eig(t, Tolerance(1e-6))
-        clusters = cluster_eigenvalues(vals, EIG_CLUSTER_GAP)
+        vals, vecs = hermitian_eig(t, tol)  # t is exactly Hermitian
+        clusters = cluster_eigenvalues(vals, tol.cut("cluster"))
         if len(clusters) > 1:
             out = []
             for block in clusters:
@@ -292,7 +289,7 @@ def _intertwiner(gens1, gens2, tol: Tolerance):
     _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     x = vh[-1, :].conj().reshape(n, n)
     u_svd, s_x, vh_x = np.linalg.svd(x)
-    if s_x[-1] < 1e-6 * s_x[0]:
+    if s_x[-1] < tol.cut("coarse") * s_x[0]:
         return None, np.inf  # solution not invertible: inequivalent
     u = u_svd @ vh_x
     # deterministic global phase
@@ -340,7 +337,7 @@ def irrep_decompose(generators, seed: int = 0,
         for c in classes:
             rep_gens = leaf_gens[c["members"][0]]
             u, res = _intertwiner(lg, rep_gens, tol)
-            if u is not None and res < tol.eps * AMBIGUOUS_FACTOR:
+            if u is not None and res < tol.cut("intertwiner"):
                 if res < tol.eps:
                     c["members"].append(k)
                     c["intertwiners"].append(u)
@@ -366,7 +363,7 @@ def irrep_decompose(generators, seed: int = 0,
     dec = RepDecomposition(blocks=blocks, dim=d, ambiguous_pairs=ambiguous)
 
     defect = max(mat_norm(dec.reassemble(t) - gens[t]) for t in range(len(gens)))
-    if defect > max(tol.eps * AMBIGUOUS_FACTOR, 1e-8):
+    if defect > tol.cut("reassembly"):
         raise AlgebraNotSemisimpleNumerically(
             f"reassembly defect {defect:.3e} exceeds tolerance; input too ill-conditioned"
         )
@@ -402,7 +399,7 @@ def _cyclic_frame(model, tol: Tolerance):
     """
     letters = scenario_letters(model.scenario)
     psi = model.psi
-    cutoff = tol.eps * 2.0  # word vectors have norm <= 1
+    cutoff = tol.cut("frame")
     total_dim = len(psi)
     Q = np.zeros((total_dim, total_dim), dtype=complex)
     Q[:, 0] = psi / np.linalg.norm(psi)
@@ -512,7 +509,7 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     g2 = dagger(v2) @ v2
     diff = np.abs(g1 - g2)
     gram_residual = float(diff.max())
-    if gram_residual > tol.eps * 2.0:
+    if gram_residual > tol.cut("frame"):
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
         moment_word = frame_words[i].adjoint_times(frame_words[j])
         wa, wb = moment_word.word_pair()

@@ -12,12 +12,7 @@ __all__ = [
     "SchmidtDecomposition",
     "schmidt_decompose",
     "transfer_operator",
-    "SUPPORT_RANK_CUT",
 ]
-
-# Singular values at or below this fraction of the leading one are treated as
-# zero when deciding the Schmidt/support rank.
-SUPPORT_RANK_CUT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,16 +37,13 @@ class SchmidtDecomposition:
         coeff = self.left @ np.diag(self.coefficients) @ self.right.T
         return coeff.reshape(-1)
 
-    def diag_matrix(self) -> np.ndarray:
-        return np.diag(self.coefficients)
-
 
 def schmidt_decompose(psi, dimA: int, dimB: int,
                       tol: Tolerance = DEFAULT_TOL) -> SchmidtDecomposition:
     """Schmidt decomposition of a bipartite vector.
 
     The coefficient matrix ``C[i, j] = psi[i * dimB + j]`` is factored by SVD;
-    singular values at or below ``SUPPORT_RANK_CUT`` times the leading one are
+    singular values at or below the ``rank`` cut times the leading one are
     dropped from the rank.  Basis phases follow the convention of
     :func:`bellkit.linalg.hermitian_eig` so outputs are reproducible.
     """
@@ -63,12 +55,12 @@ def schmidt_decompose(psi, dimA: int, dimB: int,
         raise ValueError("cannot Schmidt-decompose the zero vector")
     coeff = psi.reshape(dimA, dimB)
     u, svals, vh = np.linalg.svd(coeff)
-    r = int(np.sum(svals > SUPPORT_RANK_CUT * svals[0]))
+    r = int(np.sum(svals > tol.cut("rank") * svals[0]))
     u = u[:, :r]
     v = vh[:r, :].T  # right vectors as columns; psi = sum s_i u_i (x) v_i
     # fix the free phases on the left factor, compensating on the right so the
     # pairing (and hence the reconstructed state) is unchanged
-    u_fixed = _fix_column_phases(u)
+    u_fixed = _fix_column_phases(u, tol.cut("dust"))
     phases = np.array([np.vdot(u_fixed[:, i], u[:, i]) for i in range(r)])
     v = v * phases
     return SchmidtDecomposition(svals[:r].copy(), u_fixed, v, dimA, dimB)
@@ -86,7 +78,7 @@ def transfer_operator(E, sd: SchmidtDecomposition) -> np.ndarray:
         raise ValueError(
             f"transfer_operator needs a full-rank state: rank {sd.rank}, dims ({sd.dimA},{sd.dimB})"
         )
-    lam = sd.diag_matrix()
+    lam = np.diag(sd.coefficients)
     lam_inv = np.diag(1.0 / sd.coefficients)
     e_schmidt = dagger(sd.left) @ E @ sd.left
     ehat_schmidt = lam @ e_schmidt.T @ lam_inv

@@ -17,7 +17,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    EIG_CLUSTER_GAP,
     Tolerance,
     cluster_eigenvalues,
     dagger,
@@ -136,7 +135,7 @@ def _round_effect(m: QuantumModel, side: str, x: int, tol: Tolerance) -> np.ndar
     op = (m.M if side == "A" else m.N)[x][0]
     vals, vecs = hermitian_eig(op, tol)
     proj = np.zeros_like(op)
-    for block in cluster_eigenvalues(vals, EIG_CLUSTER_GAP):
+    for block in cluster_eigenvalues(vals, tol.cut("cluster")):
         lam = float(vals[block].mean())
         cols = vecs[:, block]
         if abs(lam - 1.0) < tol.eps:

@@ -257,7 +257,7 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     for j, op in enumerate(ops[4:], start=1):
         residuals[f"s{j}"] = float(np.real(np.vdot(psi, op @ psi)))
 
-    identities_ok = max(defect1, defect2) <= max(tol.eps, 1e-8)
+    identities_ok = max(defect1, defect2) <= tol.cut("identity")
     optimal = abs(f_eta - polys.lam) <= tol.eps
     return TiltedChshCertificate(
         alpha=alpha,
@@ -271,14 +271,13 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     )
 
 
-def optimal_tilted_model(alpha: float, seed: int = 0) -> QuantumModel:
+def optimal_tilted_model(alpha: float) -> QuantumModel:
     """Optimal 2-qubit projective model for the tilted-CHSH functional.
 
     The closed form of Acin, Massar and Pironio (PRL 108, 100402 (2012)):
     state cos(t)|00> + sin(t)|11> with sin 2t = sqrt((4 - alpha^2)/(4 + alpha^2)),
     A0 = Z, A1 = X and B0, B1 = cos(mu) Z +- sin(mu) X with tan(mu) = sin 2t.
-    It reaches f(eta) = sqrt(8 + 2 alpha^2).  ``seed`` is accepted for
-    compatibility and ignored.
+    It reaches f(eta) = sqrt(8 + 2 alpha^2).
     """
     if not 0 <= alpha < 2:
         raise ValueError(f"alpha must lie in [0, 2), got {alpha}")

@@ -146,7 +146,7 @@ def test_criterion_4_tilted_optimal_residuals():
     ok = True
     details = []
     for alpha in (0.0, 0.5, 1.0):
-        m = optimal_tilted_model(alpha, seed=0)
+        m = optimal_tilted_model(alpha)
         cert = verify_tilted_sos(m, alpha)
         ok &= cert.f_eta >= cert.lam - 1e-6
         ok &= max(cert.state_residuals.values()) < 1e-5

@@ -1,0 +1,106 @@
+"""Every numerical cut is read from ``linalg.Tolerance``.
+
+``linalg.py`` holds the one table of named cuts; any other module that
+compares against a small literal, builds a ``Tolerance`` from a literal, or
+scales ``tol.eps`` by a constant has a cut of its own, which this test
+rejects.  Ratios of 1e-3 and above (the commutant merge gap's ``1e3`` and the
+principal-generator floor's ``1e-3``, both times the commutant cutoff) are
+formulas over table values and stay at their site.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from bellkit.linalg import _CUTS, Tolerance
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bellkit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+
+
+def _is_constant(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    return isinstance(node, ast.Name) and node.id.isupper()  # a module constant
+
+
+def _is_eps(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "eps"
+
+
+def ad_hoc_cuts(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < abs(node.value) < 1e-3):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "Tolerance"
+              and any(_is_constant(a) for a in [*node.args, *(k.value for k in node.keywords)])):
+            found.append(f"line {node.lineno}: Tolerance built from a literal")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            if ((_is_eps(node.left) and _is_constant(node.right))
+                    or (_is_eps(node.right) and _is_constant(node.left))):
+                found.append(f"line {node.lineno}: eps scaled by a constant")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cut_outside_the_tolerance_table(path):
+    assert ad_hoc_cuts(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "if x > 1e-7: pass",
+    "t = Tolerance(1e-6)",
+    "t = Tolerance(eps=1e-6)",
+    "c = tol.eps * 10",
+    "c = 100 * tol.eps",
+    "c = tol.eps * FACTOR",
+    "c = max(tol.eps, -1e-12)",
+])
+def test_guard_sees_each_kind_of_ad_hoc_cut(snippet):
+    assert ad_hoc_cuts(snippet)
+
+
+@pytest.mark.parametrize("snippet", [
+    "gap = max(1e3 * cutoff, tol.cut('dust') * scale / cutoff)",
+    "floor = 1e-3 * cutoff",
+    "ok = r <= tol.eps * (1 + norm)",
+    "t = Tolerance(tol.cut('coarse'))",
+])
+def test_guard_allows_table_reads_and_uniform_rules(snippet):
+    assert ad_hoc_cuts(snippet) == []
+
+
+EPS_GRID = [0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.5, 1e300]
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_each_cut_equals_the_expression_it_replaced(eps):
+    # the literal expressions the table replaced, evaluated the same way
+    cut = Tolerance(eps).cut
+    assert cut("dust") == 1e-12
+    assert cut("rank") == 1e-9
+    assert cut("cluster") == 1e-8
+    assert cut("overlap") == 1e-7
+    assert cut("coarse") == 1e-6
+    assert cut("commutant") == max(eps, 1e-12)
+    assert cut("identity") == max(eps, 1e-8)
+    assert cut("frame") == eps * 2.0
+    assert cut("residual") == eps * 10
+    assert cut("intertwiner") == eps * 100.0 == eps * 100
+    assert cut("multiplicity") == max(100 * eps, 1e-10)
+    assert cut("reassembly") == max(100 * eps, 1e-8) == max(eps * 100.0, 1e-8)
+
+
+def test_tolerance_has_the_one_field_eps():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps"]
+    assert set(_CUTS) == {"dust", "rank", "cluster", "overlap", "coarse", "commutant",
+                          "identity", "frame", "residual", "intertwiner",
+                          "multiplicity", "reassembly"}
+    assert len(set(_CUTS.values())) == len(_CUTS)  # one name per rule

@@ -1,5 +1,7 @@
 """Naimark dilation and local-dilation search/verification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from bellkit.presets import (
     random_state,
     tensor_with_auxiliary,
 )
+from bellkit.reps import irrep_decompose
 from bellkit.schmidt import schmidt_decompose
 from bellkit.support import support_of
 
@@ -69,6 +72,18 @@ class TestNaimark:
     def test_non_povm_rejected(self):
         with pytest.raises(ValueError):
             naimark_dilate([np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("povm, violation", [
+        ([np.eye(2), np.eye(2)], "POVM completeness at POVM[0]"),
+        ([np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]])],
+         "hermiticity at POVM[0][0]"),
+        # -1.5 eps is inside psd_sqrt's relative clamp, but not a valid effect
+        ([np.diag([-1.5e-9, 1.0]), np.diag([1.0 + 1.5e-9, 0.0])], "positivity at POVM[0][0]"),
+        ([np.eye(2), np.zeros((3, 3))], "operator shape at POVM[0][1]"),
+    ])
+    def test_povm_checked_as_validate_checks_a_model(self, povm, violation):
+        with pytest.raises(ValueError, match=r"POVM is not valid: .*" + re.escape(violation)):
+            naimark_dilate(povm)
 
 
 class TestVerifyLocalDilation:
@@ -221,6 +236,112 @@ class TestFindLocalDilation:
         w = find_local_dilation(big, m, seed=4)
         assert verify_local_dilation(big, m, w, Tolerance(1e-8)).passed
         assert support_of(m).centrally_supported
+
+
+_SC = Scenario(2, 2, 2, 2)
+_Z = np.diag([1.0, -1.0])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_E0 = np.array([1.0, 0.0])
+_PLUS_I = np.array([1.0, 1.0j]) / np.sqrt(2)   # Z and X outcomes 1/2, like |-i>
+_MINUS_I = np.array([1.0, -1.0j]) / np.sqrt(2)
+
+
+def _pvm(obs):
+    return [(np.eye(2) + obs) / 2, (np.eye(2) - obs) / 2]
+
+
+def _blocks(a, b):
+    """The direct sum a (+) b."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2], out[2:, 2:] = a, b
+    return out
+
+
+def _model(M, N, psi):
+    m = QuantumModel(scenario=_SC, dimA=M[0][0].shape[0], dimB=N[0][0].shape[0],
+                     M=M, N=N, psi=np.asarray(psi, dtype=complex))
+    assert validate_quantum_model(m).valid
+    return m
+
+
+_ZX = [_pvm(_Z), _pvm(_X)]
+
+
+def _obstruction(S, T, tol=Tolerance()):
+    with pytest.raises(NotDilatable) as exc_info:
+        find_local_dilation(S, T, seed=0, tol=tol)
+    return exc_info.value.obstruction
+
+
+class TestComponentObstructions:
+    """Each pair has T's correlation and a Schmidt rank that T's divides, so
+    only the per-component checks can refuse it.  T measures Z and X on both
+    sides and is irreducible."""
+
+    def test_irrep_dimension(self):
+        # commuting effects: two 1-dim irreps per side, not T's 2-dim one
+        T = _model(_ZX, _ZX, np.kron(_E0, _E0))
+        com = [[np.eye(2), np.zeros((2, 2))], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]]
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        ob = _obstruction(_model(com, com, np.kron(plus, plus)), T)
+        assert ob == {"kind": "component-state", "side": "A", "block": 0}
+
+    def test_intertwiner(self):
+        # A: two inequivalent qubit irreps, |<0|v>|^2 = 0.3 and 0.7, equally
+        # weighted: the mixture has T's correlation, neither component does
+        def v_pvm(c):
+            p = np.outer([np.sqrt(c), np.sqrt(1 - c)], [np.sqrt(c), np.sqrt(1 - c)])
+            return [p, np.eye(2) - p]
+
+        T = _model(_ZX, _ZX, np.kron(_E0, _E0))
+        M = [[_blocks(p, p) for p in _pvm(_Z)],
+             [_blocks(a, b) for a, b in zip(v_pvm(0.3), v_pvm(0.7))]]
+        psi_a = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+        ob = _obstruction(_model(M, _ZX, np.kron(psi_a, _E0)), T)
+        assert (ob["kind"], ob["side"]) == ("component-state", "A")
+        assert ob["residual"] > 1e-2
+
+    def test_multiplicity_singular_value_ratio(self):
+        # S = T_A (x) C^2 on A; the two multiplicity copies carry |0>|+i>
+        # and |0>|-i>, which have the same Z/X correlation
+        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+        M = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
+        coeff = np.zeros((2, 2, 2), dtype=complex)  # (i_A, aux, i_B)
+        coeff[:, 0, :] = np.outer(_E0, _PLUS_I) / np.sqrt(2)
+        coeff[:, 1, :] = np.outer(_E0, _MINUS_I) / np.sqrt(2)
+        ob = _obstruction(_model(M, _ZX, coeff.reshape(-1)), T)
+        assert (ob["kind"], ob["block"]) == ("component-state", (0, 0))
+        assert ob["sv_ratio"] == pytest.approx(1.0)
+
+    def test_overlap(self):
+        # T's own representation with the complex-conjugate state: equal
+        # correlation, but f(Z_B X_B) differs
+        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+        ob = _obstruction(_model(_ZX, _ZX, np.kron(_E0, _MINUS_I)), T)
+        assert ob == {"kind": "component-state", "block": (0, 0), "overlap": 0.0}
+
+    def test_component_correlation(self):
+        """Reached only through the ambiguous intertwiner band: S's A side is
+        T_A (+) T_A', where A' measures X rotated by delta = 10 eps.  The two
+        irreps are 2.5 eps apart, inside [eps, 100 eps), so irrep_decompose
+        keeps them split and each still matches T_A.  B = T_B (x) C^2, and
+        the state puts |00> on the first A block and |01> on the second: the
+        mixture has T's correlation up to 2.5 eps, each component is off by 1/2."""
+        delta = 10 * Tolerance().eps
+        x_rot = np.cos(delta) * _X + np.sin(delta) * _Z
+        M = [[_blocks(p, p) for p in _pvm(_Z)],
+             [_blocks(a, b) for a, b in zip(_pvm(_X), _pvm(x_rot))]]
+        N = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
+        coeff = np.zeros((4, 4))  # (block_A i_A, i_B aux_B)
+        coeff[0, 0] = coeff[2, 3] = 1 / np.sqrt(2)
+        S = _model(M, N, coeff.reshape(-1))
+        dec = irrep_decompose([op for povm in M for op in povm])
+        assert [(b.n, b.m) for b in dec.blocks] == [(2, 1), (2, 1)]
+        assert len(dec.ambiguous_pairs) == 1
+        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+        ob = _obstruction(S, T)
+        assert (ob["kind"], ob["block"]) == ("component-correlation", (0, 0))
+        assert ob["gap"] == pytest.approx(0.5)
 
 
 class TestWitnessComposition:

@@ -45,6 +45,15 @@ CASES = {
     "xor": ["xor", CHSH_CORR],
     "xor_certify": ["xor-certify", CHSH_CORR, "--assert-extremal"],
     "xor_certify_unasserted": ["xor-certify", CHSH_CORR],
+    # away from the default --tol: at 1e-12 the fixed floors of the cut
+    # table decide, at 1e-3 the multiples of eps do
+    "find_dilation_tol1e-12": ["find-dilation", CHSH, CHSH, "--tol", "1e-12"],
+    "find_dilation_tol1e-3": ["find-dilation", CHSH, CHSH, "--tol", "1e-3"],
+    "tilted_sos_alpha15_tol1e-12": ["tilted-sos", CHSH, "--alpha", "1.5", "--tol", "1e-12"],
+    "tilted_sos_alpha15_tol1e-3": ["tilted-sos", CHSH, "--alpha", "1.5", "--tol", "1e-3"],
+    "irrep_tol1e-12": ["irrep", CHSH, "--tol", "1e-12"],
+    "state_equal_tol1e-3": ["state-equal", EXA_S, EXA_SHAT, "--tol", "1e-3"],
+    "round_binary_tol1e-12": ["round-binary", CHSH, "--assert-extremal", "--tol", "1e-12"],
 }
 
 

@@ -162,13 +162,13 @@ class TestIdentities:
 
 class TestOptimizer:
     def test_chsh_reaches_tsirelson(self):
-        m = optimal_tilted_model(0.0, seed=0)
+        m = optimal_tilted_model(0.0)
         cert = verify_tilted_sos(m, 0.0)
         assert abs(cert.f_eta - 2 * np.sqrt(2)) < 1e-6
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_optimal_models_annihilate_certificate(self, alpha):
-        m = optimal_tilted_model(alpha, seed=1)
+        m = optimal_tilted_model(alpha)
         cert = verify_tilted_sos(m, alpha, )
         assert cert.f_eta >= cert.lam - 1e-6
         assert max(cert.state_residuals.values()) < 1e-5
@@ -176,7 +176,7 @@ class TestOptimizer:
 
     def test_optimizer_model_is_valid_projective(self):
         from bellkit.models import classify, validate_quantum_model
-        m = optimal_tilted_model(0.75, seed=2)
+        m = optimal_tilted_model(0.75)
         assert validate_quantum_model(m).valid
         assert classify(m).projective
 
