@@ -70,6 +70,8 @@ def _emit(obj, parts: list[str]):
         parts.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
+    elif isinstance(obj, list) and (rows := _float_pairs(obj)) is not None:
+        parts.append(rows)
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for k, item in enumerate(obj):
@@ -90,6 +92,20 @@ def _emit(obj, parts: list[str]):
         parts.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj)} canonically")
+
+
+def _float_pairs(obj: list) -> str | None:
+    """``obj`` as canonical JSON when every item is an ``[re, im]`` list of
+    floats (a matrix row or a vector), formatted in one pass; else None."""
+    if not all(type(e) is list and len(e) == 2 for e in obj):
+        return None
+    flat = [x for e in obj for x in e]
+    if set(map(type, flat)) != {float}:
+        return None
+    text = ("[" + ",".join(["[%.17g,%.17g]"] * len(obj)) + "]") % tuple(flat)
+    if "n" in text:  # "inf" or "nan": a finite .17g number has no "n"
+        raise ValueError("non-finite float cannot be serialized")
+    return text
 
 
 def matrix_to_obj(m: np.ndarray) -> list:

@@ -187,8 +187,9 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
         for a, m in enumerate(povm):
             loc = f"{label}[{x}][{a}]"
             if m.shape != (dim, dim):
-                rep.add("operator shape", loc, float(abs(m.shape[0] - dim)))
-                return
+                rows, cols = m.shape
+                rep.add("operator shape", loc, float(max(abs(rows - dim), abs(cols - dim))))
+                break  # no completeness check for this POVM
             herm_res = mat_norm(m - dagger(m))
             if herm_res > tol.eps * (1 + mat_norm(m)):
                 rep.add("hermiticity", loc, herm_res)
@@ -197,9 +198,10 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
                 if min_eig < -tol.eps:
                     rep.add("positivity", loc, -min_eig)
             total = total + m
-        comp_res = mat_norm(total - np.eye(dim))
-        if comp_res > tol.eps * (1 + mat_norm(total)):
-            rep.add("POVM completeness", f"{label}[{x}]", comp_res)
+        else:
+            comp_res = mat_norm(total - np.eye(dim))
+            if comp_res > tol.eps * (1 + mat_norm(total)):
+                rep.add("POVM completeness", f"{label}[{x}]", comp_res)
 
 
 def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
@@ -224,13 +226,17 @@ def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         norm_res = abs(float(np.linalg.norm(m.psi)) - 1.0)
         if norm_res > tol.eps:
             rep.add("state normalization", "psi", norm_res)
-    if isinstance(m, CommutingModel):
+    # products of misshapen operators are undefined; their shapes are reported
+    if isinstance(m, CommutingModel) and all(op.shape == (dim, dim)
+                                             for povm in (*m.M, *m.N) for op in povm):
+        norms_n = [[mat_norm(nb) for nb in qovm] for qovm in m.N]
         for x, povm in enumerate(m.M):
             for a, ma in enumerate(povm):
+                norm_a = mat_norm(ma)
                 for y, qovm in enumerate(m.N):
                     for b, nb in enumerate(qovm):
                         res = mat_norm(ma @ nb - nb @ ma)
-                        if res > tol.eps * (1 + mat_norm(ma) * mat_norm(nb)):
+                        if res > tol.eps * (1 + norm_a * norms_n[y][b]):
                             rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
     return rep
 

@@ -477,6 +477,19 @@ class DistinguishingMoment:
                 f"f2 = {self.value2:.6g}")
 
 
+def _max_abs_difference(g1: np.ndarray, g2: np.ndarray):
+    """``max |g1 - g2|`` and its first index in row-major order, as
+    ``np.abs(g1 - g2)`` gives them, formed a block of rows at a time so that
+    no full-size difference is allocated."""
+    rows = 64
+    starts = range(0, len(g1), rows)
+    maxima = np.array([np.abs(g1[k:k + rows] - g2[k:k + rows]).max() for k in starts])
+    k = starts[int(maxima.argmax())]
+    block = np.abs(g1[k:k + rows] - g2[k:k + rows])
+    i, j = np.unravel_index(int(block.argmax()), block.shape)
+    return float(maxima.max()), (k + int(i), int(j))
+
+
 def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     """Whether two models induce the same abstract state.
 
@@ -507,10 +520,8 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     v1, v2 = frame(c1.model), frame(c2.model)
     g1 = dagger(v1) @ v1
     g2 = dagger(v2) @ v2
-    diff = np.abs(g1 - g2)
-    gram_residual = float(diff.max())
+    gram_residual, (i, j) = _max_abs_difference(g1, g2)
     if gram_residual > tol.cut("frame"):
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
         moment_word = frame_words[i].adjoint_times(frame_words[j])
         wa, wb = moment_word.word_pair()
         return False, DistinguishingMoment(

@@ -12,6 +12,8 @@ state annihilates every term.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,34 +106,52 @@ class NCPoly:
 
         The one-polynomial case of ``evaluate_all``.
         """
-        return evaluate_all([self], gens)[0]
+        return next(evaluate_all([self], gens))
 
     def __repr__(self):
         return f"NCPoly({len(self.terms)} terms)"
 
 
-def evaluate_all(polys: list[NCPoly], gens: list[np.ndarray]) -> list[np.ndarray]:
-    """Substitute concrete matrices for the generators in several polynomials.
+def evaluate_all(polys: list[NCPoly], gens: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Substitute concrete matrices for the generators in several polynomials,
+    yielding each polynomial's operator in turn.
 
     Every monomial product is formed once, in a prefix table shared by all the
     polynomials: ``table[mono] = table[mono[:-1]] @ gens[mono[-1]]``, seeded
     with ``table[()] = I``.  That is the left-to-right product ``I @ g1 @ g2
     @ ...`` of a monomial evaluated on its own, and each polynomial sums its
     terms in its own order, so every result is bitwise the one-at-a-time
-    evaluation; only the repeated products are gone.
+    evaluation; only the repeated products are gone.  A product is dropped
+    from the table at its last use, as a term or as the parent of a longer
+    product, so only the products later polynomials still need stay alive.
     """
     d = gens[0].shape[0]
+    uses = Counter(mono for poly in polys for mono in poly.terms)
+    formed = {mono[:k] for poly in polys for mono in poly.terms for k in range(1, len(mono) + 1)}
+    uses.update(mono[:-1] for mono in formed)
     table = {(): np.eye(d, dtype=complex)}
-    outs = []
-    for poly in polys:
+
+    def release(mono):
+        uses[mono] -= 1
+        if not uses[mono]:
+            del table[mono]
+
+    def product(mono):
+        # an absent product was never formed: a formed one keeps this use
+        if mono not in table:
+            table[mono] = product(mono[:-1]) @ gens[mono[-1]]
+            release(mono[:-1])
+        return table[mono]
+
+    def total(poly):
         out = np.zeros((d, d), dtype=complex)
         for mono, coeff in poly.terms.items():
-            for k in range(1, len(mono) + 1):
-                if mono[:k] not in table:
-                    table[mono[:k]] = table[mono[:k - 1]] @ gens[mono[k - 1]]
-            out += coeff * table[mono]
-        outs.append(out)
-    return outs
+            out += coeff * product(mono)
+            release(mono)
+        return out
+
+    for poly in polys:
+        yield total(poly)
 
 
 @dataclass(frozen=True)
@@ -244,18 +264,20 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     gens = _observable_generators(m)
     psi = m.psi
 
-    lhs, rhs1, rhs2, eta, *ops = evaluate_all(
-        [*polys.identity_sides(), polys.eta, *polys.r, *polys.s], gens)
-    defect1 = mat_norm(lhs - rhs1)
-    defect2 = mat_norm(lhs - rhs2)
+    # each operator is reduced to its numbers as it arrives; only lhs is kept
+    ops = evaluate_all([*polys.identity_sides(), polys.eta, *polys.r, *polys.s], gens)
+    lhs = next(ops)
+    defect1 = mat_norm(lhs - next(ops))
+    defect2 = mat_norm(lhs - next(ops))
+    del lhs
 
-    f_eta = float(np.real(np.vdot(psi, eta @ psi)))
+    f_eta = float(np.real(np.vdot(psi, next(ops) @ psi)))
     residuals: dict[str, float] = {}
-    for i, op in enumerate(ops[:4], start=1):
-        v = op @ psi
+    for i in range(1, 5):
+        v = next(ops) @ psi
         residuals[f"r{i}^2"] = float(np.real(np.vdot(v, v)))
-    for j, op in enumerate(ops[4:], start=1):
-        residuals[f"s{j}"] = float(np.real(np.vdot(psi, op @ psi)))
+    for j in range(1, 9):
+        residuals[f"s{j}"] = float(np.real(np.vdot(psi, next(ops) @ psi)))
 
     identities_ok = max(defect1, defect2) <= tol.cut("identity")
     optimal = abs(f_eta - polys.lam) <= tol.eps

@@ -79,7 +79,8 @@ class TestNaimark:
          "hermiticity at POVM[0][0]"),
         # -1.5 eps is inside psd_sqrt's relative clamp, but not a valid effect
         ([np.diag([-1.5e-9, 1.0]), np.diag([1.0 + 1.5e-9, 0.0])], "positivity at POVM[0][0]"),
-        ([np.eye(2), np.zeros((3, 3))], "operator shape at POVM[0][1]"),
+        ([np.eye(2), np.zeros((3, 3))], "operator shape at POVM[0][1]: residual 1.000e+00"),
+        ([np.eye(2), np.zeros((2, 5))], "operator shape at POVM[0][1]: residual 3.000e+00"),
     ])
     def test_povm_checked_as_validate_checks_a_model(self, povm, violation):
         with pytest.raises(ValueError, match=r"POVM is not valid: .*" + re.escape(violation)):

@@ -1,6 +1,8 @@
 """File formats, canonical serialization, and the CLI contract."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +60,37 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_dumps({"x": float("nan")})
 
+    def test_float_pair_rows_match_the_item_by_item_walk(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+        special = [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [1e308, -1.7976931348623157e308],
+                   [3.0, -4.0], [1.0, 1e16], [0.1, 123456789.0]]
+        for obj in (np.stack((m.real, m.imag), -1).tolist(), special, [special, []],
+                    {"v": special, "s": [[1, 2.0]], "t": [(1.5, 2.5)], "u": [[1.5, True]]}):
+            assert canonical_dumps(obj) == _walk_dumps(obj)
+
+    @pytest.mark.parametrize("bad", [NAN, math.inf, -math.inf])
+    def test_float_pair_rows_reject_non_finite(self, bad):
+        for row in ([[0.5, 1.0], [bad, 0.0]], [[0.5, 1.0], [0.0, bad]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                canonical_dumps({"m": [row]})
+
+
+def _walk_dumps(obj) -> str:
+    """canonical_dumps as an item-by-item walk with format(x, ".17g")."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        assert math.isfinite(obj)
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_walk_dumps, obj)) + "]"
+    return "{" + ",".join(f"{json.dumps(k)}:{_walk_dumps(obj[k])}" for k in sorted(obj)) + "}"
+
 
 class TestModelFiles:
     def test_model_roundtrip_values(self, tmp_path):
@@ -113,6 +146,22 @@ class TestCliCommands:
         res = invoke(["validate", str(path)])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdicts"]["valid"] is False
+
+    def test_validate_misshapen_operator_and_later_povm(self, tmp_path):
+        """A 2x1 effect is reported with a nonzero residual, and the check goes
+        on to report the next POVM's completeness violation."""
+        obj = model_to_obj(chsh_ideal_model())
+        obj["M"][0][1] = [row[:1] for row in obj["M"][0][1]]
+        obj["M"][1][0] = model_to_obj(dataclasses.replace(
+            chsh_ideal_model(), M=[[5 * np.eye(2)] * 2] * 2))["M"][1][0]
+        path = tmp_path / "bad.json"
+        save_json(path, obj)
+        res = invoke(["validate", str(path)])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["violations"] == [
+            {"location": "M[0][1]", "name": "operator shape", "residual": 1},
+            {"location": "M[1]", "name": "POVM completeness", "residual": 5},
+        ]
 
     def test_parse_error_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"

@@ -60,6 +60,25 @@ class TestValidation:
         bad = [v for v in rep.violations if v.name == "POVM completeness"]
         assert bad and abs(bad[0].residual - 1.0) < 1e-12
 
+    def test_misshapen_operator_skips_only_its_povm(self):
+        m = chsh_ideal_model()
+        M = [[m.M[0][0], m.M[0][1][:, :1]], [5 * np.eye(2), m.M[1][1]]]
+        N = [[m.N[0][0][:1], m.N[0][1]], m.N[1]]
+        rep = validate_quantum_model(QuantumModel(
+            scenario=m.scenario, dimA=2, dimB=2, M=M, N=N, psi=m.psi))
+        assert [(v.name, v.location) for v in rep.violations] == [
+            ("operator shape", "M[0][1]"), ("POVM completeness", "M[1]"),
+            ("operator shape", "N[0][0]")]
+        assert [v.residual for v in rep.violations][::2] == [1.0, 1.0]
+
+    def test_misshapen_commuting_operator_reported_not_raised(self):
+        c = commuting_from_tensor(chsh_ideal_model())
+        M = [[c.M[0][0], c.M[0][1][:, :3]], c.M[1]]
+        rep = validate_commuting_model(CommutingModel(
+            scenario=c.scenario, dim=4, M=M, N=c.N, psi=c.psi))
+        assert [(v.name, v.location, v.residual) for v in rep.violations] == [
+            ("operator shape", "M[0][1]", 1.0)]
+
     def test_commuting_model_commutation_checked(self):
         sc = Scenario(1, 1, 2, 2)
         z = np.diag([1.0, 0.0])

@@ -1,6 +1,7 @@
 """Commutant, irrep decomposition, cyclic restriction, state equality."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from bellkit.reps import (
     CombinedWord,
     _apply_letter,
     _cyclic_frame,
+    _max_abs_difference,
     commutant_basis,
     cyclic_restrict,
     irrep_decompose,
@@ -737,3 +739,64 @@ class TestFrameAndUnitaryAgainstReference:
                     [_act(model, side, op, block[:, j]) for j in range(7)])
                 np.testing.assert_allclose(_act(model, side, op, block), by_column,
                                            rtol=0, atol=1e-14)
+
+
+def _traced_peak(f, *args):
+    """``(f(*args), peak bytes traced while it ran)``."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramComparisonMemory:
+    """The Gram comparison of ``states_equal`` works on row blocks: the values
+    and the first row-major argmax are those of ``np.abs(g1 - g2)``, and no
+    full-size difference is allocated."""
+
+    def reference(self, g1, g2):
+        diff = np.abs(g1 - g2)
+        return float(diff.max()), np.unravel_index(int(diff.argmax()), diff.shape)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_matches_full_difference_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g2 = g1.copy()
+        g2[n // 2:, :] += 0.25
+        g2[n - 1, 0] += 0.25j  # the same modulus as the (n // 2, 0) tie below
+        g2[n // 2, 0] += 0.25j
+        value, at = _max_abs_difference(g1, g2)
+        want_value, want_at = self.reference(g1, g2)
+        assert value == want_value
+        assert at == tuple(int(k) for k in want_at) == (n // 2, 0)
+
+    def test_equal_matrices_and_nan(self):
+        g = np.arange(130 * 130, dtype=complex).reshape(130, 130)
+        assert _max_abs_difference(g, g.copy()) == (0.0, (0, 0))
+        h = g.copy()
+        h[100, 7] = np.nan
+        h[120, 3] = np.nan
+        value, at = _max_abs_difference(g, h)
+        assert np.isnan(value) and at == (100, 7)
+
+    def test_no_full_size_temporary(self):
+        n = 600
+        rng = np.random.default_rng(7)
+        g1 = rng.standard_normal((n, n)) + 0j
+        g2 = g1 + 1e-3
+        _, peak = _traced_peak(_max_abs_difference, g1, g2)
+        assert peak < n * n * 16 / 4
+
+    def test_states_equal_holds_no_third_gram_sized_array(self):
+        """Beyond the two Gram matrices and the two frames, states_equal peaks
+        under half an N x N complex array; np.abs(g1 - g2) alone is 1.5 of one."""
+        m1, m2, _ = seeded_pair("rotation", 10)
+        states_equal(m1, m2)  # first-call allocations stay out of the peak
+        (equal, witness), peak = _traced_peak(states_equal, m1, m2)
+        assert equal
+        n, d2 = witness.words_checked, 10 * 10
+        beyond = peak - (2 * n * n + 2 * d2 * n) * 16
+        assert beyond < n * n * 16 / 2

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -75,6 +77,21 @@ class TestSharedEvaluation:
             naive = _naive_evaluate(poly, gens)
             assert op.tobytes() == naive.tobytes()
             assert poly.evaluate(gens).tobytes() == naive.tobytes()
+
+    def test_generator_with_shared_and_repeated_polynomials(self):
+        """Operators arrive one at a time, bitwise the one-at-a-time evaluation,
+        also when a polynomial repeats and products are released in between."""
+        rng = np.random.default_rng(113)
+        gens = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                for _ in range(4)]
+        certificate = _certificate_polys(0.9)
+        polys = [certificate[5], *certificate, certificate[1], NCPoly.constant(2.0),
+                 certificate[0]]
+        ops = evaluate_all(polys, gens)
+        assert isinstance(ops, types.GeneratorType)
+        for poly in polys:
+            assert next(ops).tobytes() == _naive_evaluate(poly, gens).tobytes()
+        assert next(ops, None) is None
 
     def test_zero_polynomial(self):
         gens = [np.diag([1.0, -1.0, 2.0])] * 4
@@ -215,3 +232,22 @@ class TestAtScale:
             assert comm.state_residuals.keys() == cert.state_residuals.keys()
             for key, want in cert.state_residuals.items():
                 assert abs(comm.state_residuals[key] - want) <= 1e-12, key
+
+
+class TestMemory:
+    def test_verify_tilted_sos_peak_at_d64(self):
+        """Products are freed at their last use and each certificate operator is
+        reduced as it arrives: the peak stays under 64 operators (holding every
+        product and operator to the end takes about 92)."""
+        big = tensor_with_auxiliary(optimal_tilted_model(1.5),
+                                    random_state(np.random.default_rng(5), 16), 4, 4)
+        assert (big.dimA, big.dimB) == (8, 8)
+        verify_tilted_sos(big, 1.5)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            cert = verify_tilted_sos(big, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.optimal and cert.identities_ok
+        assert peak <= 64 * 64 * 64 * 16
