@@ -3,28 +3,27 @@
 The tilted-CHSH functional eta = alpha*a0 + a0*b0 + a0*b1 + a1*b0 - a1*b1
 (in the +-1-observable generators a_x = m^x_0 - m^x_1, b_y = n^y_0 - n^y_1)
 has optimal value lam = sqrt(8 + 2*alpha^2) over all models, certified by two
-explicit operator identities expressing 2*lam*(lam - eta) as a sum of squares
-and manifestly positive terms.  The identities hold in the universal algebra,
-i.e. for every valid model whatsoever; a model is optimal exactly when the
-state annihilates every term.
+explicit identities expressing 2*lam*(lam - eta) as a sum of squares and
+manifestly positive terms.  The identities hold in the universal algebra:
+both sides agree once every a letter is moved left of every b letter, using
+[a_x, b_y] = 0 and neither a_x^2 = 1 nor b_y^2 = 1.  So they are checked once,
+on coefficients, and hold for every valid model whatsoever; a model is
+optimal exactly when the state annihilates every term.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm
-from .models import QuantumModel, Scenario
-from .presets import _X, _Z, _binary_povm, commuting_from_tensor
+from .models import QuantumModel, Scenario, _act
+from .presets import _X, _Z, _binary_povm
 
 __all__ = [
     "NCPoly",
-    "evaluate_all",
     "TiltedChshPolynomials",
     "tilted_chsh_build",
     "TiltedChshCertificate",
@@ -41,10 +40,9 @@ class NCPoly:
 
     Stored as a monomial-to-coefficient map; monomials are tuples of
     generator indices.  No simplification is performed beyond merging equal
-    monomials; commutation between the a and b letters only enters when a
-    polynomial is evaluated on concrete operators.  Evaluation goes through
-    ``evaluate_all``, whose prefix table forms each monomial product once
-    however many terms and polynomials share it.
+    monomials; commutation between the a and b letters only enters through
+    the a-then-b normal form that ``verify_tilted_sos`` reduces the identity
+    defects to.
     """
 
     __slots__ = ("terms",)
@@ -104,54 +102,20 @@ class NCPoly:
     def evaluate(self, gens: list[np.ndarray]) -> np.ndarray:
         """Substitute concrete matrices for the generators.
 
-        The one-polynomial case of ``evaluate_all``.
+        Each monomial is the product ``I @ g1 @ g2 @ ...``, and the terms are
+        summed in the order of ``terms``.
         """
-        return next(evaluate_all([self], gens))
+        d = gens[0].shape[0]
+        out = np.zeros((d, d), dtype=complex)
+        for mono, coeff in self.terms.items():
+            term = np.eye(d, dtype=complex)
+            for idx in mono:
+                term = term @ gens[idx]
+            out += coeff * term
+        return out
 
     def __repr__(self):
         return f"NCPoly({len(self.terms)} terms)"
-
-
-def evaluate_all(polys: list[NCPoly], gens: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Substitute concrete matrices for the generators in several polynomials,
-    yielding each polynomial's operator in turn.
-
-    Every monomial product is formed once, in a prefix table shared by all the
-    polynomials: ``table[mono] = table[mono[:-1]] @ gens[mono[-1]]``, seeded
-    with ``table[()] = I``.  That is the left-to-right product ``I @ g1 @ g2
-    @ ...`` of a monomial evaluated on its own, and each polynomial sums its
-    terms in its own order, so every result is bitwise the one-at-a-time
-    evaluation; only the repeated products are gone.  A product is dropped
-    from the table at its last use, as a term or as the parent of a longer
-    product, so only the products later polynomials still need stay alive.
-    """
-    d = gens[0].shape[0]
-    uses = Counter(mono for poly in polys for mono in poly.terms)
-    formed = {mono[:k] for poly in polys for mono in poly.terms for k in range(1, len(mono) + 1)}
-    uses.update(mono[:-1] for mono in formed)
-    table = {(): np.eye(d, dtype=complex)}
-
-    def release(mono):
-        uses[mono] -= 1
-        if not uses[mono]:
-            del table[mono]
-
-    def product(mono):
-        # an absent product was never formed: a formed one keeps this use
-        if mono not in table:
-            table[mono] = product(mono[:-1]) @ gens[mono[-1]]
-            release(mono[:-1])
-        return table[mono]
-
-    def total(poly):
-        out = np.zeros((d, d), dtype=complex)
-        for mono, coeff in poly.terms.items():
-            out += coeff * product(mono)
-            release(mono)
-        return out
-
-    for poly in polys:
-        yield total(poly)
 
 
 @dataclass(frozen=True)
@@ -225,16 +189,19 @@ def tilted_chsh_build(alpha: float) -> TiltedChshPolynomials:
     )
 
 
-def _observable_generators(m) -> list[np.ndarray]:
-    """[a0, a1, b0, b1] as matrices on the model's full space."""
-    if isinstance(m, QuantumModel):
-        m = commuting_from_tensor(m)
-    return [
-        m.M[0][0] - m.M[0][1],
-        m.M[1][0] - m.M[1][1],
-        m.N[0][0] - m.N[0][1],
-        m.N[1][0] - m.N[1][1],
-    ]
+def _identity_defect(diff: NCPoly, commutator: float) -> float:
+    """Largest coefficient of ``diff`` = LHS - RHS left after the a-then-b
+    reduction (a stable sort moves every a letter left of every b letter),
+    plus sum_m |c_m| inv(m) ``commutator``, inv(m) counting the b-before-a
+    pairs of m.  Each of the inv(m) swaps that sorts m moves its operator by
+    at most ``commutator`` when every generator has norm at most 1."""
+    normal: dict[tuple[int, ...], float] = {}
+    swaps = 0.0
+    for mono, coeff in diff.terms.items():
+        key = tuple(sorted(mono, key=lambda idx: idx >= B0))
+        normal[key] = normal.get(key, 0.0) + coeff
+        swaps += abs(coeff) * sum(x >= B0 > y for i, x in enumerate(mono) for y in mono[i + 1:])
+    return max(map(abs, normal.values()), default=0.0) + swaps * commutator
 
 
 @dataclass
@@ -250,34 +217,52 @@ class TiltedChshCertificate:
 
 
 def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedChshCertificate:
-    """Evaluate the tilted-CHSH certificate on a concrete model.
+    """Check the tilted-CHSH certificate on a concrete model.
 
-    The two identity defects are operator norms of LHS - RHS and must vanish
-    for every valid model, optimal or not.  The state residuals f(r_i^2) and
-    f(s_j) are nonnegative and must all vanish exactly when f(eta) reaches
-    lam, which is what ``optimal`` reports (at the given tolerance).
+    Each identity defect is the coefficient residual of LHS - RHS in the
+    a-then-b normal form, which must vanish for every valid model, optimal or
+    not.  On a commuting model it adds the commutator bound of
+    ``_identity_defect`` with max_{x,y} ||[a_x, b_y]||; that bound needs
+    ||a_x||, ||b_y|| <= 1, which holds for valid POVMs.  A tensor model
+    commutes by construction, so its term is 0.  The state residuals
+    f(r_i^2) = ||r_i psi||^2 and f(s_j) are nonnegative and must all vanish
+    exactly when f(eta) reaches lam, which is what ``optimal`` reports (at the
+    given tolerance).  They are read from one table of word vectors, so on a
+    tensor model no operator on the composite space is formed.
     """
     sc = m.scenario
     if sc != Scenario(2, 2, 2, 2):
         raise ValueError(f"tilted CHSH needs the (2,2,2,2) scenario, got {sc}")
     polys = tilted_chsh_build(alpha)
-    gens = _observable_generators(m)
+    # the +-1 observables, each on its own factor
+    gens = [m.M[0][0] - m.M[0][1], m.M[1][0] - m.M[1][1],
+            m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
     psi = m.psi
 
-    # each operator is reduced to its numbers as it arrives; only lhs is kept
-    ops = evaluate_all([*polys.identity_sides(), polys.eta, *polys.r, *polys.s], gens)
-    lhs = next(ops)
-    defect1 = mat_norm(lhs - next(ops))
-    defect2 = mat_norm(lhs - next(ops))
-    del lhs
+    commutator = 0.0 if isinstance(m, QuantumModel) else max(
+        mat_norm(a @ b - b @ a) for a in gens[:B0] for b in gens[B0:])
+    lhs, rhs1, rhs2 = polys.identity_sides()
+    defect1 = _identity_defect(lhs - rhs1, commutator)
+    defect2 = _identity_defect(lhs - rhs2, commutator)
 
-    f_eta = float(np.real(np.vdot(psi, next(ops) @ psi)))
+    # a monomial's vector is its first generator acting on the vector of the rest
+    vec = {(): psi}
+
+    def word(mono):
+        if mono not in vec:
+            vec[mono] = _act(m, "B" if mono[0] >= B0 else "A", gens[mono[0]], word(mono[1:]))
+        return vec[mono]
+
+    def on_psi(poly):
+        return sum(coeff * word(mono) for mono, coeff in poly.terms.items())
+
+    f_eta = float(np.real(np.vdot(psi, on_psi(polys.eta))))
     residuals: dict[str, float] = {}
-    for i in range(1, 5):
-        v = next(ops) @ psi
+    for i, r in enumerate(polys.r, 1):
+        v = on_psi(r)
         residuals[f"r{i}^2"] = float(np.real(np.vdot(v, v)))
-    for j in range(1, 9):
-        residuals[f"s{j}"] = float(np.real(np.vdot(psi, next(ops) @ psi)))
+    for j, s in enumerate(polys.s, 1):
+        residuals[f"s{j}"] = float(np.real(np.vdot(psi, on_psi(s))))
 
     identities_ok = max(defect1, defect2) <= tol.cut("identity")
     optimal = abs(f_eta - polys.lam) <= tol.eps

@@ -32,14 +32,16 @@ from bellkit.models import (
 from bellkit.presets import (
     block_padded_model,
     chsh_ideal_model,
+    commuting_from_tensor,
     example_pair,
     random_povm,
     random_quantum_model,
+    random_state,
     support_mixing_model,
     synchronous_model,
     tensor_with_auxiliary,
 )
-from bellkit.reps import commutant_basis, irrep_decompose
+from bellkit.reps import commutant_basis, irrep_decompose, states_equal
 from bellkit.schmidt import schmidt_decompose
 from bellkit.special import LemmaViolated, binary_round, synchronous_verify, xor_of
 from bellkit.support import is_centrally_supported_via_transfer, support_of
@@ -123,7 +125,8 @@ def test_criterion_2_chsh_suite(tmp_path):
 
 
 def test_criterion_3_tilted_identities():
-    """Both SOS identities hold as operator equations on random valid models."""
+    """Both SOS identities hold on random valid models, each also run as its
+    commuting embedding, where the commutator bound enters the defect."""
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     sc = Scenario(2, 2, 2, 2)
@@ -133,12 +136,13 @@ def test_criterion_3_tilted_identities():
             dA = int(rng.integers(2, 4))
             dB = int(rng.integers(2, 4))
             m = random_quantum_model(rng, sc, dA, dB)
-            cert = verify_tilted_sos(m, float(alpha))
-            worst = max(worst, *cert.identity_defects)
+            for model in (m, commuting_from_tensor(m)):
+                cert = verify_tilted_sos(model, float(alpha))
+                worst = max(worst, *cert.identity_defects)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 30.0
-    report(3, "tilted-CHSH operator identities on 8 alphas x 50 random models",
-           ok, f"max defect {worst:.2e}, {elapsed:.1f}s")
+    report(3, "tilted-CHSH operator identities on 8 alphas x 50 random models, "
+           "tensor and commuting", ok, f"max defect {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_4_tilted_optimal_residuals():
@@ -332,3 +336,22 @@ def test_criterion_9_representation_roundtrip():
         assert ok, f"trial {trial}: structure {structure}"
     report(9, "representation round-trip (30 constructed reps)",
            ok, f"max defect {worst_defect:.2e}")
+
+
+def test_criterion_10_dilation_implies_equal_state():
+    """A local dilation preserves the abstract state: whenever find-dilation's
+    witness passes verify-dilation, state-equal must say equal.  Each model
+    tensored with an auxiliary state is a dilation by construction."""
+    rng = np.random.default_rng(1010)
+    checked = 0
+    ok = True
+    for target in (chsh_ideal_model(), optimal_tilted_model(1.5)):
+        for k in (2, 3):
+            big = tensor_with_auxiliary(target, random_state(rng, k * k), k, k)
+            w = find_local_dilation(big, target, seed=0)
+            if verify_local_dilation(big, target, w).passed:
+                checked += 1
+                ok &= states_equal(big, target)[0]
+    ok &= checked == 4
+    report(10, "dilation found and verified implies equal states (CHSH, tilted; aux k=2,3)",
+           ok, f"{checked} dilations checked")

@@ -3,12 +3,12 @@
 import dataclasses
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
-from bellkit.models import Scenario
+from bellkit.linalg import dagger, mat_norm
+from bellkit.models import CommutingModel, Scenario
 from bellkit.presets import (
     _X,
     _Z,
@@ -22,7 +22,6 @@ from bellkit.presets import (
 from bellkit.models import QuantumModel
 from bellkit.tilted import (
     NCPoly,
-    evaluate_all,
     optimal_tilted_model,
     tilted_chsh_build,
     verify_tilted_sos,
@@ -67,40 +66,20 @@ def _certificate_polys(alpha):
 class TestSharedEvaluation:
     @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.5])
     def test_bitwise_equal_to_one_at_a_time(self, alpha):
-        """The shared prefix table changes no bit, -0.0 against 0.0 included."""
+        """NCPoly.evaluate is bitwise the reference, -0.0 against 0.0 included."""
         rng = np.random.default_rng(107)
         gens = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
                 for _ in range(4)]
         polys = _certificate_polys(alpha)
         assert len(polys) == 16
-        for poly, op in zip(polys, evaluate_all(polys, gens), strict=True):
-            naive = _naive_evaluate(poly, gens)
-            assert op.tobytes() == naive.tobytes()
-            assert poly.evaluate(gens).tobytes() == naive.tobytes()
-
-    def test_generator_with_shared_and_repeated_polynomials(self):
-        """Operators arrive one at a time, bitwise the one-at-a-time evaluation,
-        also when a polynomial repeats and products are released in between."""
-        rng = np.random.default_rng(113)
-        gens = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-                for _ in range(4)]
-        certificate = _certificate_polys(0.9)
-        polys = [certificate[5], *certificate, certificate[1], NCPoly.constant(2.0),
-                 certificate[0]]
-        ops = evaluate_all(polys, gens)
-        assert isinstance(ops, types.GeneratorType)
         for poly in polys:
-            assert next(ops).tobytes() == _naive_evaluate(poly, gens).tobytes()
-        assert next(ops, None) is None
+            assert poly.evaluate(gens).tobytes() == _naive_evaluate(poly, gens).tobytes()
 
     def test_zero_polynomial(self):
         gens = [np.diag([1.0, -1.0, 2.0])] * 4
         zero = np.zeros((3, 3), dtype=complex)
         assert NCPoly({(0, 1): 0.0}).terms == {}
         assert NCPoly().evaluate(gens).tobytes() == zero.tobytes()
-        ops = evaluate_all([NCPoly(), NCPoly.gen(2), NCPoly()], gens)
-        assert [op.tobytes() for op in ops] == [zero.tobytes(), (zero + gens[2]).tobytes(),
-                                                zero.tobytes()]
 
     def test_multi_generator_evaluation(self):
         """Pauli algebra: XY - YX = 2iZ and ZXY = iI."""
@@ -177,6 +156,86 @@ class TestIdentities:
             verify_tilted_sos(m, 0.0)
 
 
+def _full_space_gens(m):
+    """[a0, a1, b0, b1] as matrices on the model's whole space."""
+    if isinstance(m, QuantumModel):
+        m = commuting_from_tensor(m)
+    return [m.M[0][0] - m.M[0][1], m.M[1][0] - m.M[1][1],
+            m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
+
+
+def _turned_b(m, rng, eps):
+    """``m`` with every N operator conjugated by exp(i eps H), H a seeded
+    Hermitian: still valid POVMs, but the a and b sides stop commuting."""
+    h = rng.standard_normal((m.dim, m.dim)) + 1j * rng.standard_normal((m.dim, m.dim))
+    w, v = np.linalg.eigh(h + dagger(h))
+    u = (v * np.exp(1j * eps * w)) @ dagger(v)
+    return dataclasses.replace(m, N=[[u @ op @ dagger(u) for op in povm] for povm in m.N])
+
+
+class TestNormalFormDefect:
+    def test_noncommuting_commuting_model_fails(self):
+        """A commuting model built directly, whose a and b do not commute."""
+        m = CommutingModel(scenario=Scenario(2, 2, 2, 2), dim=2,
+                           M=[_binary_povm(_Z), _binary_povm(_X)],
+                           N=[_binary_povm(_X), _binary_povm(_Z)],
+                           psi=np.array([1.0, 0.0]))
+        cert = verify_tilted_sos(m, 0.5)
+        assert min(cert.identity_defects) > 1.0
+        assert not cert.identities_ok
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_bound_never_under_reports(self, eps):
+        """The reported defect is at least the operator norm of LHS - RHS."""
+        rng = np.random.default_rng(127)
+        for alpha in (0.0, 0.8, 1.7):
+            for _ in range(4):
+                base = random_quantum_model(rng, Scenario(2, 2, 2, 2), int(rng.integers(2, 4)),
+                                            int(rng.integers(2, 4)))
+                m = _turned_b(commuting_from_tensor(base), rng, eps)
+                gens = _full_space_gens(m)
+                assert max(mat_norm(g) for g in gens) <= 1 + 1e-12
+                lhs, *rhs = tilted_chsh_build(alpha).identity_sides()
+                cert = verify_tilted_sos(m, alpha)
+                for defect, side in zip(cert.identity_defects, rhs, strict=True):
+                    assert defect >= mat_norm(_naive_evaluate(lhs - side, gens)) - 1e-13
+
+    def test_tensor_defect_is_the_coefficient_residual(self):
+        """On a tensor model the defect depends on alpha only."""
+        rng = np.random.default_rng(131)
+        small = random_quantum_model(rng, Scenario(2, 2, 2, 2), 2, 2)
+        large = random_quantum_model(rng, Scenario(2, 2, 2, 2), 3, 4)
+        for alpha in (0.0, 0.3, 1.5, 1.99):
+            defects = verify_tilted_sos(small, alpha).identity_defects
+            assert verify_tilted_sos(large, alpha).identity_defects == defects
+            assert max(defects) < 1e-14
+
+
+class TestStateTerms:
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.9])
+    def test_word_vectors_match_operator_evaluation(self, alpha):
+        """f(eta), ||r_i psi||^2 and f(s_j) from word vectors agree with the
+        full-space operators on random tensor and commuting POVM models."""
+        rng = np.random.default_rng(137)
+        polys = tilted_chsh_build(alpha)
+        for _ in range(5):
+            base = random_quantum_model(rng, Scenario(2, 2, 2, 2), int(rng.integers(2, 4)),
+                                        int(rng.integers(2, 4)))
+            for m in (base, commuting_from_tensor(base)):
+                gens, psi = _full_space_gens(m), m.psi
+                cert = verify_tilted_sos(m, alpha)
+                want = {"eta": np.vdot(psi, _naive_evaluate(polys.eta, gens) @ psi).real}
+                for i, r in enumerate(polys.r, 1):
+                    v = _naive_evaluate(r, gens) @ psi
+                    want[f"r{i}^2"] = np.vdot(v, v).real
+                for j, s in enumerate(polys.s, 1):
+                    want[f"s{j}"] = np.vdot(psi, _naive_evaluate(s, gens) @ psi).real
+                got = {"eta": cert.f_eta, **cert.state_residuals}
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert abs(got[key] - value) <= 1e-12, key
+
+
 class TestOptimizer:
     def test_chsh_reaches_tsirelson(self):
         m = optimal_tilted_model(0.0)
@@ -235,13 +294,13 @@ class TestAtScale:
 
 
 class TestMemory:
-    def test_verify_tilted_sos_peak_at_d64(self):
-        """Products are freed at their last use and each certificate operator is
-        reduced as it arrives: the peak stays under 64 operators (holding every
-        product and operator to the end takes about 92)."""
+    def test_verify_tilted_sos_peak_at_d256(self):
+        """A tensor model's state terms come from vectors on the 256-dim space
+        and no operator on it is formed: the peak stays under one 256 x 256
+        complex matrix."""
         big = tensor_with_auxiliary(optimal_tilted_model(1.5),
-                                    random_state(np.random.default_rng(5), 16), 4, 4)
-        assert (big.dimA, big.dimB) == (8, 8)
+                                    random_state(np.random.default_rng(5), 64), 8, 8)
+        assert (big.dimA, big.dimB) == (16, 16)
         verify_tilted_sos(big, 1.5)  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
@@ -250,4 +309,4 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert cert.optimal and cert.identities_ok
-        assert peak <= 64 * 64 * 64 * 16
+        assert peak <= 256 * 256 * 16
