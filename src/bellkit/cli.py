@@ -336,8 +336,8 @@ def state_equal(m1, m2, tol, seed):
         return {
             "verdicts": {"equal": False},
             "distinguishing": {
-                "wordA": [list(l) for l in witness.wordA.letters],
-                "wordB": [list(l) for l in witness.wordB.letters],
+                "wordA": [list(l) for l in witness.word.lettersA],
+                "wordB": [list(l) for l in witness.word.lettersB],
                 "value1": [witness.value1.real, witness.value1.imag],
                 "value2": [witness.value2.real, witness.value2.imag],
             },

@@ -345,7 +345,10 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
 
 
 def save_json(path, obj):
-    Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def file_sha256(path) -> str:

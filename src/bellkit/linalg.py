@@ -27,7 +27,6 @@ __all__ = [
     "StructuralFlags",
     "structural_predicates",
     "psd_sqrt",
-    "schmidt_rank_of_matrix",
     "mat_norm",
 ]
 
@@ -40,7 +39,7 @@ _CUTS = {
     "overlap": (0.0, 1e-7),         # component-state overlap modulus against 1
     "coarse": (0.0, 1e-6),          # probability sums, component correlations, intertwiner rank
     "commutant": (1.0, 1e-12),      # commutant rank cut (times the generator scale)
-    "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity defects
+    "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity coefficient residuals
     "frame": (2.0, 0.0),            # cyclic frame residuals, Gram and moment gaps
     "residual": (10.0, 0.0),        # Naimark and rounding residuals, correlation gap
     "intertwiner": (100.0, 0.0),    # irrep intertwiner residuals
@@ -241,14 +240,3 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(vals)) @ dagger(vecs)
 
-
-def schmidt_rank_of_matrix(coeff: np.ndarray, rel_cut: float) -> int:
-    """Numerical rank of a bipartite coefficient matrix.
-
-    Singular values at or below ``rel_cut`` times the leading one count as
-    zero.
-    """
-    svals = np.linalg.svd(np.asarray(coeff, dtype=complex), compute_uv=False)
-    if len(svals) == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rel_cut * svals[0]))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, mat_norm
+from .schmidt import schmidt_decompose
 
 __all__ = [
     "Scenario",
@@ -122,21 +123,39 @@ class Correlation:
 
 @dataclass(frozen=True)
 class Word:
-    """Formal product of one side's generators; empty letters = identity."""
+    """Product word pi_A(lettersA) pi_B(lettersB) of the universal algebra.
 
-    side: str  # "A" or "B"
-    letters: tuple[tuple[int, int], ...] = ()
+    Letters are (input, output) pairs; A's letters are written before B's
+    (they commute), and the empty word is the identity.  There is no
+    validation here: ``evaluate_moment`` checks letters against a scenario.
+    """
 
-    def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        object.__setattr__(self, "letters", tuple((int(x), int(a)) for x, a in self.letters))
+    lettersA: tuple[tuple[int, int], ...] = ()
+    lettersB: tuple[tuple[int, int], ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    @property
+    def length(self) -> int:
+        return len(self.lettersA) + len(self.lettersB)
 
-    def reversed(self) -> "Word":
-        return Word(self.side, tuple(reversed(self.letters)))
+    def key(self):
+        """Length-lex sort key: length, then A's letters before B's."""
+        flat = tuple(("A", x, a) for x, a in self.lettersA)
+        flat += tuple(("B", y, b) for y, b in self.lettersB)
+        return (self.length, flat)
+
+    def prepend(self, letter) -> "Word":
+        """The letter ``(side, x, a)`` times this word."""
+        side, x, a = letter
+        if side == "A":
+            return Word(((x, a),) + self.lettersA, self.lettersB)
+        return Word(self.lettersA, ((x, a),) + self.lettersB)
+
+    def adjoint_times(self, other: "Word") -> "Word":
+        """(self)^dagger * other, for self-adjoint letters."""
+        return Word(
+            tuple(reversed(self.lettersA)) + other.lettersA,
+            tuple(reversed(self.lettersB)) + other.lettersB,
+        )
 
 
 @dataclass(frozen=True)
@@ -229,16 +248,25 @@ def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     # products of misshapen operators are undefined; their shapes are reported
     if isinstance(m, CommutingModel) and all(op.shape == (dim, dim)
                                              for povm in (*m.M, *m.N) for op in povm):
-        norms_n = [[mat_norm(nb) for nb in qovm] for qovm in m.N]
-        for x, povm in enumerate(m.M):
-            for a, ma in enumerate(povm):
-                norm_a = mat_norm(ma)
-                for y, qovm in enumerate(m.N):
-                    for b, nb in enumerate(qovm):
-                        res = mat_norm(ma @ nb - nb @ ma)
-                        if res > tol.eps * (1 + norm_a * norms_n[y][b]):
-                            rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
+        _check_commutation(rep, m, tol)
     return rep
+
+
+def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance):
+    """Record every [M^x_a, N^y_b] whose norm exceeds eps (1 + ||M^x_a|| ||N^y_b||).
+
+    The one commutation rule: ``validate_model`` and ``verify_tilted_sos``
+    both apply it to commuting models.
+    """
+    norms_n = [[mat_norm(nb) for nb in qovm] for qovm in m.N]
+    for x, povm in enumerate(m.M):
+        for a, ma in enumerate(povm):
+            norm_a = mat_norm(ma)
+            for y, qovm in enumerate(m.N):
+                for b, nb in enumerate(qovm):
+                    res = mat_norm(ma @ nb - nb @ ma)
+                    if res > tol.eps * (1 + norm_a * norms_n[y][b]):
+                        rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
 
 
 # Exported names; each accepts either kind of model.
@@ -285,22 +313,22 @@ def _moment(model, lettersA, lettersB, table: dict) -> complex:
     return complex(np.vdot(model.psi, _word_vector(model, lettersA, lettersB, table)))
 
 
-def evaluate_moment(model, wA: Word, wB: Word) -> complex:
-    """Abstract-state value f(wA (x) wB) = <psi| pi_A(wA) pi_B(wB) |psi>.
+def evaluate_moment(model, word: Word) -> complex:
+    """Abstract-state value f(word) = <psi| pi_A(lettersA) pi_B(lettersB) |psi>.
 
-    Works for tensor and commuting models alike; empty words act as the
-    identity, so ``evaluate_moment(m, Word("A"), Word("B")) == 1``.
+    Works for tensor and commuting models alike; the empty word acts as the
+    identity, so ``evaluate_moment(m, Word()) == 1``.
     """
-    if wA.side != "A" or wB.side != "B":
-        raise ValueError("evaluate_moment expects an A-side and a B-side word")
     sc = model.scenario
-    for x, a in wA.letters:
+    lettersA = tuple((int(x), int(a)) for x, a in word.lettersA)
+    lettersB = tuple((int(y), int(b)) for y, b in word.lettersB)
+    for x, a in lettersA:
         if not (0 <= x < sc.nX and 0 <= a < sc.nA):
             raise IndexError(f"A-letter ({x},{a}) outside scenario {sc}")
-    for y, b in wB.letters:
+    for y, b in lettersB:
         if not (0 <= y < sc.nY and 0 <= b < sc.nB):
             raise IndexError(f"B-letter ({y},{b}) outside scenario {sc}")
-    return _moment(model, wA.letters, wB.letters, {})
+    return _moment(model, lettersA, lettersB, {})
 
 
 def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
@@ -342,11 +370,10 @@ def classify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> ModelFlags:
         linalg.structural_predicates(op, tol).projection
         for fam in (m.M, m.N) for povm in fam for op in povm
     )
-    rank = linalg.schmidt_rank_of_matrix(m.psi.reshape(m.dimA, m.dimB), tol.cut("rank"))
     sc = m.scenario
     return ModelFlags(
         projective=projective,
-        full_rank=(m.dimA == m.dimB and rank == m.dimA),
+        full_rank=m.dimA == m.dimB == schmidt_decompose(m.psi, m.dimA, m.dimB, tol).rank,
         synchronous_scenario=(sc.nX == sc.nY and sc.nA == sc.nB),
         binary=(sc.nA == 2 and sc.nB == 2),
     )

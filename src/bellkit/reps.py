@@ -32,7 +32,6 @@ __all__ = [
     "RepBlock",
     "RepDecomposition",
     "CyclicModel",
-    "CombinedWord",
     "commutant_basis",
     "irrep_decompose",
     "cyclic_restrict",
@@ -47,49 +46,16 @@ class AlgebraNotSemisimpleNumerically(RuntimeError):
     """Block structure could not be resolved within tolerance."""
 
 
-@dataclass(frozen=True)
-class CombinedWord:
-    """Product word pi_A(wordA) * pi_B(wordB), stored in canonical A-then-B form."""
-
-    lettersA: tuple[tuple[int, int], ...] = ()
-    lettersB: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.lettersA) + len(self.lettersB)
-
-    def key(self):
-        flat = tuple((0, x, a) for x, a in self.lettersA)
-        flat += tuple((1, y, b) for y, b in self.lettersB)
-        return (self.length, flat)
-
-    def word_pair(self) -> tuple[Word, Word]:
-        return Word("A", self.lettersA), Word("B", self.lettersB)
-
-    def prepend(self, letter) -> "CombinedWord":
-        side, x, a = letter
-        if side == 0:
-            return CombinedWord(((x, a),) + self.lettersA, self.lettersB)
-        return CombinedWord(self.lettersA, ((x, a),) + self.lettersB)
-
-    def adjoint_times(self, other: "CombinedWord") -> "CombinedWord":
-        """Canonical form of (self)^dagger * other for self-adjoint letters."""
-        return CombinedWord(
-            tuple(reversed(self.lettersA)) + other.lettersA,
-            tuple(reversed(self.lettersB)) + other.lettersB,
-        )
-
-
-def scenario_letters(sc: Scenario) -> list[tuple[int, int, int]]:
-    """All generator letters, ordered (side A before B, input, output)."""
-    out = [(0, x, a) for x in range(sc.nX) for a in range(sc.nA)]
-    out += [(1, y, b) for y in range(sc.nY) for b in range(sc.nB)]
+def scenario_letters(sc: Scenario) -> list[tuple[str, int, int]]:
+    """All generator letters ``(side, x, a)``, ordered (side A before B, input, output)."""
+    out = [("A", x, a) for x in range(sc.nX) for a in range(sc.nA)]
+    out += [("B", y, b) for y in range(sc.nY) for b in range(sc.nB)]
     return out
 
 
 def _apply_letter(model, letter, vec: np.ndarray) -> np.ndarray:
     side, x, a = letter
-    return _act(model, "AB"[side], (model.M, model.N)[side][x][a], vec)
+    return _act(model, side, (model.M if side == "A" else model.N)[x][a], vec)
 
 
 def _principal_generators(gens, floor: float) -> list[np.ndarray]:
@@ -382,7 +348,7 @@ class CyclicModel:
     """
 
     model: QuantumModel | CommutingModel
-    basis_words: list[CombinedWord]
+    basis_words: list[Word]
     dim: int
     restricted: bool
 
@@ -404,22 +370,22 @@ def _cyclic_frame(model, tol: Tolerance):
     Q = np.zeros((total_dim, total_dim), dtype=complex)
     Q[:, 0] = psi / np.linalg.norm(psi)
     r = 1
-    words = [CombinedWord()]
-    level = [CombinedWord()]
+    words = [Word()]
+    level = [Word()]
     table: dict = {}
     while level and r < total_dim:
         candidates = {w.prepend(letter) for letter in letters for w in level}
         next_level = []
-        for cw in sorted(candidates, key=CombinedWord.key):
-            resid = _word_vector(model, cw.lettersA, cw.lettersB, table).copy()
+        for w in sorted(candidates, key=Word.key):
+            resid = _word_vector(model, w.lettersA, w.lettersB, table).copy()
             for _ in range(2):
                 resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
             norm = float(np.linalg.norm(resid))
             if norm >= cutoff:
                 Q[:, r] = resid / norm
                 r += 1
-                words.append(cw)
-                next_level.append(cw)
+                words.append(w)
+                next_level.append(w)
                 if r == total_dim:
                     break
         level = next_level
@@ -467,13 +433,12 @@ class EquivalenceWitness:
 
 @dataclass(frozen=True)
 class DistinguishingMoment:
-    wordA: Word
-    wordB: Word
+    word: Word
     value1: complex
     value2: complex
 
     def __str__(self):
-        return (f"f1(wA={self.wordA.letters}, wB={self.wordB.letters}) = {self.value1:.6g}, "
+        return (f"f1(wA={self.word.lettersA}, wB={self.word.lettersB}) = {self.value1:.6g}, "
                 f"f2 = {self.value2:.6g}")
 
 
@@ -497,7 +462,7 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     cyclic spaces is built, and the frames' Gram matrices (extended by one
     letter so the induced map is forced to intertwine) are compared.  Returns
     ``(True, EquivalenceWitness)`` with the unitary between the cyclic spaces,
-    or ``(False, DistinguishingMoment)`` with a word pair and both values.
+    or ``(False, DistinguishingMoment)`` with a word and both values.
     The unitary is the map w psi_1 -> w psi_2 on the frame: with the thin SVD
     ``v1 = U S V^H`` of model 1's frame, ``u = v2 V S^-1 U^H``.  Its
     intertwiner residual is the largest ``||u L_1 - L_2 u||_2`` over letters.
@@ -510,7 +475,7 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
 
     merged = set(c1.basis_words) | set(c2.basis_words)
     extended = merged | {w.prepend(letter) for w in merged for letter in letters}
-    frame_words = sorted(extended, key=CombinedWord.key)
+    frame_words = sorted(extended, key=Word.key)
 
     def frame(model) -> np.ndarray:
         table: dict = {}
@@ -522,10 +487,9 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     g2 = dagger(v2) @ v2
     gram_residual, (i, j) = _max_abs_difference(g1, g2)
     if gram_residual > tol.cut("frame"):
-        moment_word = frame_words[i].adjoint_times(frame_words[j])
-        wa, wb = moment_word.word_pair()
         return False, DistinguishingMoment(
-            wordA=wa, wordB=wb, value1=complex(g1[i, j]), value2=complex(g2[i, j])
+            word=frame_words[i].adjoint_times(frame_words[j]),
+            value1=complex(g1[i, j]), value2=complex(g2[i, j]),
         )
 
     # v1 spans c1's space (its rows), so all c1.dim singular values are kept

@@ -27,11 +27,11 @@ from .models import (
     Correlation,
     QuantumModel,
     _act,
-    classify,
     correlation_of,
     is_projective_state,
 )
 from .dilations import DilationWitness, trivial_witness
+from .schmidt import schmidt_decompose
 
 __all__ = [
     "SyncReport",
@@ -87,9 +87,9 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
             rhs = _act(m, "B", m.N[x][a], m.psi)
             swap[f"(x={x},a={a})"] = float(np.linalg.norm(lhs - rhs))
 
-    flags = classify(m, tol)
+    full_rank = m.dimA == m.dimB == schmidt_decompose(m.psi, m.dimA, m.dimB, tol).rank
     proj_res = None
-    if flags.full_rank:
+    if full_rank:
         proj_res = {}
         for x in range(sc.nX):
             for a in range(sc.nA):
@@ -102,7 +102,7 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
               and proj_state)
     return SyncReport(
         swap_residuals=swap,
-        full_rank=flags.full_rank,
+        full_rank=full_rank,
         projectivity_residuals=proj_res,
         projective_state=proj_state,
         passed=passed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm
-from .models import QuantumModel, Scenario, _act
+from .models import QuantumModel, Scenario, ValidationReport, _act, _check_commutation
 from .presets import _X, _Z, _binary_povm
 
 __all__ = [
@@ -189,19 +189,21 @@ def tilted_chsh_build(alpha: float) -> TiltedChshPolynomials:
     )
 
 
-def _identity_defect(diff: NCPoly, commutator: float) -> float:
-    """Largest coefficient of ``diff`` = LHS - RHS left after the a-then-b
-    reduction (a stable sort moves every a letter left of every b letter),
-    plus sum_m |c_m| inv(m) ``commutator``, inv(m) counting the b-before-a
-    pairs of m.  Each of the inv(m) swaps that sorts m moves its operator by
-    at most ``commutator`` when every generator has norm at most 1."""
+def _identity_defect(diff: NCPoly) -> tuple[float, float]:
+    """``(residual, swaps)`` of ``diff`` = LHS - RHS.
+
+    ``residual`` is the largest coefficient left after the a-then-b reduction
+    (a stable sort moves every a letter left of every b letter); ``swaps`` is
+    sum_m |c_m| inv(m), inv(m) counting the b-before-a pairs of m.  Each of
+    the inv(m) swaps that sorts m moves its operator by at most
+    max ||[a_x, b_y]|| when every generator has norm at most 1."""
     normal: dict[tuple[int, ...], float] = {}
     swaps = 0.0
     for mono, coeff in diff.terms.items():
         key = tuple(sorted(mono, key=lambda idx: idx >= B0))
         normal[key] = normal.get(key, 0.0) + coeff
         swaps += abs(coeff) * sum(x >= B0 > y for i, x in enumerate(mono) for y in mono[i + 1:])
-    return max(map(abs, normal.values()), default=0.0) + swaps * commutator
+    return max(map(abs, normal.values()), default=0.0), swaps
 
 
 @dataclass
@@ -221,14 +223,18 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
 
     Each identity defect is the coefficient residual of LHS - RHS in the
     a-then-b normal form, which must vanish for every valid model, optimal or
-    not.  On a commuting model it adds the commutator bound of
-    ``_identity_defect`` with max_{x,y} ||[a_x, b_y]||; that bound needs
+    not.  On a commuting model it adds the commutator bound, the swap weight
+    of ``_identity_defect`` times max_{x,y} ||[a_x, b_y]||; that bound needs
     ||a_x||, ||b_y|| <= 1, which holds for valid POVMs.  A tensor model
-    commutes by construction, so its term is 0.  The state residuals
-    f(r_i^2) = ||r_i psi||^2 and f(s_j) are nonnegative and must all vanish
-    exactly when f(eta) reaches lam, which is what ``optimal`` reports (at the
-    given tolerance).  They are read from one table of word vectors, so on a
-    tensor model no operator on the composite space is formed.
+    commutes by construction, so its term is 0.  ``identities_ok`` asks for
+    coefficient residuals within the ``identity`` cut and, on a commuting
+    model, for the commutation rule of ``validate_model``; the bound is
+    reported, not cut, so both commands accept the same models.  The state
+    residuals f(r_i^2) = ||r_i psi||^2 and f(s_j) are nonnegative and must
+    all vanish exactly when f(eta) reaches lam, which is what ``optimal``
+    reports (at the given tolerance).  They are read from one table of word
+    vectors, so on a tensor model no operator on the composite space is
+    formed.
     """
     sc = m.scenario
     if sc != Scenario(2, 2, 2, 2):
@@ -239,11 +245,13 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
             m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
     psi = m.psi
 
-    commutator = 0.0 if isinstance(m, QuantumModel) else max(
-        mat_norm(a @ b - b @ a) for a in gens[:B0] for b in gens[B0:])
     lhs, rhs1, rhs2 = polys.identity_sides()
-    defect1 = _identity_defect(lhs - rhs1, commutator)
-    defect2 = _identity_defect(lhs - rhs2, commutator)
+    residual1, swaps1 = _identity_defect(lhs - rhs1)
+    residual2, swaps2 = _identity_defect(lhs - rhs2)
+    commutator, commutes = 0.0, ValidationReport()
+    if not isinstance(m, QuantumModel):
+        commutator = max(mat_norm(a @ b - b @ a) for a in gens[:B0] for b in gens[B0:])
+        _check_commutation(commutes, m, tol)
 
     # a monomial's vector is its first generator acting on the vector of the rest
     vec = {(): psi}
@@ -264,14 +272,14 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     for j, s in enumerate(polys.s, 1):
         residuals[f"s{j}"] = float(np.real(np.vdot(psi, on_psi(s))))
 
-    identities_ok = max(defect1, defect2) <= tol.cut("identity")
+    identities_ok = max(residual1, residual2) <= tol.cut("identity") and commutes.valid
     optimal = abs(f_eta - polys.lam) <= tol.eps
     return TiltedChshCertificate(
         alpha=alpha,
         lam=polys.lam,
         delta=polys.delta,
         f_eta=f_eta,
-        identity_defects=(defect1, defect2),
+        identity_defects=(residual1 + swaps1 * commutator, residual2 + swaps2 * commutator),
         state_residuals=residuals,
         identities_ok=identities_ok,
         optimal=optimal,

@@ -392,6 +392,20 @@ class TestCliCommands:
         report = json.loads(res.output)
         assert report["residuals"]["max"] < 1e-8
 
+    @pytest.mark.parametrize("target", ["no_such_dir/w.json", "."])
+    def test_unwritable_witness_out_exits_2(self, tmp_path, target):
+        m = chsh_ideal_model()
+        big = tensor_with_auxiliary(m, np.array([0.8, 0, 0, 0.6]), 2, 2)
+        big_path, ideal_path = tmp_path / "big.json", tmp_path / "ideal.json"
+        save_json(big_path, model_to_obj(big))
+        save_json(ideal_path, model_to_obj(m))
+        res = invoke(["find-dilation", str(big_path), str(ideal_path),
+                      "--witness-out", str(tmp_path / target), "--tol", "1e-8"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
+
     def test_sync_verify(self, tmp_path):
         s3, _ = example_pair()
         path = tmp_path / "s3.json"

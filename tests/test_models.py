@@ -140,11 +140,11 @@ class TestCorrelation:
 class TestMoments:
     def test_empty_words_give_one(self):
         m = chsh_ideal_model()
-        assert abs(evaluate_moment(m, Word("A"), Word("B")) - 1) < 1e-14
+        assert abs(evaluate_moment(m, Word()) - 1) < 1e-14
 
     def test_example_moment_half(self):
         _, s2 = example_pair()
-        val = evaluate_moment(s2, Word("A", ((0, 0),)), Word("B", ((0, 0),)))
+        val = evaluate_moment(s2, Word(((0, 0),), ((0, 0),)))
         assert abs(val - 0.5) < 1e-12
 
     def test_single_letters_match_correlation(self):
@@ -157,17 +157,15 @@ class TestMoments:
                 for y in range(2):
                     for a in range(2):
                         for b in range(2):
-                            mom = evaluate_moment(m, Word("A", ((x, a),)),
-                                                  Word("B", ((y, b),)))
+                            mom = evaluate_moment(m, Word(((x, a),), ((y, b),)))
                             assert abs(mom - p.value(a, b, x, y)) < 1e-10
 
     def test_reversal_conjugates(self):
         rng = np.random.default_rng(37)
         m = random_quantum_model(rng, Scenario(2, 2, 2, 2), 3, 3)
-        wa = Word("A", ((0, 1), (1, 0), (0, 0)))
-        wb = Word("B", ((1, 1), (0, 0)))
-        forward = evaluate_moment(m, wa, wb)
-        backward = evaluate_moment(m, wa.reversed(), wb.reversed())
+        w = Word(((0, 1), (1, 0), (0, 0)), ((1, 1), (0, 0)))
+        forward = evaluate_moment(m, w)
+        backward = evaluate_moment(m, w.adjoint_times(Word()))
         assert abs(forward - np.conj(backward)) < 1e-12
 
     def test_auxiliary_register_invisible(self):
@@ -176,14 +174,13 @@ class TestMoments:
         aux = np.kron([0.6, 0.8], [1.0, 0.0])  # product state
         big = tensor_with_auxiliary(m, aux, 2, 2)
         np.testing.assert_allclose(correlation_of(big).p, correlation_of(m).p, atol=1e-10)
-        wa = Word("A", ((0, 0), (1, 1)))
-        wb = Word("B", ((1, 0),))
-        assert abs(evaluate_moment(big, wa, wb) - evaluate_moment(m, wa, wb)) < 1e-10
+        w = Word(((0, 0), (1, 1)), ((1, 0),))
+        assert abs(evaluate_moment(big, w) - evaluate_moment(m, w)) < 1e-10
 
     def test_index_out_of_range(self):
         m = chsh_ideal_model()
         with pytest.raises(IndexError):
-            evaluate_moment(m, Word("A", ((5, 0),)), Word("B"))
+            evaluate_moment(m, Word(((5, 0),)))
 
 
 class TestClassify:
@@ -302,7 +299,7 @@ class TestWordVectorTable:
                 wa, wb = words[k]
                 ref = reference_word_vector(m, wa, wb)
                 assert _word_vector(m, wa, wb, table).tobytes() == ref.tobytes()
-                moment = evaluate_moment(m, Word("A", wa), Word("B", wb))
+                moment = evaluate_moment(m, Word(wa, wb))
                 assert np.complex128(moment).tobytes() == np.vdot(m.psi, ref).tobytes()
             assert len(table) == len(words)
 

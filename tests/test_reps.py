@@ -28,7 +28,6 @@ from bellkit.presets import (
     tensor_with_auxiliary,
 )
 from bellkit.reps import (
-    CombinedWord,
     _apply_letter,
     _cyclic_frame,
     _max_abs_difference,
@@ -417,7 +416,7 @@ class TestCyclicRestrict:
         # spanned by {psi, (M0 x Id) psi}: the identity word plus one letter
         keys = [w.key() for w in cm.basis_words]
         assert keys[0] == (0, ())
-        assert keys[1] == (1, ((0, 0, 0),))
+        assert keys[1] == (1, (("A", 0, 0),))
 
     def test_preserves_correlation_and_moments(self):
         rng = np.random.default_rng(28)
@@ -432,8 +431,8 @@ class TestCyclicRestrict:
             for wb in words:
                 if len(wa) + len(wb) > 4:
                     continue
-                v1 = evaluate_moment(m, Word("A", wa), Word("B", wb))
-                v2 = evaluate_moment(cm.model, Word("A", wa), Word("B", wb))
+                v1 = evaluate_moment(m, Word(wa, wb))
+                v2 = evaluate_moment(cm.model, Word(wa, wb))
                 assert abs(v1 - v2) < 1e-10
 
     def test_cyclic_model_commutant_stabilizer_trivial(self):
@@ -480,7 +479,7 @@ class TestStatesEqual:
         equal, witness = states_equal(m1, m2)
         assert not equal
         # a degree-(1,1) moment already differs for generic models
-        assert len(witness.wordA) + len(witness.wordB) <= 4
+        assert witness.word.length <= 4
         assert abs(witness.value1 - witness.value2) > 1e-6
 
     def test_symmetric_on_fixtures(self):
@@ -521,7 +520,7 @@ class TestStatesEqual:
                                    atol=1e-12)
         equal, witness = states_equal(uniform, seesaw)
         assert not equal
-        assert len(witness.wordA) >= 2  # degree-(1,1) moments all agree
+        assert len(witness.word.lettersA) >= 2  # degree-(1,1) moments all agree
 
     def test_scenario_mismatch_rejected(self):
         m1 = chsh_ideal_model()
@@ -565,8 +564,8 @@ def reference_cyclic_frame(model, tol):
     """The per-vector Gram-Schmidt frame that ``_cyclic_frame`` replaced."""
     letters = scenario_letters(model.scenario)
     psi = model.psi
-    words, basis = [CombinedWord()], [psi / np.linalg.norm(psi)]
-    level = [(CombinedWord(), psi.copy())]
+    words, basis = [Word()], [psi / np.linalg.norm(psi)]
+    level = [(Word(), psi.copy())]
     while level and len(basis) < len(psi):
         candidates = {}
         for letter in letters:
@@ -646,7 +645,7 @@ def reference_states_equal(m1, m2, tol):
     out = {"gram_residual": float(diff.max()), "words_checked": len(frame_words)}
     if out["gram_residual"] > tol.eps * 2.0:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        out["moment"] = frame_words[i].adjoint_times(frame_words[j]).word_pair()
+        out["moment"] = frame_words[i].adjoint_times(frame_words[j])
         return False, out
     g = (g1 + g2) / 2
     vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
@@ -709,7 +708,7 @@ class TestFrameAndUnitaryAgainstReference:
         assert equal == ref_equal == (kind != "other")
         assert cyclic_restrict(m1).restricted == restricted
         if not equal:
-            assert (witness.wordA, witness.wordB) == ref["moment"]
+            assert witness.word == ref["moment"]
             return
         assert witness.words_checked == ref["words_checked"]
         if restricted:

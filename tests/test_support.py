@@ -100,8 +100,8 @@ def test_support_model_preserves_state_when_central():
 
     for wa in words(2):
         for wb in words(2):
-            v1 = evaluate_moment(padded, Word("A", wa), Word("B", wb))
-            v2 = evaluate_moment(data.supportModel, Word("A", wa), Word("B", wb))
+            v1 = evaluate_moment(padded, Word(wa, wb))
+            v2 = evaluate_moment(data.supportModel, Word(wa, wb))
             assert abs(v1 - v2) < 1e-9
 
 

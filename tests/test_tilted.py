@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellkit.linalg import dagger, mat_norm
-from bellkit.models import CommutingModel, Scenario
+from bellkit.models import CommutingModel, Scenario, validate_model
 from bellkit.presets import (
     _X,
     _Z,
@@ -164,11 +164,14 @@ def _full_space_gens(m):
             m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
 
 
-def _turned_b(m, rng, eps):
+def _turned_b(m, rng, eps, norm=None):
     """``m`` with every N operator conjugated by exp(i eps H), H a seeded
-    Hermitian: still valid POVMs, but the a and b sides stop commuting."""
+    Hermitian (rescaled to spectral norm ``norm`` if given): still valid
+    POVMs, but the a and b sides stop commuting."""
     h = rng.standard_normal((m.dim, m.dim)) + 1j * rng.standard_normal((m.dim, m.dim))
     w, v = np.linalg.eigh(h + dagger(h))
+    if norm is not None:
+        w = w * (norm / np.abs(w).max())
     u = (v * np.exp(1j * eps * w)) @ dagger(v)
     return dataclasses.replace(m, N=[[u @ op @ dagger(u) for op in povm] for povm in m.N])
 
@@ -199,6 +202,20 @@ class TestNormalFormDefect:
                 cert = verify_tilted_sos(m, alpha)
                 for defect, side in zip(cert.identity_defects, rhs, strict=True):
                     assert defect >= mat_norm(_naive_evaluate(lhs - side, gens)) - 1e-13
+
+    @pytest.mark.parametrize("eps,valid", [(1e-11, True), (1e-10, True), (1e-9, True),
+                                           (1e-7, False)])
+    def test_agrees_with_validate_on_nearly_commuting_models(self, eps, valid):
+        """identities_ok applies validate's commutation rule, not a cut on the
+        commutator bound, a swap weight of up to about 128 times max ||[a_x, b_y]||."""
+        base = commuting_from_tensor(
+            random_quantum_model(np.random.default_rng(3), Scenario(2, 2, 2, 2), 3, 3))
+        m = _turned_b(base, np.random.default_rng(7), eps, norm=4.0)
+        assert validate_model(m).valid is valid
+        cert = verify_tilted_sos(m, 1.5)
+        assert cert.identities_ok is valid
+        # the bound is still reported: it passes the identity cut only at 1e-11
+        assert (max(cert.identity_defects) <= 1e-8) is (eps < 1e-10)
 
     def test_tensor_defect_is_the_coefficient_residual(self):
         """On a tensor model the defect depends on alpha only."""
