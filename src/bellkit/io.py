@@ -307,7 +307,7 @@ def _load_json(path) -> object:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -348,7 +348,7 @@ def save_json(path, obj):
     try:
         Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
 def file_sha256(path) -> str:

@@ -12,6 +12,7 @@ of the word one letter shorter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -256,16 +257,22 @@ def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance)
     """Record every [M^x_a, N^y_b] whose norm exceeds eps (1 + ||M^x_a|| ||N^y_b||).
 
     The one commutation rule: ``validate_model`` and ``verify_tilted_sos``
-    both apply it to commuting models.
+    both apply it to commuting models.  A commutator whose Frobenius norm is
+    at most eps passes without an SVD, since ``||C||_2 <= ||C||_F`` and the
+    bound is at least eps; spectral norms are taken only for the others, each
+    operator's once.
     """
-    norms_n = [[mat_norm(nb) for nb in qovm] for qovm in m.N]
+    norm_m = cache(lambda x, a: mat_norm(m.M[x][a]))
+    norm_n = cache(lambda y, b: mat_norm(m.N[y][b]))
     for x, povm in enumerate(m.M):
         for a, ma in enumerate(povm):
-            norm_a = mat_norm(ma)
             for y, qovm in enumerate(m.N):
                 for b, nb in enumerate(qovm):
-                    res = mat_norm(ma @ nb - nb @ ma)
-                    if res > tol.eps * (1 + norm_a * norms_n[y][b]):
+                    comm = ma @ nb - nb @ ma
+                    if np.linalg.norm(comm) <= tol.eps:
+                        continue
+                    res = mat_norm(comm)
+                    if res > tol.eps * (1 + norm_m(x, a) * norm_n(y, b)):
                         rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
 
 

@@ -458,13 +458,19 @@ def _max_abs_difference(g1: np.ndarray, g2: np.ndarray):
 def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     """Whether two models induce the same abstract state.
 
-    Both models are cyclically restricted, a shared word frame spanning both
-    cyclic spaces is built, and the frames' Gram matrices (extended by one
-    letter so the induced map is forced to intertwine) are compared.  Returns
-    ``(True, EquivalenceWitness)`` with the unitary between the cyclic spaces,
-    or ``(False, DistinguishingMoment)`` with a word and both values.
-    The unitary is the map w psi_1 -> w psi_2 on the frame: with the thin SVD
-    ``v1 = U S V^H`` of model 1's frame, ``u = v2 V S^-1 U^H``.  Its
+    Both models are cyclically restricted.  B is the union of their basis
+    words, which spans both cyclic spaces, and E is B extended by one letter.
+    Only the |B| x |E| block ``G[B, E] = v[:, B]^H v`` of each model's Gram
+    matrix is compared, and it suffices: it contains ``G[B, B]``, so
+    ``u : v1_B c -> v2_B c`` is a well-defined isometry onto cyclic space 2,
+    and for each e in E the vector ``e psi_2 - u e psi_1`` is orthogonal to
+    span v2_B, all of cyclic space 2, hence zero.  So in exact arithmetic the
+    E x E block adds nothing, and u intertwines every letter.
+    Returns ``(True, EquivalenceWitness)`` with the unitary between the cyclic
+    spaces, or ``(False, DistinguishingMoment)`` with a word and both values.
+    The unitary is the map w psi_1 -> w psi_2 on the whole frame E: with the
+    thin SVD ``v1 = U S V^H`` of model 1's frame, ``u = v2 V S^-1 U^H`` (the
+    columns of v1_B alone are too poorly conditioned to invert).  Its
     intertwiner residual is the largest ``||u L_1 - L_2 u||_2`` over letters.
     """
     if m1.scenario != m2.scenario:
@@ -482,15 +488,17 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
         return np.column_stack([_word_vector(model, w.lettersA, w.lettersB, table)
                                 for w in frame_words])
 
+    rows = [k for k, w in enumerate(frame_words) if w in merged]
     v1, v2 = frame(c1.model), frame(c2.model)
-    g1 = dagger(v1) @ v1
-    g2 = dagger(v2) @ v2
+    g1 = dagger(v1[:, rows]) @ v1
+    g2 = dagger(v2[:, rows]) @ v2
     gram_residual, (i, j) = _max_abs_difference(g1, g2)
     if gram_residual > tol.cut("frame"):
         return False, DistinguishingMoment(
-            word=frame_words[i].adjoint_times(frame_words[j]),
+            word=frame_words[rows[i]].adjoint_times(frame_words[j]),
             value1=complex(g1[i, j]), value2=complex(g2[i, j]),
         )
+    del g1, g2  # the witness needs only the frames; free the blocks before the SVD
 
     # v1 spans c1's space (its rows), so all c1.dim singular values are kept
     U, s, Vh = np.linalg.svd(v1, full_matrices=False)

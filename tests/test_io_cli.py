@@ -405,6 +405,14 @@ class TestCliCommands:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
         assert "Traceback" not in res.stderr
+        assert res.stderr.count(str(tmp_path / target)) == 1
+
+    def test_unreadable_model_names_its_path_once(self, tmp_path):
+        # click rejects a missing model file itself; a directory reaches the read
+        res = invoke(["validate", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {tmp_path}: Is a directory\n"
 
     def test_sync_verify(self, tmp_path):
         s3, _ = example_pair()

@@ -5,6 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bellkit import models
+from bellkit.linalg import DEFAULT_TOL, Tolerance, mat_norm
 from bellkit.models import (
     CommutingModel,
     Scenario,
@@ -88,6 +90,53 @@ class TestValidation:
                            psi=np.array([1.0, 0.0]))
         rep = validate_commuting_model(m)
         assert any(v.name == "commutation" for v in rep.violations)
+
+    @staticmethod
+    def turned_pair(theta):
+        """Projections P and U Q U^H on C^4 with U = exp(i theta K): every
+        [M^0_a, N^0_b] is +-[P, UQU^H], with four equal singular values, so
+        its Frobenius norm is twice its spectral norm."""
+        p, q = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 0.0, 1.0])
+        k = np.zeros((4, 4))
+        k[0, 2] = k[2, 0] = k[1, 3] = k[3, 1] = 1.0
+        vals, vecs = np.linalg.eigh(k)
+        u = vecs @ np.diag(np.exp(1j * theta * vals)) @ vecs.conj().T
+        q = u @ q @ u.conj().T
+        m = CommutingModel(scenario=Scenario(1, 1, 2, 2), dim=4,
+                           M=[[p, np.eye(4) - p]], N=[[q, np.eye(4) - q]],
+                           psi=np.array([1.0, 0.0, 0.0, 0.0]))
+        return m, mat_norm(p @ q - q @ p), float(np.linalg.norm(p @ q - q @ p))
+
+    def test_commutator_past_the_frobenius_screen_within_the_bound_passes(self):
+        """eps < ||C||_F, but ||C||_2 = 1.5 eps <= eps (1 + ||M|| ||N||) = 2 eps."""
+        m, spectral, frobenius = self.turned_pair(1e-6)
+        tol = Tolerance(spectral / 1.5)
+        assert frobenius > tol.eps
+        assert validate_commuting_model(m, tol).valid
+
+    def test_violation_reports_the_spectral_norm(self):
+        """At ||C||_2 = 3 eps every commutator fails, with ||C||_2 as residual."""
+        m, spectral, _ = self.turned_pair(1e-6)
+        rep = validate_commuting_model(m, Tolerance(spectral / 3))
+        assert [(v.name, v.location) for v in rep.violations] == [
+            ("commutation", f"[M[0][{a}], N[0][{b}]]") for a in range(2) for b in range(2)]
+        for v, (a, b) in zip(rep.violations, product(range(2), repeat=2)):
+            ma, nb = m.M[0][a], m.N[0][b]
+            assert v.residual == mat_norm(ma @ nb - nb @ ma)
+
+    def test_commuting_operators_take_no_spectral_norm(self, monkeypatch):
+        calls = []
+
+        def counted(op):
+            calls.append(op.shape)
+            return mat_norm(op)
+
+        monkeypatch.setattr(models, "mat_norm", counted)
+        m = commuting_from_tensor(tensor_with_auxiliary(
+            chsh_ideal_model(), np.array([0.6, 0.0, 0.0, 0.8]), 2, 2))
+        rep = models.ValidationReport()
+        models._check_commutation(rep, m, DEFAULT_TOL)
+        assert rep.valid and calls == []
 
 
 class TestCorrelation:

@@ -626,9 +626,9 @@ def reference_restrict(model, tol):
 
 
 def reference_states_equal(m1, m2, tol):
-    """The same frame and Gram comparison, with the unitary from the eigh of
-    the averaged Gram (cut at 1e-12 of its top eigenvalue) that states_equal
-    replaced.  Returns a dict of what the comparison decided."""
+    """The same B x E Gram block comparison on the per-vector Gram-Schmidt
+    frame and the letter-loop word vectors.  Returns the verdict and a dict
+    of what the comparison decided, with both extended frames."""
     (r1, words1), (r2, words2) = reference_restrict(m1, tol), reference_restrict(m2, tol)
     letters = scenario_letters(m1.scenario)
     merged = {w.key(): w for w in words1 + words2}
@@ -638,21 +638,35 @@ def reference_states_equal(m1, m2, tol):
             cw = merged[key].prepend(letter)
             extended.setdefault(cw.key(), cw)
     frame_words = [extended[k] for k in sorted(extended)]
+    rows = [k for k, w in enumerate(frame_words) if w.key() in merged]
     v1 = reference_frame_vectors(r1, frame_words)
     v2 = reference_frame_vectors(r2, frame_words)
-    g1, g2 = dagger(v1) @ v1, dagger(v2) @ v2
+    g1, g2 = dagger(v1[:, rows]) @ v1, dagger(v2[:, rows]) @ v2
     diff = np.abs(g1 - g2)
-    out = {"gram_residual": float(diff.max()), "words_checked": len(frame_words)}
+    out = {"gram_residual": float(diff.max()), "words_checked": len(frame_words),
+           "frames": (v1, v2)}
     if out["gram_residual"] > tol.eps * 2.0:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        out["moment"] = frame_words[i].adjoint_times(frame_words[j])
+        out["moment"] = frame_words[rows[i]].adjoint_times(frame_words[j])
         return False, out
-    g = (g1 + g2) / 2
+    return True, out
+
+
+def reference_full_gram_residual(v1, v2):
+    """``max |G1 - G2|`` over the whole E x E Gram matrices of two frames,
+    which the B x E block replaced, formed 128 rows at a time."""
+    return max(float(np.abs(dagger(v1[:, k:k + 128]) @ v1 - dagger(v2[:, k:k + 128]) @ v2).max())
+               for k in range(0, v1.shape[1], 128))
+
+
+def reference_unitary(v1, v2):
+    """The unitary from the eigh of the averaged E x E Gram (cut at 1e-12 of
+    its top eigenvalue) that the SVD witness replaced."""
+    g = (dagger(v1) @ v1 + dagger(v2) @ v2) / 2
     vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
     keep = vals > max(vals.max(initial=0.0), 1.0) * 1e-12
     coeff = vecs[:, keep] @ np.diag(1.0 / np.sqrt(vals[keep]))
-    out["unitary"] = (v2 @ coeff) @ dagger(v1 @ coeff)
-    return True, out
+    return (v2 @ coeff) @ dagger(v1 @ coeff)
 
 
 def local_rotation(m, rng):
@@ -684,12 +698,17 @@ def seeded_pair(kind, d):
     return base, other, False
 
 
-PAIRS = [("rotation", 8), ("commuting", 8), ("other", 8), ("rotation", 10), ("padded", 10)]
+# ("other", 4) is a pair whose Gram gap peaks off the first row of the block
+PAIRS = [("rotation", 8), ("commuting", 8), ("other", 8), ("rotation", 10), ("padded", 10),
+         ("other", 4), ("rotation", 16), ("commuting", 16), ("other", 16)]
+# the E x E eigh of reference_unitary is affordable up to d = 10
+EIGH_PAIRS = [(kind, d) for kind, d in PAIRS if kind != "other" and d <= 10]
 
 
 class TestFrameAndUnitaryAgainstReference:
-    """The blocked cyclic frame and the SVD unitary decide what the per-vector
-    Gram-Schmidt frame and the Gram-eigh unitary decided, at benchmark sizes."""
+    """The blocked cyclic frame, the B x E Gram block and the SVD unitary
+    decide what the per-vector Gram-Schmidt frame, the full E x E Gram and
+    the Gram-eigh unitary decided, at benchmark sizes and at d = 16."""
 
     @pytest.mark.parametrize("kind,d", PAIRS)
     def test_cyclic_frame_retains_the_same_words(self, kind, d):
@@ -705,19 +724,31 @@ class TestFrameAndUnitaryAgainstReference:
         m1, m2, restricted = seeded_pair(kind, d)
         equal, witness = states_equal(m1, m2)
         ref_equal, ref = reference_states_equal(m1, m2, DEFAULT_TOL)
-        assert equal == ref_equal == (kind != "other")
+        full_residual = reference_full_gram_residual(*ref["frames"])
+        assert equal == ref_equal == (full_residual <= DEFAULT_TOL.cut("frame")) == (kind != "other")
         assert cyclic_restrict(m1).restricted == restricted
         if not equal:
             assert witness.word == ref["moment"]
+            value1, value2 = evaluate_moment(m1, witness.word), evaluate_moment(m2, witness.word)
+            assert abs(value1 - witness.value1) < 1e-12
+            assert abs(value2 - witness.value2) < 1e-12
+            assert abs(value1 - value2) > DEFAULT_TOL.cut("frame")
             return
         assert witness.words_checked == ref["words_checked"]
         if restricted:
             assert abs(witness.gram_residual - ref["gram_residual"]) < 1e-12
         else:
             assert witness.gram_residual == ref["gram_residual"]
-        np.testing.assert_allclose(witness.unitary, ref["unitary"], atol=1e-9)
         assert witness.state_residual < 1e-12
         assert witness.intertwiner_residual < 1e-12
+
+    @pytest.mark.parametrize("kind,d", EIGH_PAIRS)
+    def test_unitary_matches_gram_eigh(self, kind, d):
+        m1, m2, _ = seeded_pair(kind, d)
+        equal, witness = states_equal(m1, m2)
+        assert equal
+        _, ref = reference_states_equal(m1, m2, DEFAULT_TOL)
+        np.testing.assert_allclose(witness.unitary, reference_unitary(*ref["frames"]), atol=1e-9)
 
     def test_unitary_at_d12(self):
         m1, m2, _ = seeded_pair("rotation", 12)
@@ -790,12 +821,13 @@ class TestGramComparisonMemory:
         assert peak < n * n * 16 / 4
 
     def test_states_equal_holds_no_third_gram_sized_array(self):
-        """Beyond the two Gram matrices and the two frames, states_equal peaks
-        under half an N x N complex array; np.abs(g1 - g2) alone is 1.5 of one."""
+        """states_equal holds the two N-word frames, the two B x N Gram blocks
+        and the SVD of one frame, and no N x N array: it peaks under six
+        B x N complex arrays, where the full Grams took it to about 18."""
         m1, m2, _ = seeded_pair("rotation", 10)
         states_equal(m1, m2)  # first-call allocations stay out of the peak
         (equal, witness), peak = _traced_peak(states_equal, m1, m2)
         assert equal
-        n, d2 = witness.words_checked, 10 * 10
-        beyond = peak - (2 * n * n + 2 * d2 * n) * 16
-        assert beyond < n * n * 16 / 2
+        n, b = witness.words_checked, len(cyclic_restrict(m1).basis_words)
+        assert b == 100
+        assert peak < 6 * b * n * 16
