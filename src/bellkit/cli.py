@@ -18,12 +18,14 @@ import numpy as np
 from . import __version__
 from .dilations import (
     NotDilatable,
+    _flat,
     find_local_dilation,
     naimark_dilate,
     verify_local_dilation,
 )
 from .io import (
     canonical_dumps,
+    correlation_to_obj,
     file_sha256,
     load_correlation,
     load_decomposition,
@@ -58,10 +60,11 @@ def main():
 
 
 class _Input(click.Path):
-    """An existing file a command reads: parsed for the command, hashed for its report."""
+    """A file a command reads: parsed for the command, hashed for its report.
+    A missing file is reported by its loader, like every other file error."""
 
     def __init__(self, kind: str):
-        super().__init__(exists=True)
+        super().__init__()
         self.kind = kind
 
     def load(self, path):
@@ -174,12 +177,7 @@ def validate(model, tol, seed):
 def correlation(model, tol, seed):
     """Extract the correlation table of a valid model."""
     corr = correlation_of(model, tol)
-    sc = corr.scenario
-    return {
-        "scenario": {"nX": sc.nX, "nY": sc.nY, "nA": sc.nA, "nB": sc.nB},
-        "p": corr.p.tolist(),
-        "notes": corr.notes,
-    }, True
+    return {**correlation_to_obj(corr), "notes": corr.notes}, True
 
 
 @report(tensor=True, validated=False)
@@ -411,9 +409,8 @@ def irrep(model, tol, seed):
     fields = {}
     passed = True
     for side, family in (("A", model.M), ("B", model.N)):
-        gens = [op for povm in family for op in povm]
         try:
-            dec = irrep_decompose(gens, seed=seed, tol=tol)
+            dec = irrep_decompose(_flat(family), seed=seed, tol=tol)
         except AlgebraNotSemisimpleNumerically as exc:
             fields[f"side_{side}"] = {"error": str(exc)}
             passed = False

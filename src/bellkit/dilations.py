@@ -59,8 +59,9 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Canonical Naimark dilation of a POVM.
 
     On K = H (x) C^k the projections are P_i = Id (x) |i><i| and the isometry
-    sends |h> to sum_i M_i^{1/2} |h> (x) |i>.  The POVM is checked as
-    ``validate_model`` checks a model's; a violation raises ValueError.
+    sends |h> to sum_i M_i^{1/2} |h> (x) |i>, so V as a d x k x d array holds
+    M_i^{1/2} in slot ``[:, i]``.  The POVM is checked as ``validate_model``
+    checks a model's; a violation raises ValueError.
     """
     ops = [as_matrix(m) for m in povm]
     k = len(ops)
@@ -70,13 +71,12 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     if not rep.valid:
         raise ValueError(f"POVM is not valid: {rep}")
 
-    v = np.zeros((d * k, d), dtype=complex)
-    basis_k = np.eye(k)
+    v = np.zeros((d, k, d), dtype=complex)
     for i, m in enumerate(ops):
-        root = psd_sqrt(m, tol)
-        v += np.kron(root, basis_k[:, [i]])
-    projections = [np.kron(np.eye(d), np.outer(basis_k[:, i], basis_k[:, i])) for i in range(k)]
-    return NaimarkDilation(V=v, P=projections)
+        v[:, i] += psd_sqrt(m, tol)
+    basis_k = np.eye(k)
+    projections = [np.diag(np.tile(basis_k[i], d)) for i in range(k)]
+    return NaimarkDilation(V=v.reshape(d * k, d), P=projections)
 
 
 @dataclass(frozen=True)
@@ -276,15 +276,14 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
     psi_mat = S.psi.reshape(S.dimA, S.dimB)
 
     # per block pair: coefficient tensor reshaped to (irrep x irrep, mult x mult)
-    comp: dict[tuple[int, int], dict] = {}
+    comp: dict[tuple[int, int], np.ndarray] = {}
     for i, ba in enumerate(dec_a.blocks):
         for j, bb in enumerate(dec_b.blocks):
             c = dagger(ba.basis) @ psi_mat @ np.conj(bb.basis)
             mat = (c.reshape(ba.n, ba.m, bb.n, bb.m)
                    .transpose(0, 2, 1, 3).reshape(ba.n * bb.n, ba.m * bb.m))
-            weight = float(np.linalg.norm(mat))
-            if weight > tol.cut("dust"):
-                comp[(i, j)] = {"mat": mat, "weight": weight}
+            if np.linalg.norm(mat) > tol.cut("dust"):
+                comp[(i, j)] = mat
 
     lam_a = sorted({i for i, _ in comp})
     lam_b = sorted({j for _, j in comp})
@@ -313,25 +312,19 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
                 )
             inter[i] = u
 
-    # auxiliary space offsets: supported blocks contribute their multiplicity
-    # space, unreached blocks their whole subspace
-    def aux_layout(dec, lam):
-        offsets, off = {}, 0
-        for idx, blk in enumerate(dec.blocks):
-            size = blk.m if idx in lam else blk.n * blk.m
-            offsets[idx] = (off, size)
-            off += size
-        return offsets, off
+    # auxiliary offsets per block, dimAux last: a supported block contributes
+    # its multiplicity space, an unreached block its whole subspace
+    def aux_offsets(dec, lam):
+        return np.cumsum([0] + [blk.m if idx in lam else blk.n * blk.m
+                                for idx, blk in enumerate(dec.blocks)])
 
-    aux_off_a, dim_aux_a = aux_layout(dec_a, lam_a)
-    aux_off_b, dim_aux_b = aux_layout(dec_b, lam_b)
+    off_a, off_b = aux_offsets(dec_a, lam_a), aux_offsets(dec_b, lam_b)
 
     # validate each supported component and collect the auxiliary state
-    aux = np.zeros(dim_aux_a * dim_aux_b, dtype=complex)
+    aux = np.zeros((off_a[-1], off_b[-1]), dtype=complex)
     sc = S.scenario
-    for (i, j), data in sorted(comp.items()):
+    for (i, j), mat in sorted(comp.items()):
         ba, bb = dec_a.blocks[i], dec_b.blocks[j]
-        mat, weight = data["mat"], data["weight"]
         u_svd, svals, vh_svd = np.linalg.svd(mat)
         if len(svals) > 1 and svals[1] > tol.cut("multiplicity") * svals[0]:
             raise NotDilatable(
@@ -366,55 +359,55 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
                 {"kind": "component-state", "block": (i, j), "overlap": abs(overlap)},
             )
         phase = overlap / abs(overlap)
-        offa, _ = aux_off_a[i]
-        offb, _ = aux_off_b[j]
+        # scalar products on purpose: numpy rounds an array complex multiply
+        # differently from a scalar one, which would move aux by an ulp
         for k in range(ba.m):
             for l in range(bb.m):
-                aux[(offa + k) * dim_aux_b + offb + l] += phase * kappa[k * bb.m + l]
+                aux[off_a[i] + k, off_b[j] + l] += phase * kappa[k * bb.m + l]
 
-    aux = aux / np.linalg.norm(aux)
+    aux = aux.reshape(-1) / np.linalg.norm(aux)
 
-    def assemble(dec, lam, inter, aux_off, dim_aux, tilde_dim, local_dim):
-        iso = np.zeros((tilde_dim * dim_aux, local_dim), dtype=complex)
+    def assemble(dec, lam, inter, off, tilde_dim, local_dim):
+        # per block u_i (x) (embedding of its multiplicity space), or |0> (x)
+        # (embedding of the whole block) if unreached; iso[p, a] is row p dimAux + a
+        iso = np.zeros((tilde_dim, off[-1], local_dim), dtype=complex)
         col = 0
         for idx, blk in enumerate(dec.blocks):
-            off, _ = aux_off[idx]
             if idx in lam:
-                u = inter[idx]
-                for r in range(blk.n):
-                    for k in range(blk.m):
-                        for p in range(tilde_dim):
-                            iso[p * dim_aux + off + k, col + r * blk.m + k] = u[p, r]
+                r, k = np.arange(blk.n), np.arange(blk.m)
+                iso[:, off[idx] + k, col + r[:, None] * blk.m + k] = inter[idx][:, :, None]
             else:
-                for c in range(blk.n * blk.m):
-                    iso[0 * dim_aux + off + c, col + c] = 1.0
+                c = np.arange(blk.n * blk.m)
+                iso[0, off[idx] + c, col + c] = 1.0
             col += blk.n * blk.m
-        return iso
+        return iso.reshape(-1, local_dim) @ dagger(dec.change_of_basis())
 
-    ia = assemble(dec_a, lam_a, inter_a, aux_off_a, dim_aux_a, T.dimA, S.dimA)
-    ib = assemble(dec_b, lam_b, inter_b, aux_off_b, dim_aux_b, T.dimB, S.dimB)
-    ia = ia @ dagger(dec_a.change_of_basis())
-    ib = ib @ dagger(dec_b.change_of_basis())
-    return DilationWitness(IA=ia, IB=ib, aux=aux, dimAuxA=dim_aux_a, dimAuxB=dim_aux_b)
+    ia = assemble(dec_a, lam_a, inter_a, off_a, T.dimA, S.dimA)
+    ib = assemble(dec_b, lam_b, inter_b, off_b, T.dimB, S.dimB)
+    return DilationWitness(IA=ia, IB=ib, aux=aux,
+                           dimAuxA=int(off_a[-1]), dimAuxB=int(off_b[-1]))
 
 
-def compose_witnesses(w1: DilationWitness, w2: DilationWitness,
-                      midA: int, midB: int) -> DilationWitness:
+def compose_witnesses(w1: DilationWitness, w2: DilationWitness) -> DilationWitness:
     """Witness for S >= T'' from witnesses S >= T' (w1) and T' >= T'' (w2).
 
-    ``midA``/``midB`` are the local dimensions of the intermediate model T''
-    maps out of, i.e. T'.dimA and T'.dimB.  Isometries compose and the
-    auxiliary states tensor (new auxiliary = aux2 (x) aux1 on each side).
+    w1 maps into H'_A (x) aux1A, and w2 maps out of H'_A, so the two chain
+    when w2's domain times w1's auxiliary is w1's range (likewise on B); if
+    not, ValueError.  Isometries compose and the auxiliary states tensor
+    (new auxiliary = aux2 (x) aux1 on each side).
     """
-    dTA2 = w2.IA.shape[0] // w2.dimAuxA
-    dTB2 = w2.IB.shape[0] // w2.dimAuxB
+    for side, i1, i2, aux1 in (("A", w1.IA, w2.IA, w1.dimAuxA),
+                               ("B", w1.IB, w2.IB, w1.dimAuxB)):
+        if i2.shape[1] * aux1 != i1.shape[0]:
+            raise ValueError(
+                f"witnesses do not chain on side {side}: w2.I{side} maps out of dimension "
+                f"{i2.shape[1]}, so with w1's auxiliary dimension {aux1} it needs w1.I{side} "
+                f"to map into dimension {i2.shape[1] * aux1}, not {i1.shape[0]}")
 
     ia = np.kron(w2.IA, np.eye(w1.dimAuxA)) @ w1.IA
     ib = np.kron(w2.IB, np.eye(w1.dimAuxB)) @ w1.IB
     # rows of ia are (T''_A, aux2A, aux1A); target grouping (T''_A, aux2A (x) aux1A)
     # is the same composite index, so no reorder is needed on the isometries.
-    if w2.IA.shape[1] != midA or w2.IB.shape[1] != midB:
-        raise ValueError("intermediate dimensions do not match w2's domain")
 
     auxA = w2.dimAuxA * w1.dimAuxA
     auxB = w2.dimAuxB * w1.dimAuxB

@@ -155,8 +155,7 @@ def obj_to_matrix(obj, where: str) -> np.ndarray:
 
 
 def vector_to_obj(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.stack((v.real, v.imag), -1).tolist()
+    return matrix_to_obj(np.reshape(v, -1))
 
 
 def obj_to_vector(obj, where: str) -> np.ndarray:

@@ -76,19 +76,21 @@ def _principal_generators(gens, floor: float) -> list[np.ndarray]:
     return [(u[:, j] * s[j]).reshape(d, d) for j in range(keep)]
 
 
-def _commutator_columns(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columns ``a_j d + b_j`` of the d^2 x d^2 Kronecker matrix of
-    ``X -> g X - X g``, without forming it.
+def _sylvester_columns(g: np.ndarray, h: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Columns ``a_j n + b_j`` of the n^2 x n^2 Kronecker matrix of
+    ``X -> g X - X h``, without forming it.
 
-    Column j is the flattened ``g E - E g`` for the matrix unit E at
+    Column j is the flattened ``g E - E h`` for the matrix unit E at
     ``(a_j, b_j)``: its column ``b_j`` is ``g[:, a_j]``, its row ``a_j`` is
-    ``-g[b_j, :]``.
+    ``-h[b_j, :]``.  The commutator map is ``h = g``; the intertwining
+    equation ``X g1 = g2 X`` is ``g = -g2, h = -g1``.
     """
-    d, j = g.shape[0], np.arange(len(a))
-    out = np.zeros((d, d, len(a)), dtype=complex)
+    n, j = g.shape[0], np.arange(len(a))
+    out = np.zeros((n, n, len(a)), dtype=complex)
     out[:, b, j] = g[:, a]
-    out[a, :, j] -= g[b, :]
-    return out.reshape(d * d, len(a))
+    out[a, :, j] -= h[b, :]
+    return out.reshape(n * n, len(a))
 
 
 def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -151,8 +153,8 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     blocks = cluster_eigenvalues(vals, gap)
     label = np.repeat(np.arange(len(blocks)), [blk.stop - blk.start for blk in blocks])
     a, b = np.nonzero(label[:, None] == label[None, :])  # the block-diagonal unknowns
-    rows = [_commutator_columns(dagger(v) @ g @ v, a, b)
-            for g in _principal_generators(gens, 1e-3 * cutoff)]
+    conj = [dagger(v) @ g @ v for g in _principal_generators(gens, 1e-3 * cutoff)]
+    rows = [_sylvester_columns(g, g, a, b) for g in conj]
     _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     rank = int(np.sum(svals > cutoff))
     t = np.zeros((len(a) - rank, d, d), dtype=complex)
@@ -245,13 +247,16 @@ def _intertwiner(gens1, gens2, tol: Tolerance):
 
     Returns ``(U, residual)``; by Schur's lemma the solution space of
     ``X g1 = g2 X`` is at most one-dimensional, and any nonzero solution is
-    proportional to a unitary, recovered here by polar correction.
+    proportional to a unitary, recovered here by polar correction.  The
+    stacked maps ``X -> X g1 - g2 X`` over all n^2 unknowns come from
+    ``_sylvester_columns(-g2, -g1)``, entry for entry the Kronecker matrix
+    ``Id (x) g1^T - g2 (x) Id``.
     """
     n = gens1[0].shape[0]
     if gens2[0].shape[0] != n:
         return None, np.inf
-    eye = np.eye(n)
-    rows = [np.kron(eye, g1.T) - np.kron(g2, eye) for g1, g2 in zip(gens1, gens2)]
+    a, b = np.divmod(np.arange(n * n), n)
+    rows = [_sylvester_columns(-g2, -g1, a, b) for g1, g2 in zip(gens1, gens2)]
     _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     x = vh[-1, :].conj().reshape(n, n)
     u_svd, s_x, vh_x = np.linalg.svd(x)
@@ -320,9 +325,7 @@ def irrep_decompose(generators, seed: int = 0,
         m = len(c["members"])
         cols = np.zeros((d, n * m), dtype=complex)
         for j, (k, u) in enumerate(zip(c["members"], c["intertwiners"])):
-            mapped = leaves[k] @ dagger(u)  # columns r: carrier of the rep basis
-            for r in range(n):
-                cols[:, r * m + j] = mapped[:, r]
+            cols[:, j::m] = leaves[k] @ dagger(u)  # column r carries rep basis vector r
         blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep_idx]))
 
     blocks.sort(key=lambda b: (b.n, _trace_signature(b.generators)))

@@ -363,9 +363,25 @@ class TestWitnessComposition:
         w2 = find_local_dilation(mid, m, seed=8)
         assert verify_local_dilation(mid, m, w2, Tolerance(1e-8)).passed
 
-        w = compose_witnesses(w1, w2, midA=mid.dimA, midB=mid.dimB)
+        w = compose_witnesses(w1, w2)
         rep = verify_local_dilation(top, m, w, Tolerance(1e-8))
         assert rep.passed, f"composed witness fails: {rep.max_residual}"
+
+    def test_witnesses_that_do_not_chain_are_rejected_by_dimension(self):
+        # w1 maps into a 3-dim T' (x) trivial auxiliary; w2 maps out of a
+        # 2-dim space, so (w2.IA (x) Id_1) cannot act on w1.IA's range
+        from bellkit.dilations import DilationWitness
+        w1 = DilationWitness(IA=np.eye(3), IB=np.eye(3), aux=np.array([1.0]),
+                             dimAuxA=1, dimAuxB=1)
+        w2 = trivial_witness(chsh_ideal_model())
+        with pytest.raises(ValueError, match=re.escape(
+                "witnesses do not chain on side A: w2.IA maps out of dimension 2, so with "
+                "w1's auxiliary dimension 1 it needs w1.IA to map into dimension 2, not 3")):
+            compose_witnesses(w1, w2)
+        w1 = DilationWitness(IA=np.eye(2), IB=np.eye(3), aux=np.array([1.0]),
+                             dimAuxA=1, dimAuxB=1)
+        with pytest.raises(ValueError, match="do not chain on side B"):
+            compose_witnesses(w1, w2)
 
     def test_rank_multiplicativity_across_fixtures(self):
         m = chsh_ideal_model()

@@ -7,6 +7,7 @@ checkout lives.  There is deliberately no switch to rewrite the files: a
 changed byte is a changed report and must be explained, not refreshed.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,11 @@ CHSH_WITNESS = "fixtures/chsh_ideal.witness.json"
 CHSH_CORR = "fixtures/chsh.corr.json"
 EXA_S = "fixtures/exA_S.model.json"
 EXA_SHAT = "fixtures/exA_Shat.model.json"
+# CHSH (x) a 2 x 2 auxiliary state (multiplicity 2), and the same padded with
+# junk blocks the state never reaches: the dilation cases with m > 1 and with
+# unreached blocks
+CHSH_AUX2 = "fixtures/chsh_aux_k2.model.json"
+CHSH_AUX2_PADDED = "fixtures/chsh_aux_k2_padded.model.json"
 
 CASES = {
     "validate": ["validate", CHSH],
@@ -41,6 +47,10 @@ CASES = {
     "state_equal": ["state-equal", EXA_S, EXA_SHAT],
     "find_dilation_obstructed": ["find-dilation", EXA_S, EXA_SHAT],
     "find_dilation": ["find-dilation", CHSH, CHSH],
+    "find_dilation_aux2": ["find-dilation", CHSH_AUX2, CHSH],
+    "find_dilation_aux2_padded": ["find-dilation", CHSH_AUX2_PADDED, CHSH],
+    "irrep_aux2_padded": ["irrep", CHSH_AUX2_PADDED],
+    "naimark_aux2_padded": ["naimark", CHSH_AUX2_PADDED],
     "verify_dilation": ["verify-dilation", CHSH, CHSH, CHSH_WITNESS],
     "xor": ["xor", CHSH_CORR],
     "xor_certify": ["xor-certify", CHSH_CORR, "--assert-extremal"],
@@ -71,3 +81,17 @@ def test_report_matches_golden(name, monkeypatch):
 def test_every_subcommand_has_a_golden_case():
     covered = {args[0] for args in CASES.values()}
     assert covered == set(main.commands)
+
+
+def test_fixtures_are_reproducible(tmp_path, monkeypatch):
+    """tools/make_fixtures.py rewrites every shipped fixture byte for byte."""
+    spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                  ROOT / "tools" / "make_fixtures.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "FIXTURES", tmp_path)
+    tool.main()
+    shipped = ROOT / "fixtures"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in shipped.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name

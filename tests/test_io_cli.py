@@ -330,6 +330,23 @@ class TestCliCommands:
         res = invoke(["validate", "no_such_file.json"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("kind", ["model", "correlation", "witness", "decomposition"])
+    def test_missing_input_reported_like_other_file_errors(self, tmp_path, kind):
+        missing = str(tmp_path / "nope" / "x.json")
+        chsh = str(FIXTURES / "chsh_ideal.model.json")
+        corr = str(FIXTURES / "chsh.corr.json")
+        args = {
+            "model": ["validate", missing],
+            "correlation": ["xor", missing],
+            "witness": ["verify-dilation", chsh, chsh, missing],
+            "decomposition": ["xor-certify", corr, "--decomposition", missing],
+        }[kind]
+        res = invoke(args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {missing}: No such file or directory\n"
+        assert res.stderr.count(missing) == 1
+
     def test_correlation_matches_ideal_values(self):
         res = invoke(["correlation", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 0
@@ -408,7 +425,6 @@ class TestCliCommands:
         assert res.stderr.count(str(tmp_path / target)) == 1
 
     def test_unreadable_model_names_its_path_once(self, tmp_path):
-        # click rejects a missing model file itself; a directory reaches the read
         res = invoke(["validate", str(tmp_path)])
         assert res.exit_code == 2
         assert res.stdout == ""

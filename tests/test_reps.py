@@ -2,10 +2,12 @@
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bellkit.io import load_model
 from bellkit.linalg import DEFAULT_TOL, dagger, mat_norm
 from bellkit.models import (
     CommutingModel,
@@ -30,7 +32,9 @@ from bellkit.presets import (
 from bellkit.reps import (
     _apply_letter,
     _cyclic_frame,
+    _intertwiner,
     _max_abs_difference,
+    _split_invariant,
     commutant_basis,
     cyclic_restrict,
     irrep_decompose,
@@ -378,6 +382,78 @@ class TestIrrepDecompose:
         gens = [op for povm in s3.M for op in povm]
         dec = irrep_decompose(gens, seed=0)
         assert sorted((b.n, b.m) for b in dec.blocks) == [(1, 1), (1, 2)]
+
+
+def kron_intertwiner(gens1, gens2, tol):
+    """The Kronecker-matrix form of ``_intertwiner``: the stacked maps
+    ``X -> X g1 - g2 X`` as ``Id (x) g1^T - g2 (x) Id``, n^2 x n^2 each."""
+    n = gens1[0].shape[0]
+    if gens2[0].shape[0] != n:
+        return None, np.inf
+    eye = np.eye(n)
+    rows = [np.kron(eye, g1.T) - np.kron(g2, eye) for g1, g2 in zip(gens1, gens2)]
+    _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    x = vh[-1, :].conj().reshape(n, n)
+    u_svd, s_x, vh_x = np.linalg.svd(x)
+    if s_x[-1] < tol.cut("coarse") * s_x[0]:
+        return None, np.inf
+    u = u_svd @ vh_x
+    flat = u.reshape(-1)
+    pivot = flat[np.argmax(np.abs(flat))]
+    u = u * (abs(pivot) / pivot)
+    residual = max(mat_norm(u @ g1 @ dagger(u) - g2) for g1, g2 in zip(gens1, gens2))
+    return u, residual
+
+
+def assert_intertwiner_matches_kron(gens1, gens2):
+    u, res = _intertwiner(gens1, gens2, DEFAULT_TOL)
+    u_ref, res_ref = kron_intertwiner(gens1, gens2, DEFAULT_TOL)
+    assert (u is None) == (u_ref is None)
+    if u is not None:
+        assert u.tobytes() == u_ref.tobytes()  # bitwise, signed zeros included
+    assert res == res_ref or (np.isinf(res) and np.isinf(res_ref))
+    return u
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestIntertwinerMatchesKronecker:
+    """The Sylvester column builder reproduces the Kronecker matrix entry for
+    entry, so the intertwiner and its residual are bitwise those of the
+    Kronecker solve."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equivalent_families(self, n):
+        rng = np.random.default_rng(100 + n)
+        gens1 = [rand_herm(rng, n) for _ in range(3)]
+        v = rand_unitary(rng, n)
+        gens2 = [v @ g @ dagger(v) for g in gens1]
+        assert assert_intertwiner_matches_kron(gens1, gens2) is not None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inequivalent_families(self, n):
+        rng = np.random.default_rng(200 + n)
+        gens1 = [rand_herm(rng, n) for _ in range(2)]
+        gens2 = [rand_herm(rng, n) for _ in range(2)]
+        assert_intertwiner_matches_kron(gens1, gens2)
+
+    @pytest.mark.parametrize("name", ["chsh_ideal", "exA_S", "exA_Shat", "chsh_aux_k2",
+                                      "chsh_aux_k2_padded"])
+    def test_irrep_fixture_leaves(self, name):
+        # every pair of leaves irrep_decompose compares, and every leaf
+        # against the CHSH irreps find_local_dilation matches it to
+        model = load_model(FIXTURES / f"{name}.model.json")
+        chsh = chsh_ideal_model()
+        for family, ideal in ((model.M, chsh.M), (model.N, chsh.N)):
+            gens = [op for povm in family for op in povm]
+            work = gens + [dagger(g) for g in gens]
+            leaves = _split_invariant(np.eye(len(gens[0])), work,
+                                      np.random.default_rng(0), DEFAULT_TOL)
+            leaf_gens = [[dagger(v) @ g @ v for g in gens] for v in leaves]
+            targets = leaf_gens + [[op for povm in ideal for op in povm]]
+            for lg, other in itertools.product(leaf_gens, targets):
+                assert_intertwiner_matches_kron(lg, other)
 
 
 class TestCyclicRestrict:
