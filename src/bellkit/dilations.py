@@ -24,9 +24,8 @@ from .linalg import (
     psd_sqrt,
     structural_predicates,
 )
-from .models import (QuantumModel, ValidationReport, _act, _check_povm_family,
-                     correlation_of, moments_agree_up_to)
-from .reps import _intertwiner, irrep_decompose
+from .models import QuantumModel, ValidationReport, _act, _check_povm_family, correlation_of
+from .reps import _intertwiner, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
 from .support import support_of
 
@@ -137,9 +136,11 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
     Schmidt ranks of psi, psi~, and aux are reported along with the
     multiplicativity constraint (isometries preserve Schmidt rank, so
     rank(psi) must equal rank(psi~) * rank(aux)).  When T is centrally
-    supported the abstract states must agree; moments are compared on all
-    word pairs of total length up to 3.  The models are not validated here,
-    but POVM counts that do not match the scenario raise ValueError.
+    supported a dilation forces the abstract states to agree, which
+    ``states_equal`` decides; ``moment_residual`` is then its Gram residual
+    when they agree, else the gap at its distinguishing word.  The models are
+    not validated here, but POVM counts that do not match the scenario raise
+    ValueError.
     """
     if S.scenario != T.scenario:
         raise ValueError("models live in different scenarios")
@@ -192,13 +193,14 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
     schmidt_ranks = {"psi": rank_psi, "psi_tilde": rank_tilde, "aux": rank_aux}
     rank_consistent = rank_psi == rank_tilde * rank_aux
 
-    moment_residual = None
+    same_state, moment_residual = True, None
     if support_of(T, tol).centrally_supported:
-        moment_residual = moments_agree_up_to(S, T, 3, tol)[1]
+        same_state, found = states_equal(S, T, tol)
+        moment_residual = (found.gram_residual if same_state
+                           else abs(found.value1 - found.value2))
 
     passed = (isometry_ok and aux_norm_residual <= tol.eps
-              and max_residual <= tol.eps and rank_consistent
-              and (moment_residual is None or moment_residual <= tol.eps))
+              and max_residual <= tol.eps and rank_consistent and same_state)
     return DilationReport(
         passed=passed,
         max_residual=max_residual,

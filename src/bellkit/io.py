@@ -49,7 +49,7 @@ class ParseError(ValueError):
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float cannot be serialized")
-    return format(float(x), ".17g")
+    return format(float(x) + 0.0, ".17g")  # + 0.0 writes -0.0 as 0, as JSON reads it
 
 
 def canonical_dumps(obj) -> str:
@@ -96,12 +96,14 @@ def _emit(obj, parts: list[str]):
 
 def _float_pairs(obj: list) -> str | None:
     """``obj`` as canonical JSON when every item is an ``[re, im]`` list of
-    floats (a matrix row or a vector), formatted in one pass; else None."""
+    floats (a matrix row or a vector), formatted in one pass; else None.
+    Negative zeros are written as 0, like ``_fmt_float`` writes them."""
     if not all(type(e) is list and len(e) == 2 for e in obj):
         return None
     flat = [x for e in obj for x in e]
     if set(map(type, flat)) != {float}:
         return None
+    flat = [x + 0.0 for x in flat]
     text = ("[" + ",".join(["[%.17g,%.17g]"] * len(obj)) + "]") % tuple(flat)
     if "n" in text:  # "inf" or "nan": a finite .17g number has no "n"
         raise ValueError("non-finite float cannot be serialized")

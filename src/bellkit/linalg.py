@@ -40,7 +40,7 @@ _CUTS = {
     "coarse": (0.0, 1e-6),          # probability sums, component correlations, intertwiner rank
     "commutant": (1.0, 1e-12),      # commutant rank cut (times the generator scale)
     "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity coefficient residuals
-    "frame": (2.0, 0.0),            # cyclic frame residuals, Gram and moment gaps
+    "frame": (2.0, 0.0),            # cyclic frame residuals, state-equal Gram gaps
     "residual": (10.0, 0.0),        # Naimark and rounding residuals, correlation gap
     "intertwiner": (100.0, 0.0),    # irrep intertwiner residuals
     "multiplicity": (100.0, 1e-10),  # component singular-value ratio across multiplicity

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "validate_model",
     "correlation_of",
     "evaluate_moment",
-    "moments_agree_up_to",
     "classify",
     "is_projective_state",
 ]
@@ -380,39 +378,10 @@ def classify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> ModelFlags:
     sc = m.scenario
     return ModelFlags(
         projective=projective,
-        full_rank=m.dimA == m.dimB == schmidt_decompose(m.psi, m.dimA, m.dimB, tol).rank,
+        full_rank=schmidt_decompose(m.psi, m.dimA, m.dimB, tol).full_rank,
         synchronous_scenario=(sc.nX == sc.nY and sc.nA == sc.nB),
         binary=(sc.nA == 2 and sc.nB == 2),
     )
-
-
-def moments_agree_up_to(m1, m2, max_length: int, tol: Tolerance = DEFAULT_TOL):
-    """Compare all word moments of two models up to a combined degree cutoff.
-
-    Heuristic pre-check only: agreement up to a finite degree does not prove
-    state equality (no degree bound is known in general); disagreement
-    disproves it.  Returns ``(agree, worst_gap)``.  The sound decision
-    procedure is ``bellkit.reps.states_equal``.
-    """
-    if m1.scenario != m2.scenario:
-        raise ValueError("moment comparison requires a common scenario")
-    sc = m1.scenario
-    letters_a = [(x, a) for x in range(sc.nX) for a in range(sc.nA)]
-    letters_b = [(y, b) for y in range(sc.nY) for b in range(sc.nB)]
-
-    def words(letters):
-        return [w for n in range(max_length + 1) for w in product(letters, repeat=n)]
-
-    worst = 0.0
-    table1: dict = {}
-    table2: dict = {}
-    for wa in words(letters_a):
-        for wb in words(letters_b):
-            if len(wa) + len(wb) > max_length:
-                continue
-            gap = abs(_moment(m1, wa, wb, table1) - _moment(m2, wa, wb, table2))
-            worst = max(worst, gap)
-    return worst <= tol.cut("frame"), worst
 
 
 def is_projective_state(m, tol: Tolerance = DEFAULT_TOL) -> bool:

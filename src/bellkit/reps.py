@@ -364,13 +364,15 @@ def _cyclic_frame(model, tol: Tolerance):
     vector table, is projected twice on the basis so far, ``r -= Q (Q^H r)``,
     and becomes Q's next column when the residual norm is at least 2 eps
     (word vectors have norm <= 1).  The search ends at the first level that
-    retains nothing, or when Q spans the whole space.
+    retains nothing, or when Q spans the whole space.  Q's buffer starts at a
+    few columns and doubles when full, up to the whole space: cyclic spaces
+    are often far smaller than the model's.
     """
     letters = scenario_letters(model.scenario)
     psi = model.psi
     cutoff = tol.cut("frame")
     total_dim = len(psi)
-    Q = np.zeros((total_dim, total_dim), dtype=complex)
+    Q = np.zeros((total_dim, min(4, total_dim)), dtype=complex)
     Q[:, 0] = psi / np.linalg.norm(psi)
     r = 1
     words = [Word()]
@@ -385,6 +387,8 @@ def _cyclic_frame(model, tol: Tolerance):
                 resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
             norm = float(np.linalg.norm(resid))
             if norm >= cutoff:
+                if r == Q.shape[1]:
+                    Q = np.pad(Q, ((0, 0), (0, min(r, total_dim - r))))
                 Q[:, r] = resid / norm
                 r += 1
                 words.append(w)

@@ -33,6 +33,11 @@ class SchmidtDecomposition:
     def rank(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def full_rank(self) -> bool:
+        """rank == dimA == dimB, the hypothesis of the main self-testing theorem."""
+        return self.rank == self.dimA == self.dimB
+
     def reconstruct(self) -> np.ndarray:
         coeff = self.left @ np.diag(self.coefficients) @ self.right.T
         return coeff.reshape(-1)
@@ -74,7 +79,7 @@ def transfer_operator(E, sd: SchmidtDecomposition) -> np.ndarray:
     coefficient matrix; the result is mapped back to the original B basis.
     """
     E = np.asarray(E, dtype=complex)
-    if not (sd.rank == sd.dimA == sd.dimB):
+    if not sd.full_rank:
         raise ValueError(
             f"transfer_operator needs a full-rank state: rank {sd.rank}, dims ({sd.dimA},{sd.dimB})"
         )

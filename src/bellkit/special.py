@@ -87,7 +87,7 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
             rhs = _act(m, "B", m.N[x][a], m.psi)
             swap[f"(x={x},a={a})"] = float(np.linalg.norm(lhs - rhs))
 
-    full_rank = m.dimA == m.dimB == schmidt_decompose(m.psi, m.dimA, m.dimB, tol).rank
+    full_rank = schmidt_decompose(m.psi, m.dimA, m.dimB, tol).full_rank
     proj_res = None
     if full_rank:
         proj_res = {}
@@ -226,7 +226,12 @@ def refute_extremality(p: Correlation, decomposition, tol: Tolerance = DEFAULT_T
     positive weights summing to 1, the mixture reproducing p entrywise, and
     at least one component distinct from p.  (Refutation is decidable;
     assertion is not, so this is the only extremality check the toolkit does.)
+    A component from another scenario raises ValueError.
     """
+    for k, (_, comp) in enumerate(decomposition):
+        if comp.scenario != p.scenario:
+            raise ValueError(f"decomposition component {k} has scenario {comp.scenario}, "
+                             f"but the correlation has scenario {p.scenario}")
     if not decomposition:
         return False
     weights = np.array([w for w, _ in decomposition], dtype=float)

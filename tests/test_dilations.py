@@ -1,11 +1,14 @@
 """Naimark dilation and local-dilation search/verification."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellkit.dilations import (
+    DilationWitness,
     NotDilatable,
     compose_witnesses,
     find_local_dilation,
@@ -24,7 +27,7 @@ from bellkit.presets import (
     random_state,
     tensor_with_auxiliary,
 )
-from bellkit.reps import irrep_decompose
+from bellkit.reps import cyclic_restrict, irrep_decompose, states_equal
 from bellkit.schmidt import schmidt_decompose
 from bellkit.support import support_of
 
@@ -87,6 +90,25 @@ class TestNaimark:
             naimark_dilate(povm)
 
 
+def _chsh_large_auxiliary(k: int = 32):
+    """CHSH (x) a random k x k auxiliary state, CHSH, and the identity witness."""
+    m = chsh_ideal_model()
+    aux = random_state(np.random.default_rng(k), k * k)
+    big = tensor_with_auxiliary(m, aux, k, k)
+    w = DilationWitness(IA=np.eye(2 * k), IB=np.eye(2 * k), aux=aux, dimAuxA=k, dimAuxB=k)
+    return big, m, w
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestVerifyLocalDilation:
     def test_reflexivity(self):
         m = chsh_ideal_model()
@@ -121,11 +143,53 @@ class TestVerifyLocalDilation:
         ia2[3, 2] = 1  # |2> -> |1>|1>
         candidates.append((ia2.copy(), ia2.copy(), np.array([1, 0, 0, 0], dtype=complex)))
         for ia_c, ib_c, aux in candidates:
-            from bellkit.dilations import DilationWitness
             w = DilationWitness(IA=ia_c, IB=ib_c, aux=aux, dimAuxA=2, dimAuxB=2)
             rep = verify_local_dilation(s3, s2, w)
             assert not rep.passed
             assert not rep.rank_consistent  # 3 != 2 * rank(aux)
+
+    def test_moment_residual_is_the_gram_residual_of_states_equal(self):
+        m = chsh_ideal_model()
+        big = tensor_with_auxiliary(m, random_state(np.random.default_rng(8), 4), 2, 2)
+        rep = verify_local_dilation(big, m, find_local_dilation(big, m, seed=0))
+        equal, witness = states_equal(big, m)
+        assert rep.passed and equal
+        assert np.float64(rep.moment_residual).tobytes() == \
+            np.float64(witness.gram_residual).tobytes()
+
+    def test_rotated_target_fails_on_its_distinguishing_word(self):
+        """T measures B in a rotated basis: another abstract state, so the
+        report fails and carries the gap at states_equal's word."""
+        m = chsh_ideal_model()
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        t = dataclasses.replace(m, N=[[rot @ op @ rot.T for op in povm] for povm in m.N])
+        assert support_of(t).centrally_supported
+        rep = verify_local_dilation(m, t, trivial_witness(m))
+        equal, moment = states_equal(m, t)
+        assert not rep.passed and not equal
+        assert rep.moment_residual == abs(moment.value1 - moment.value2)
+        assert rep.moment_residual > Tolerance().cut("frame")
+
+    def test_no_state_check_without_central_support(self):
+        m = dataclasses.replace(chsh_ideal_model(), psi=np.array([1.0, 0, 0, 0]))
+        assert not support_of(m).centrally_supported
+        rep = verify_local_dilation(m, m, trivial_witness(m))
+        assert rep.passed and rep.moment_residual is None
+
+    def test_identity_witness_on_a_large_auxiliary_stays_small(self):
+        """CHSH (x) aux(k=32) has d = 4096 but a 4-dimensional cyclic space:
+        the check allocates no d x d frame buffer (256 MiB)."""
+        big, m, w = _chsh_large_auxiliary()
+        rep, peak = _traced_peak(lambda: verify_local_dilation(big, m, w))
+        assert rep.passed and rep.moment_residual is not None
+        assert peak < 6 * 2**20
+
+    def test_cyclic_restriction_of_a_large_auxiliary_stays_small(self):
+        big, _, _ = _chsh_large_auxiliary()
+        cyclic, peak = _traced_peak(lambda: cyclic_restrict(big))
+        assert cyclic.dim == 4 and cyclic.restricted
+        assert peak < 6 * 2**20
 
     def test_dimension_mismatch_rejected(self):
         m = chsh_ideal_model()
@@ -356,7 +420,6 @@ class TestWitnessComposition:
         # attaching a register has the canonical identity-isometry witness
         # (the constructive search would refuse mid, whose representation is
         # reducible, so the witness is written down directly)
-        from bellkit.dilations import DilationWitness
         w1 = DilationWitness(IA=np.eye(top.dimA), IB=np.eye(top.dimB),
                              aux=aux2, dimAuxA=2, dimAuxB=2)
         assert verify_local_dilation(top, mid, w1, Tolerance(1e-8)).passed
@@ -370,7 +433,6 @@ class TestWitnessComposition:
     def test_witnesses_that_do_not_chain_are_rejected_by_dimension(self):
         # w1 maps into a 3-dim T' (x) trivial auxiliary; w2 maps out of a
         # 2-dim space, so (w2.IA (x) Id_1) cannot act on w1.IA's range
-        from bellkit.dilations import DilationWitness
         w1 = DilationWitness(IA=np.eye(3), IB=np.eye(3), aux=np.array([1.0]),
                              dimAuxA=1, dimAuxB=1)
         w2 = trivial_witness(chsh_ideal_model())

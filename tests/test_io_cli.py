@@ -52,6 +52,18 @@ class TestCanonicalForm:
             obj = json.loads(text)
             assert canonical_dumps(obj) + "\n" == text, f"{path.name} not canonical"
 
+    def test_negative_zero_written_as_zero(self):
+        """kron with a negative entry makes -0.0 entries; dumping writes them as
+        0, so the dump is a fixed point of JSON load and canonical dump."""
+        m = tensor_with_auxiliary(chsh_ideal_model(), np.kron([0.6, 0.8], [1.0, 0.0]), 2, 2)
+        obj = model_to_obj(m)
+        assert any(x == 0 and math.copysign(1, x) < 0 for row in obj["N"][1][0] for e in row
+                   for x in e)
+        text = canonical_dumps(obj)
+        assert canonical_dumps(json.loads(text)) == text
+        assert canonical_dumps(model_to_obj(obj_to_model(json.loads(text)))) == text
+        assert canonical_dumps({"x": -0.0, "v": [[-0.0, 1.0]]}) == '{"v":[[0,1]],"x":0}'
+
     def test_sorted_keys_and_17_digits(self):
         out = canonical_dumps({"b": 1 / 3, "a": True})
         assert out == '{"a":true,"b":0.33333333333333331}'
@@ -77,14 +89,15 @@ class TestCanonicalForm:
 
 
 def _walk_dumps(obj) -> str:
-    """canonical_dumps as an item-by-item walk with format(x, ".17g")."""
+    """canonical_dumps as an item-by-item walk with format(x, ".17g"),
+    writing -0.0 as 0 (JSON reads -0 as the integer 0)."""
     if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         assert math.isfinite(obj)
-        return format(obj, ".17g")
+        return format(0.0 if obj == 0 else obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -286,6 +299,22 @@ class TestCliCommands:
         res = invoke(["xor", str(path)])
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: {path}.p[0][0][0][0]: ")
+
+    def test_decomposition_from_another_scenario_exits_2(self, tmp_path):
+        """Two 1x1-scenario components do not refute the uniform 2x2 table."""
+        uniform = {"scenario": {"nX": 2, "nY": 2, "nA": 2, "nB": 2},
+                   "p": [[[[0.25] * 2] * 2] * 2] * 2}
+        small = {"nX": 1, "nY": 1, "nA": 2, "nB": 2}
+        same, diff = [[[[0.5]], [[0]]], [[[0]], [[0.5]]]], [[[[0]], [[0.5]]], [[[0.5]], [[0]]]]
+        dec = {"components": [{"weight": 0.5, "correlation": {"scenario": small, "p": p}}
+                              for p in (same, diff)]}
+        (tmp_path / "uni.json").write_text(json.dumps(uniform))
+        (tmp_path / "dec.json").write_text(json.dumps(dec))
+        res = invoke(["xor-certify", str(tmp_path / "uni.json"), "--assert-extremal",
+                      "--decomposition", str(tmp_path / "dec.json")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "component 0" in res.stderr
 
     def test_integral_float_size_accepted(self, tmp_path):
         obj = model_to_obj(chsh_ideal_model())

@@ -18,7 +18,6 @@ from bellkit.models import (
     correlation_of,
     evaluate_moment,
     is_projective_state,
-    moments_agree_up_to,
     validate_commuting_model,
     validate_quantum_model,
 )
@@ -363,12 +362,3 @@ class TestWordVectorTable:
             for x, y in np.ndindex(sc.nX, sc.nY):
                 p[:, :, x, y] /= p[:, :, x, y].sum()
             assert correlation_of(m).p.tobytes() == p.tobytes()
-
-    def test_moments_agree_up_to_worst_gap(self):
-        wide, tall, commuting = self.models()
-        for m1, m2 in ((wide, commuting), (wide, tall)):
-            ref = max(abs(np.vdot(m1.psi, reference_word_vector(m1, wa, wb))
-                          - np.vdot(m2.psi, reference_word_vector(m2, wa, wb)))
-                      for wa, wb in self.mixed_words(4))
-            _, worst = moments_agree_up_to(m1, m2, max_length=4)
-            assert np.float64(worst).tobytes() == np.float64(ref).tobytes()

@@ -622,17 +622,6 @@ class TestStatesEqual:
         equal, _ = states_equal(m, m)
         assert equal
 
-    def test_moment_precheck_consistent_with_decision(self):
-        from bellkit.models import moments_agree_up_to
-
-        s3, s2 = example_pair()
-        agree, gap = moments_agree_up_to(s3, s2, max_length=4)
-        assert agree and gap < 1e-10
-        rng = np.random.default_rng(38)
-        other = random_quantum_model(rng, Scenario(1, 1, 2, 2), 2, 2)
-        agree, gap = moments_agree_up_to(s3, other, max_length=2)
-        assert not agree and gap > 1e-3
-
 
 # ------------------------------------------- references for the frame and unitary
 

@@ -29,6 +29,15 @@ def test_rank3_state():
     np.testing.assert_allclose(sd.coefficients, [1 / np.sqrt(2), 0.5, 0.5])
 
 
+@pytest.mark.parametrize("psi, dims, full", [
+    (np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2), True),
+    (np.kron([1.0, 0.0], [0.0, 1.0]), (2, 2), False),
+    (np.array([1, 0, 0, 0, 1, 0]) / np.sqrt(2), (2, 3), False),  # rank 2 = dimA < dimB
+])
+def test_full_rank_means_rank_equals_both_dimensions(psi, dims, full):
+    assert schmidt_decompose(psi, *dims).full_rank is full
+
+
 def test_reconstruction_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(30):

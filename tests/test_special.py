@@ -232,3 +232,14 @@ class TestXorCertificate:
     def test_trivial_decomposition_does_not_refute(self):
         p = correlation_of(chsh_ideal_model())
         assert not refute_extremality(p, [(1.0, p)])
+
+    def test_component_from_another_scenario_rejected(self):
+        """1x1-scenario components broadcast against a 2x2 table; they must
+        be rejected, not read as a refutation of the uniform correlation."""
+        p = Correlation(Scenario(2, 2, 2, 2), np.full((2, 2, 2, 2), 0.25))
+        small = Scenario(1, 1, 2, 2)
+        same, diff = np.eye(2) / 2, np.fliplr(np.eye(2)) / 2
+        decomposition = [(0.5, Correlation(small, t[..., None, None])) for t in (same, diff)]
+        with pytest.raises(ValueError, match=r"component 0 has scenario Scenario\(nX=1.*"
+                                             r"correlation has scenario Scenario\(nX=2"):
+            refute_extremality(p, decomposition)

@@ -4,7 +4,6 @@
 Run from the repository root:  python tools/make_fixtures.py
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +19,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def write(name: str, obj):
     path = FIXTURES / name
-    # written as its own JSON parse: JSON reads -0 as the integer 0, so a
-    # negative zero (kron with a negative entry makes them) becomes 0 and the
-    # file is a fixed point of load and canonical dump
-    text = canonical_dumps(json.loads(canonical_dumps(obj)))
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
