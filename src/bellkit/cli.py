@@ -10,6 +10,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import click
@@ -43,6 +44,7 @@ from .schmidt import schmidt_decompose
 from .special import (
     LemmaViolated,
     binary_round,
+    check_decomposition,
     synchronous_verify,
     xor_of,
     xor_selftest_certificate,
@@ -50,13 +52,29 @@ from .special import (
 from .support import is_centrally_supported_via_transfer, support_of
 from .tilted import verify_tilted_sos
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 @click.group()
 @click.version_option(__version__)
 def main():
     """Verification toolkit for bipartite quantum correlation models."""
+
+
+def run():
+    """Process entry point: ``main``, then ``gc.freeze()`` on the way out.
+
+    Once the report is written and click has raised SystemExit, every
+    tracked object (the heap the numpy, click and bellkit imports built, and
+    what the command built) moves to the permanent generation, so the
+    exiting interpreter's collections no longer traverse and tear it down.
+    Output is flushed and ``atexit`` runs as usual; the OS reclaims the
+    frozen objects.  In-process callers use ``main`` and keep a normal heap.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 class _Input(click.Path):
@@ -111,10 +129,12 @@ def report(*, tensor: bool = False, validated: bool = True):
     (an omitted optional input is None); the other parameters arrive by
     keyword, with ``tol`` as a :class:`Tolerance`.  Each model must be a
     tensor-product model when ``tensor`` is set and must pass validation when
-    ``validated`` is set.  The body returns ``(fields, passed)``; the command
-    adds its name and the provenance, prints the report and exits 0 if
-    ``passed``, else 1.  Any ValueError, parse errors included, is bad input:
-    exit 2 with the message on stderr and nothing on stdout.
+    ``validated`` is set, and a decomposition's components must share the
+    correlation's scenario.  The body returns ``(fields, passed)``; the
+    command adds its name and the provenance, prints the report and exits 0 if
+    ``passed``, else 1.  Any ValueError, parse errors included, is bad input,
+    and a MemoryError is an input too large to check: exit 2 with one line on
+    stderr and nothing on stdout.
     """
 
     def decorate(body):
@@ -133,6 +153,11 @@ def report(*, tensor: bool = False, validated: bool = True):
                         inputs.append(None)
                         continue
                     obj = param.type.load(path)
+                    if param.type is DECOMPOSITION:
+                        try:
+                            check_decomposition(inputs[0], obj)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}: {exc}") from None
                     if param.type is MODEL and tensor and not isinstance(obj, QuantumModel):
                         raise ValueError(f"{name} needs a tensor-product model")
                     if param.type is MODEL and validated:
@@ -153,6 +178,9 @@ def report(*, tensor: bool = False, validated: bool = True):
                        else "\n".join(_render_text(fields)))
             except ValueError as exc:
                 click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except MemoryError as exc:
+                click.echo("error: out of memory" + (f": {exc}" if str(exc) else ""), err=True)
                 sys.exit(2)
             click.echo(out)
             sys.exit(0 if passed else 1)
@@ -180,7 +208,7 @@ def correlation(model, tol, seed):
     return {**correlation_to_obj(corr), "notes": corr.notes}, True
 
 
-@report(tensor=True, validated=False)
+@report(tensor=True)
 @click.argument("model_file", type=MODEL)
 def schmidt(model, tol, seed):
     """Schmidt coefficients and rank of a tensor model's state."""
@@ -463,4 +491,4 @@ def tilted_sos(model, alpha, tol, seed):
 
 
 if __name__ == "__main__":
-    main()
+    run()

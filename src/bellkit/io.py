@@ -328,20 +328,27 @@ def load_witness(path) -> DilationWitness:
 
 
 def load_decomposition(path) -> list[tuple[float, Correlation]]:
-    """Convex decomposition file: {"components": [{"weight": w, "correlation": {...}}]}."""
+    """Convex decomposition file: {"components": [{"weight": w, "correlation": {...}}]},
+    with at least one component and positive weights that sum to 1."""
     obj = _load_json(path)
     where = str(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ParseError(f"{where}: expected an object with a 'components' list")
+    if not obj["components"]:
+        raise ParseError(f"{where}: 'components' is empty")
     out = []
     for k, comp in enumerate(obj["components"]):
         here = f"{where}.components[{k}]"
         if not isinstance(comp, dict) or "weight" not in comp or "correlation" not in comp:
             raise ParseError(f"{here}: expected an object with 'weight' and 'correlation'")
         weight = comp["weight"]
-        if not _is_finite_number(weight):
-            raise ParseError(f"{here}: field 'weight' must be a finite number, got {weight!r}")
+        if not _is_finite_number(weight) or weight <= 0:
+            raise ParseError(f"{here}: field 'weight' must be a positive finite number, "
+                             f"got {weight!r}")
         out.append((float(weight), obj_to_correlation(comp["correlation"], here)))
+    total = sum(w for w, _ in out)
+    if abs(total - 1.0) > DEFAULT_TOL.cut("coarse"):
+        raise ParseError(f"{where}: weights sum to {total:.9f}, not 1")
     return out
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "xor_of",
     "XorCertificate",
     "xor_selftest_certificate",
+    "check_decomposition",
     "refute_extremality",
 ]
 
@@ -219,6 +220,15 @@ class XorCertificate:
     reasons: list[str] = field(default_factory=list)
 
 
+def check_decomposition(p: Correlation, decomposition) -> None:
+    """ValueError naming the first component of ``decomposition`` (a list of
+    (weight, Correlation)) whose scenario is not p's."""
+    for k, (_, comp) in enumerate(decomposition):
+        if comp.scenario != p.scenario:
+            raise ValueError(f"decomposition component {k} has scenario {comp.scenario}, "
+                             f"but the correlation has scenario {p.scenario}")
+
+
 def refute_extremality(p: Correlation, decomposition, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the supplied convex decomposition refutes extremality of p.
 
@@ -226,12 +236,10 @@ def refute_extremality(p: Correlation, decomposition, tol: Tolerance = DEFAULT_T
     positive weights summing to 1, the mixture reproducing p entrywise, and
     at least one component distinct from p.  (Refutation is decidable;
     assertion is not, so this is the only extremality check the toolkit does.)
-    A component from another scenario raises ValueError.
+    A component from another scenario raises ValueError
+    (:func:`check_decomposition`).
     """
-    for k, (_, comp) in enumerate(decomposition):
-        if comp.scenario != p.scenario:
-            raise ValueError(f"decomposition component {k} has scenario {comp.scenario}, "
-                             f"but the correlation has scenario {p.scenario}")
+    check_decomposition(p, decomposition)
     if not decomposition:
         return False
     weights = np.array([w for w, _ in decomposition], dtype=float)

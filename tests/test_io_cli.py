@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import bellkit
+from bellkit import cli
 from bellkit.cli import main
 from bellkit.io import (
     ParseError,
@@ -209,6 +210,10 @@ class TestCliCommands:
         ("decomposition", "components", [{"weight": NAN, "correlation": CHSH_CORR}]),
         ("decomposition", "components", [{"weight": True, "correlation": CHSH_CORR}]),
         ("decomposition", "components", [{"weight": 1.0, "correlation": {**CHSH_CORR, "p": [1]}}]),
+        # not a convex combination: no components, a zero weight, a sum below 1
+        ("decomposition", "components", []),
+        ("decomposition", "components", [{"weight": w, "correlation": CHSH_CORR} for w in (0.0, 1.0)]),
+        ("decomposition", "components", [{"weight": w, "correlation": CHSH_CORR} for w in (0.5, 0.4)]),
     ])
     def test_malformed_field_exits_2(self, tmp_path, kind, field, value):
         """A wrongly typed field is a parse error: exit 2, a message, no traceback."""
@@ -301,7 +306,8 @@ class TestCliCommands:
         assert res.stderr.startswith(f"error: {path}.p[0][0][0][0]: ")
 
     def test_decomposition_from_another_scenario_exits_2(self, tmp_path):
-        """Two 1x1-scenario components do not refute the uniform 2x2 table."""
+        """Two 1x1-scenario components do not refute the uniform 2x2 table; the
+        error names the decomposition file, like every other input-file error."""
         uniform = {"scenario": {"nX": 2, "nY": 2, "nA": 2, "nB": 2},
                    "p": [[[[0.25] * 2] * 2] * 2] * 2}
         small = {"nX": 1, "nY": 1, "nA": 2, "nB": 2}
@@ -314,7 +320,22 @@ class TestCliCommands:
                       "--decomposition", str(tmp_path / "dec.json")])
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert "component 0" in res.stderr
+        assert res.stderr == (f"error: {tmp_path / 'dec.json'}: decomposition component 0 has "
+                              "scenario Scenario(nX=1, nY=1, nA=2, nB=2), but the correlation "
+                              "has scenario Scenario(nX=2, nY=2, nA=2, nB=2)\n")
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 32.0 GiB")])
+    def test_memory_error_exits_2(self, monkeypatch, exc):
+        """An input too large to check is exit 2 with one line, not a traceback
+        and exit 1 (which would read as a failed check)."""
+        def oversized(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "irrep_decompose", oversized)
+        res = CliRunner().invoke(main, ["irrep", str(FIXTURES / "chsh_ideal.model.json")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == ("error: out of memory" + (f": {exc}" if str(exc) else "") + "\n")
 
     def test_integral_float_size_accepted(self, tmp_path):
         obj = model_to_obj(chsh_ideal_model())
