@@ -7,16 +7,15 @@ tilted-CHSH self-test certificates, behind a batch CLI (``bellkit``).
 
 __version__ = "0.1.0"
 
-from .linalg import Tolerance, kron, partial_trace, hermitian_eig, orthonormalize, structural_predicates
-from .schmidt import SchmidtDecomposition, schmidt_decompose, transfer_operator
+from .linalg import Tolerance, hermitian_eig, structural_predicates
+from .schmidt import SchmidtDecomposition, schmidt_decompose
 from .models import (
     Scenario,
     QuantumModel,
     CommutingModel,
     Correlation,
+    DilationWitness,
     Word,
-    validate_quantum_model,
-    validate_commuting_model,
     validate_model,
     correlation_of,
     evaluate_moment,
@@ -36,11 +35,9 @@ from .reps import (
 from .dilations import (
     NaimarkDilation,
     naimark_dilate,
-    DilationWitness,
     verify_local_dilation,
     NotDilatable,
     find_local_dilation,
-    compose_witnesses,
 )
 from .special import (
     SyncReport,
@@ -54,28 +51,22 @@ from .special import (
 from .tilted import (
     tilted_chsh_build,
     verify_tilted_sos,
-    optimal_tilted_model,
     TiltedChshCertificate,
 )
 
 __all__ = [
     "__version__",
     "Tolerance",
-    "kron",
-    "partial_trace",
     "hermitian_eig",
-    "orthonormalize",
     "structural_predicates",
     "SchmidtDecomposition",
     "schmidt_decompose",
-    "transfer_operator",
     "Scenario",
     "QuantumModel",
     "CommutingModel",
     "Correlation",
+    "DilationWitness",
     "Word",
-    "validate_quantum_model",
-    "validate_commuting_model",
     "validate_model",
     "correlation_of",
     "evaluate_moment",
@@ -93,11 +84,9 @@ __all__ = [
     "states_equal",
     "NaimarkDilation",
     "naimark_dilate",
-    "DilationWitness",
     "verify_local_dilation",
     "NotDilatable",
     "find_local_dilation",
-    "compose_witnesses",
     "SyncReport",
     "synchronous_verify",
     "LemmaViolated",
@@ -107,6 +96,5 @@ __all__ = [
     "xor_selftest_certificate",
     "tilted_chsh_build",
     "verify_tilted_sos",
-    "optimal_tilted_model",
     "TiltedChshCertificate",
 ]

@@ -144,6 +144,8 @@ def report(*, tensor: bool = False, validated: bool = True):
         def run(fmt, seed, tol, **kwargs):
             try:
                 tolerance = Tolerance(tol)
+                if seed < 0:
+                    raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
                 paths, inputs = [], []
                 for param in params:
                     if not isinstance(param.type, _Input):

@@ -19,12 +19,18 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    as_vector,
     dagger,
     psd_sqrt,
     structural_predicates,
 )
-from .models import QuantumModel, ValidationReport, _act, _check_povm_family, correlation_of
+from .models import (
+    DilationWitness,
+    QuantumModel,
+    ValidationReport,
+    _act,
+    _check_povm_family,
+    correlation_of,
+)
 from .reps import _intertwiner, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
 from .support import support_of
@@ -32,13 +38,10 @@ from .support import support_of
 __all__ = [
     "NaimarkDilation",
     "naimark_dilate",
-    "DilationWitness",
     "DilationReport",
     "verify_local_dilation",
     "NotDilatable",
     "find_local_dilation",
-    "compose_witnesses",
-    "trivial_witness",
 ]
 
 
@@ -48,10 +51,6 @@ class NaimarkDilation:
 
     V: np.ndarray
     P: list[np.ndarray]
-
-    @property
-    def dilated_dim(self) -> int:
-        return self.V.shape[0]
 
 
 def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
@@ -76,35 +75,6 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     basis_k = np.eye(k)
     projections = [np.diag(np.tile(basis_k[i], d)) for i in range(k)]
     return NaimarkDilation(V=v.reshape(d * k, d), P=projections)
-
-
-@dataclass(frozen=True)
-class DilationWitness:
-    """Local isometries and auxiliary state certifying S >= T.
-
-    ``IA`` maps H_A into H~_A (x) H_A^aux (composite row index
-    ``i_tilde * dimAuxA + i_aux``), likewise ``IB``; ``aux`` lives on
-    H_A^aux (x) H_B^aux.
-    """
-
-    IA: np.ndarray
-    IB: np.ndarray
-    aux: np.ndarray
-    dimAuxA: int
-    dimAuxB: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "IA", as_matrix(self.IA))
-        object.__setattr__(self, "IB", as_matrix(self.IB))
-        object.__setattr__(self, "aux", as_vector(self.aux))
-
-
-def trivial_witness(m: QuantumModel) -> DilationWitness:
-    """Identity-isometry witness with a scalar auxiliary state."""
-    return DilationWitness(
-        IA=np.eye(m.dimA), IB=np.eye(m.dimB), aux=np.array([1.0 + 0j]),
-        dimAuxA=1, dimAuxB=1,
-    )
 
 
 @dataclass
@@ -239,10 +209,11 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
     chosen so each component overlap with psi~ is real positive.  For blocks
     the state never touches, the isometry routes into the first standard
     basis vector of T's space.  When several assemblies exist (multiplicity
-    on the auxiliary), the lexicographically-first one is returned.
+    on the auxiliary), the lexicographically-first one is returned.  Models
+    from different scenarios raise ValueError.
     """
     if S.scenario != T.scenario:
-        raise NotDilatable("models live in different scenarios")
+        raise ValueError("models live in different scenarios")
 
     p_s = correlation_of(S, tol).p
     p_t = correlation_of(T, tol).p
@@ -389,31 +360,3 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
     return DilationWitness(IA=ia, IB=ib, aux=aux,
                            dimAuxA=int(off_a[-1]), dimAuxB=int(off_b[-1]))
 
-
-def compose_witnesses(w1: DilationWitness, w2: DilationWitness) -> DilationWitness:
-    """Witness for S >= T'' from witnesses S >= T' (w1) and T' >= T'' (w2).
-
-    w1 maps into H'_A (x) aux1A, and w2 maps out of H'_A, so the two chain
-    when w2's domain times w1's auxiliary is w1's range (likewise on B); if
-    not, ValueError.  Isometries compose and the auxiliary states tensor
-    (new auxiliary = aux2 (x) aux1 on each side).
-    """
-    for side, i1, i2, aux1 in (("A", w1.IA, w2.IA, w1.dimAuxA),
-                               ("B", w1.IB, w2.IB, w1.dimAuxB)):
-        if i2.shape[1] * aux1 != i1.shape[0]:
-            raise ValueError(
-                f"witnesses do not chain on side {side}: w2.I{side} maps out of dimension "
-                f"{i2.shape[1]}, so with w1's auxiliary dimension {aux1} it needs w1.I{side} "
-                f"to map into dimension {i2.shape[1] * aux1}, not {i1.shape[0]}")
-
-    ia = np.kron(w2.IA, np.eye(w1.dimAuxA)) @ w1.IA
-    ib = np.kron(w2.IB, np.eye(w1.dimAuxB)) @ w1.IB
-    # rows of ia are (T''_A, aux2A, aux1A); target grouping (T''_A, aux2A (x) aux1A)
-    # is the same composite index, so no reorder is needed on the isometries.
-
-    auxA = w2.dimAuxA * w1.dimAuxA
-    auxB = w2.dimAuxB * w1.dimAuxB
-    a2 = w2.aux.reshape(w2.dimAuxA, w2.dimAuxB)
-    a1 = w1.aux.reshape(w1.dimAuxA, w1.dimAuxB)
-    aux = np.einsum("ij,kl->ikjl", a2, a1).reshape(-1)
-    return DilationWitness(IA=ia, IB=ib, aux=aux, dimAuxA=auxA, dimAuxB=auxB)

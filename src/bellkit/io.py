@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dilations import DilationWitness
 from .linalg import DEFAULT_TOL
-from .models import CommutingModel, Correlation, QuantumModel, Scenario
+from .models import CommutingModel, Correlation, DilationWitness, QuantumModel, Scenario
 
 __all__ = [
     "ParseError",

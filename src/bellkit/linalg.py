@@ -19,11 +19,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "dagger",
-    "kron",
-    "partial_trace",
     "hermitian_eig",
     "cluster_eigenvalues",
-    "orthonormalize",
     "StructuralFlags",
     "structural_predicates",
     "psd_sqrt",
@@ -50,10 +47,10 @@ _CUTS = {
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute-plus-relative tolerance used for all approximate checks.
+    """Tolerance used for all approximate checks.
 
-    ``close(x, y)`` tests ``|x - y| <= eps * (1 + max(|x|, |y|))``; every
-    other cut is ``cut(name)``, from the one table above.
+    Besides the uniform ``eps`` rules, every cut is ``cut(name)``, from the
+    one table above.
     """
 
     eps: float = 1e-9
@@ -61,10 +58,6 @@ class Tolerance:
     def __post_init__(self):
         if not math.isfinite(self.eps) or self.eps < 0:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.eps}")
-
-    def close(self, x, y) -> bool:
-        x, y = complex(x), complex(y)
-        return abs(x - y) <= self.eps * (1 + max(abs(x), abs(y)))
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.eps
@@ -101,29 +94,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def mat_norm(m: np.ndarray) -> float:
     """Spectral norm; the operator norm used for all matrix residuals."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with composite index ``i_a * rows_b + i_b``."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace(rho, dimA: int, dimB: int, keep: str = "A") -> np.ndarray:
-    """Reduced matrix of a (dimA*dimB)-square operator.
-
-    ``keep="A"`` traces out the B factor and returns the dimA-square
-    reduction; ``keep="B"`` the other way round.
-    """
-    rho = as_matrix(rho)
-    d = dimA * dimB
-    if rho.shape != (d, d):
-        raise ValueError(f"expected {d}x{d} matrix for dims ({dimA},{dimB}), got {rho.shape}")
-    t = rho.reshape(dimA, dimB, dimA, dimB)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
@@ -172,29 +142,6 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
         vecs[:, block] = q
     vecs = _fix_column_phases(vecs, tol.cut("dust"))
     return vals.real, vecs
-
-
-def orthonormalize(vs, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the span of ``vs`` (modified Gram-Schmidt).
-
-    A vector is discarded when its residual after projecting out the basis so
-    far has norm below ``tol.eps * (1 + max input norm)``.
-    """
-    vs = [as_vector(v) for v in vs]
-    if not vs:
-        return []
-    scale = max(float(np.linalg.norm(v)) for v in vs)
-    cutoff = tol.eps * (1 + scale)
-    basis: list[np.ndarray] = []
-    for v in vs:
-        w = v.copy()
-        for _ in range(2):  # second pass scrubs fp drift
-            for b in basis:
-                w = w - b * np.vdot(b, w)
-        n = float(np.linalg.norm(w))
-        if n >= cutoff:
-            basis.append(w / n)
-    return basis
 
 
 @dataclass(frozen=True)

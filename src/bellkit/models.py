@@ -1,4 +1,4 @@
-"""Model and correlation data types, validation, and the abstract state.
+"""Model, correlation and dilation-witness data types, validation, and the abstract state.
 
 A quantum model is a pair of local POVM families plus a bipartite pure state;
 a commuting model puts both families on one space and requires them to
@@ -25,12 +25,12 @@ __all__ = [
     "QuantumModel",
     "CommutingModel",
     "Correlation",
+    "DilationWitness",
+    "trivial_witness",
     "Word",
     "ModelFlags",
     "Violation",
     "ValidationReport",
-    "validate_quantum_model",
-    "validate_commuting_model",
     "validate_model",
     "correlation_of",
     "evaluate_moment",
@@ -116,8 +116,34 @@ class Correlation:
             raise ValueError(f"correlation table shape {p.shape} does not match {sc}")
         object.__setattr__(self, "p", p)
 
-    def value(self, a, b, x, y) -> float:
-        return float(self.p[a, b, x, y])
+
+@dataclass(frozen=True)
+class DilationWitness:
+    """Local isometries and auxiliary state certifying S >= T.
+
+    ``IA`` maps H_A into H~_A (x) H_A^aux (composite row index
+    ``i_tilde * dimAuxA + i_aux``), likewise ``IB``; ``aux`` lives on
+    H_A^aux (x) H_B^aux.
+    """
+
+    IA: np.ndarray
+    IB: np.ndarray
+    aux: np.ndarray
+    dimAuxA: int
+    dimAuxB: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "IA", as_matrix(self.IA))
+        object.__setattr__(self, "IB", as_matrix(self.IB))
+        object.__setattr__(self, "aux", as_vector(self.aux))
+
+
+def trivial_witness(m: QuantumModel) -> DilationWitness:
+    """Identity-isometry witness with a scalar auxiliary state."""
+    return DilationWitness(
+        IA=np.eye(m.dimA), IB=np.eye(m.dimB), aux=np.array([1.0 + 0j]),
+        dimAuxA=1, dimAuxB=1,
+    )
 
 
 @dataclass(frozen=True)
@@ -272,10 +298,6 @@ def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance)
                     res = mat_norm(comm)
                     if res > tol.eps * (1 + norm_m(x, a) * norm_n(y, b)):
                         rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
-
-
-# Exported names; each accepts either kind of model.
-validate_quantum_model = validate_commuting_model = validate_model
 
 
 def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Named reference models and seeded fixture generators.
 
 The named constructions (the rank-2/rank-3 pair realizing the same abstract
-state, the ideal CHSH model) are used by the shipped fixture files and the
-acceptance suite; the random generators back the property tests.
+state, the ideal CHSH model, the optimal tilted-CHSH models) are used by the
+shipped fixture files and the acceptance suite; the random generators back
+the property tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,6 +18,7 @@ from .models import CommutingModel, QuantumModel, Scenario
 __all__ = [
     "example_pair",
     "chsh_ideal_model",
+    "optimal_tilted_model",
     "commuting_from_tensor",
     "tensor_with_auxiliary",
     "doubled_model",
@@ -76,6 +80,28 @@ def chsh_ideal_model() -> QuantumModel:
         M=[_binary_povm(_Z), _binary_povm(_X)],
         N=[_binary_povm((_Z + _X) / np.sqrt(2)), _binary_povm((_Z - _X) / np.sqrt(2))],
         psi=psi,
+    )
+
+
+def optimal_tilted_model(alpha: float) -> QuantumModel:
+    """Optimal 2-qubit projective model for the tilted-CHSH functional.
+
+    The closed form of Acin, Massar and Pironio (PRL 108, 100402 (2012)):
+    state cos(t)|00> + sin(t)|11> with sin 2t = sqrt((4 - alpha^2)/(4 + alpha^2)),
+    A0 = Z, A1 = X and B0, B1 = cos(mu) Z +- sin(mu) X with tan(mu) = sin 2t.
+    It reaches f(eta) = sqrt(8 + 2 alpha^2).
+    """
+    if not 0 <= alpha < 2:
+        raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
+    s2t = math.sqrt((4 - alpha**2) / (4 + alpha**2))
+    theta = 0.5 * math.asin(s2t)
+    mu = math.atan(s2t)
+    b0 = math.cos(mu) * _Z + math.sin(mu) * _X
+    b1 = math.cos(mu) * _Z - math.sin(mu) * _X
+    return QuantumModel(
+        scenario=Scenario(2, 2, 2, 2), dimA=2, dimB=2,
+        M=[_binary_povm(_Z), _binary_povm(_X)], N=[_binary_povm(b0), _binary_povm(b1)],
+        psi=np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Schmidt analysis of bipartite pure states and the operator-transfer map."""
+"""Schmidt analysis of bipartite pure states."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, dagger, _fix_column_phases
+from .linalg import DEFAULT_TOL, Tolerance, as_vector, _fix_column_phases
 
 __all__ = [
     "SchmidtDecomposition",
     "schmidt_decompose",
-    "transfer_operator",
 ]
 
 
@@ -37,10 +36,6 @@ class SchmidtDecomposition:
     def full_rank(self) -> bool:
         """rank == dimA == dimB, the hypothesis of the main self-testing theorem."""
         return self.rank == self.dimA == self.dimB
-
-    def reconstruct(self) -> np.ndarray:
-        coeff = self.left @ np.diag(self.coefficients) @ self.right.T
-        return coeff.reshape(-1)
 
 
 def schmidt_decompose(psi, dimA: int, dimB: int,
@@ -70,21 +65,3 @@ def schmidt_decompose(psi, dimA: int, dimB: int,
     v = v * phases
     return SchmidtDecomposition(svals[:r].copy(), u_fixed, v, dimA, dimB)
 
-
-def transfer_operator(E, sd: SchmidtDecomposition) -> np.ndarray:
-    """Operator ``Ehat`` on the B side with ``(E (x) Id) psi = (Id (x) Ehat) psi``.
-
-    Requires a full-rank state (rank == dimA == dimB).  In the Schmidt bases
-    the answer is ``lam @ E^T @ lam^{-1}`` with ``lam`` the diagonal
-    coefficient matrix; the result is mapped back to the original B basis.
-    """
-    E = np.asarray(E, dtype=complex)
-    if not sd.full_rank:
-        raise ValueError(
-            f"transfer_operator needs a full-rank state: rank {sd.rank}, dims ({sd.dimA},{sd.dimB})"
-        )
-    lam = np.diag(sd.coefficients)
-    lam_inv = np.diag(1.0 / sd.coefficients)
-    e_schmidt = dagger(sd.left) @ E @ sd.left
-    ehat_schmidt = lam @ e_schmidt.T @ lam_inv
-    return sd.right @ ehat_schmidt @ dagger(sd.right)

@@ -25,12 +25,13 @@ from .linalg import (
 )
 from .models import (
     Correlation,
+    DilationWitness,
     QuantumModel,
     _act,
     correlation_of,
     is_projective_state,
+    trivial_witness,
 )
-from .dilations import DilationWitness, trivial_witness
 from .schmidt import schmidt_decompose
 
 __all__ = [

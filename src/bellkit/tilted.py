@@ -20,7 +20,6 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm
 from .models import QuantumModel, Scenario, ValidationReport, _act, _check_commutation
-from .presets import _X, _Z, _binary_povm
 
 __all__ = [
     "NCPoly",
@@ -28,7 +27,6 @@ __all__ = [
     "tilted_chsh_build",
     "TiltedChshCertificate",
     "verify_tilted_sos",
-    "optimal_tilted_model",
 ]
 
 # generator indices in monomials
@@ -285,24 +283,3 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
         optimal=optimal,
     )
 
-
-def optimal_tilted_model(alpha: float) -> QuantumModel:
-    """Optimal 2-qubit projective model for the tilted-CHSH functional.
-
-    The closed form of Acin, Massar and Pironio (PRL 108, 100402 (2012)):
-    state cos(t)|00> + sin(t)|11> with sin 2t = sqrt((4 - alpha^2)/(4 + alpha^2)),
-    A0 = Z, A1 = X and B0, B1 = cos(mu) Z +- sin(mu) X with tan(mu) = sin 2t.
-    It reaches f(eta) = sqrt(8 + 2 alpha^2).
-    """
-    if not 0 <= alpha < 2:
-        raise ValueError(f"alpha must lie in [0, 2), got {alpha}")
-    s2t = math.sqrt((4 - alpha**2) / (4 + alpha**2))
-    theta = 0.5 * math.asin(s2t)
-    mu = math.atan(s2t)
-    b0 = math.cos(mu) * _Z + math.sin(mu) * _X
-    b1 = math.cos(mu) * _Z - math.sin(mu) * _X
-    return QuantumModel(
-        scenario=Scenario(2, 2, 2, 2), dimA=2, dimB=2,
-        M=[_binary_povm(_Z), _binary_povm(_X)], N=[_binary_povm(b0), _binary_povm(b1)],
-        psi=np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)]),
-    )

@@ -27,13 +27,14 @@ from bellkit.models import (
     classify,
     correlation_of,
     is_projective_state,
-    validate_quantum_model,
+    validate_model,
 )
 from bellkit.presets import (
     block_padded_model,
     chsh_ideal_model,
     commuting_from_tensor,
     example_pair,
+    optimal_tilted_model,
     random_povm,
     random_quantum_model,
     random_state,
@@ -45,7 +46,7 @@ from bellkit.reps import commutant_basis, irrep_decompose, states_equal
 from bellkit.schmidt import schmidt_decompose
 from bellkit.special import LemmaViolated, binary_round, synchronous_verify, xor_of
 from bellkit.support import is_centrally_supported_via_transfer, support_of
-from bellkit.tilted import optimal_tilted_model, verify_tilted_sos
+from bellkit.tilted import verify_tilted_sos
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -71,10 +72,10 @@ def test_criterion_1_example_reproduction():
     s3, s2 = example_pair()
     for m in (s3, s2):
         p = correlation_of(m)
-        ok &= abs(p.value(0, 0, 0, 0) - 0.5) < 1e-10
-        ok &= abs(p.value(1, 1, 0, 0) - 0.5) < 1e-10
-        ok &= abs(p.value(0, 1, 0, 0)) < 1e-10
-        ok &= abs(p.value(1, 0, 0, 0)) < 1e-10
+        ok &= abs(p.p[0, 0, 0, 0] - 0.5) < 1e-10
+        ok &= abs(p.p[1, 1, 0, 0] - 0.5) < 1e-10
+        ok &= abs(p.p[0, 1, 0, 0]) < 1e-10
+        ok &= abs(p.p[1, 0, 0, 0]) < 1e-10
     ok &= schmidt_decompose(s2.psi, 2, 2).rank == 2
     ok &= schmidt_decompose(s3.psi, 3, 3).rank == 3
 
@@ -236,7 +237,7 @@ def test_criterion_7_binary_rounding():
 
     # (b) eigenvalue 1/3 outside the support: stripped, correlation preserved
     padded, _ = _padded_chsh(1 / 3)
-    ok &= validate_quantum_model(padded).valid
+    ok &= validate_model(padded).valid
     rounded, _ = binary_round(padded, True)
     ok &= classify(rounded).projective
     gap = np.abs(correlation_of(rounded).p - correlation_of(padded).p).max()

@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 from bellkit.dilations import (
-    DilationWitness,
     NotDilatable,
-    compose_witnesses,
     find_local_dilation,
     naimark_dilate,
-    trivial_witness,
     verify_local_dilation,
 )
 from bellkit.linalg import Tolerance, mat_norm, structural_predicates
-from bellkit.models import QuantumModel, Scenario, validate_quantum_model
+from bellkit.models import (
+    DilationWitness,
+    QuantumModel,
+    Scenario,
+    trivial_witness,
+    validate_model,
+)
 from bellkit.presets import (
     chsh_ideal_model,
     doubled_model,
@@ -48,7 +51,7 @@ class TestNaimark:
             phi = np.array([np.cos(t / 2), np.sin(t / 2)])
             effects.append(2 / 3 * np.outer(phi, phi))
         nd = naimark_dilate(effects)
-        assert nd.dilated_dim == 6
+        assert nd.V.shape[0] == 6
         assert structural_predicates(nd.V).isometry
         for proj, effect in zip(nd.P, effects):
             assert structural_predicates(proj).projection
@@ -224,7 +227,7 @@ class TestFindLocalDilation:
         m = chsh_ideal_model()
         aux = np.array([0.8, 0.0, 0.0, 0.6])  # entangled across the aux split
         big = tensor_with_auxiliary(m, aux, 2, 2)
-        assert validate_quantum_model(big).valid
+        assert validate_model(big).valid
         w = find_local_dilation(big, m, seed=1)
         rep = verify_local_dilation(big, m, w, Tolerance(1e-8))
         assert rep.passed and rep.max_residual < 1e-8
@@ -258,6 +261,13 @@ class TestFindLocalDilation:
             find_local_dilation(s2, s3, seed=0)
         assert exc_info.value.obstruction["kind"] == "schmidt-rank"
 
+    def test_different_scenarios_are_bad_input(self):
+        """Models from different scenarios are not an obstruction but bad
+        input, as in ``verify_local_dilation``."""
+        s3, _ = example_pair()
+        with pytest.raises(ValueError, match="models live in different scenarios"):
+            find_local_dilation(s3, chsh_ideal_model(), seed=0)
+
     def test_reducible_ideal_rejected(self):
         _, s2 = example_pair()
         with pytest.raises(NotDilatable) as exc_info:
@@ -271,6 +281,20 @@ class TestFindLocalDilation:
         with pytest.raises(NotDilatable) as exc_info:
             find_local_dilation(other, m, seed=0)
         assert exc_info.value.obstruction["kind"] == "correlation"
+
+    def test_rank_multiplicativity_across_fixtures(self):
+        m = chsh_ideal_model()
+        for aux, da, db in [
+            (np.array([0.8, 0.0, 0.0, 0.6]), 2, 2),
+            (np.kron([1.0, 0.0], [0.6, 0.8]), 2, 2),
+            (np.array([0.5, 0.5, 0.5, 0.5]), 2, 2),
+        ]:
+            big = tensor_with_auxiliary(m, aux, da, db)
+            w = find_local_dilation(big, m, seed=11)
+            rep = verify_local_dilation(big, m, w, Tolerance(1e-8))
+            assert rep.passed
+            r = rep.schmidt_ranks
+            assert r["psi"] == r["psi_tilde"] * r["aux"]
 
     def test_complex_phases_and_local_rotation(self):
         """Complex auxiliary amplitudes and generic local unitaries on top:
@@ -325,7 +349,7 @@ def _blocks(a, b):
 def _model(M, N, psi):
     m = QuantumModel(scenario=_SC, dimA=M[0][0].shape[0], dimB=N[0][0].shape[0],
                      M=M, N=N, psi=np.asarray(psi, dtype=complex))
-    assert validate_quantum_model(m).valid
+    assert validate_model(m).valid
     return m
 
 
@@ -407,54 +431,3 @@ class TestComponentObstructions:
         ob = _obstruction(S, T)
         assert (ob["kind"], ob["block"]) == ("component-correlation", (0, 0))
         assert ob["gap"] == pytest.approx(0.5)
-
-
-class TestWitnessComposition:
-    def test_transitivity_of_composed_witnesses(self):
-        m = chsh_ideal_model()
-        aux1 = np.kron([0.6, 0.8], [1.0, 0.0])
-        mid = tensor_with_auxiliary(m, aux1, 2, 2)
-        aux2 = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2)
-        top = tensor_with_auxiliary(mid, aux2, 2, 2)
-
-        # attaching a register has the canonical identity-isometry witness
-        # (the constructive search would refuse mid, whose representation is
-        # reducible, so the witness is written down directly)
-        w1 = DilationWitness(IA=np.eye(top.dimA), IB=np.eye(top.dimB),
-                             aux=aux2, dimAuxA=2, dimAuxB=2)
-        assert verify_local_dilation(top, mid, w1, Tolerance(1e-8)).passed
-        w2 = find_local_dilation(mid, m, seed=8)
-        assert verify_local_dilation(mid, m, w2, Tolerance(1e-8)).passed
-
-        w = compose_witnesses(w1, w2)
-        rep = verify_local_dilation(top, m, w, Tolerance(1e-8))
-        assert rep.passed, f"composed witness fails: {rep.max_residual}"
-
-    def test_witnesses_that_do_not_chain_are_rejected_by_dimension(self):
-        # w1 maps into a 3-dim T' (x) trivial auxiliary; w2 maps out of a
-        # 2-dim space, so (w2.IA (x) Id_1) cannot act on w1.IA's range
-        w1 = DilationWitness(IA=np.eye(3), IB=np.eye(3), aux=np.array([1.0]),
-                             dimAuxA=1, dimAuxB=1)
-        w2 = trivial_witness(chsh_ideal_model())
-        with pytest.raises(ValueError, match=re.escape(
-                "witnesses do not chain on side A: w2.IA maps out of dimension 2, so with "
-                "w1's auxiliary dimension 1 it needs w1.IA to map into dimension 2, not 3")):
-            compose_witnesses(w1, w2)
-        w1 = DilationWitness(IA=np.eye(2), IB=np.eye(3), aux=np.array([1.0]),
-                             dimAuxA=1, dimAuxB=1)
-        with pytest.raises(ValueError, match="do not chain on side B"):
-            compose_witnesses(w1, w2)
-
-    def test_rank_multiplicativity_across_fixtures(self):
-        m = chsh_ideal_model()
-        for aux, da, db in [
-            (np.array([0.8, 0.0, 0.0, 0.6]), 2, 2),
-            (np.kron([1.0, 0.0], [0.6, 0.8]), 2, 2),
-            (np.array([0.5, 0.5, 0.5, 0.5]), 2, 2),
-        ]:
-            big = tensor_with_auxiliary(m, aux, da, db)
-            w = find_local_dilation(big, m, seed=11)
-            rep = verify_local_dilation(big, m, w, Tolerance(1e-8))
-            assert rep.passed
-            r = rep.schmidt_ranks
-            assert r["psi"] == r["psi_tilde"] * r["aux"]

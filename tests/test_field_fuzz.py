@@ -17,9 +17,8 @@ import pytest
 from click.testing import CliRunner
 
 from bellkit.cli import main
-from bellkit.dilations import trivial_witness
 from bellkit.io import correlation_to_obj, model_to_obj, witness_to_obj
-from bellkit.models import correlation_of
+from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import chsh_ideal_model, commuting_from_tensor
 
 VALUES = [5, None, [5], "x", {}, [], -1, 0, 2.5, True]

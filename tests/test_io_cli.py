@@ -27,9 +27,8 @@ from bellkit.io import (
     witness_to_obj,
     obj_to_witness,
 )
-from bellkit.models import correlation_of
+from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import chsh_ideal_model, example_pair, tensor_with_auxiliary
-from bellkit.dilations import trivial_witness
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CHSH_CORR = correlation_to_obj(correlation_of(chsh_ideal_model()))
@@ -192,6 +191,15 @@ class TestCliCommands:
         res = invoke(["validate", str(path), "--tol", tol, "--format", "text"])
         assert res.exit_code == 2
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["validate", "irrep"])
+    def test_negative_seed_exits_2(self, command):
+        """A negative --seed is refused by every command, with a message that
+        names the option, like a bad --tol."""
+        res = invoke([command, str(FIXTURES / "chsh_ideal.model.json"), "--seed", "-1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("kind,field,value", [
         ("model", "M", 5), ("model", "M", None), ("model", "M", [5]),
@@ -458,6 +466,15 @@ class TestCliCommands:
         assert res.exit_code == 0
         report = json.loads(res.output)
         assert report["residuals"]["max"] < 1e-8
+
+    def test_find_dilation_across_scenarios_exits_2(self):
+        """exA_S has scenario (1,1,2,2) and the CHSH model (2,2,2,2): bad
+        input, as for state-equal and verify-dilation, not a "not found"."""
+        res = invoke(["find-dilation", str(FIXTURES / "exA_S.model.json"),
+                      str(FIXTURES / "chsh_ideal.model.json")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: models live in different scenarios\n"
 
     @pytest.mark.parametrize("target", ["no_such_dir/w.json", "."])
     def test_unwritable_witness_out_exits_2(self, tmp_path, target):

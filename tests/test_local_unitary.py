@@ -13,9 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 from bellkit.dilations import find_local_dilation, verify_local_dilation
 from bellkit.linalg import dagger
 from bellkit.models import QuantumModel
-from bellkit.presets import chsh_ideal_model, random_state, tensor_with_auxiliary
+from bellkit.presets import (
+    chsh_ideal_model,
+    optimal_tilted_model,
+    random_state,
+    tensor_with_auxiliary,
+)
 from bellkit.reps import states_equal
-from bellkit.tilted import optimal_tilted_model
 
 SEEDED = settings(database=None, derandomize=True, max_examples=12, deadline=None)
 IDEALS = {"chsh": chsh_ideal_model, "tilted": lambda: optimal_tilted_model(1.5)}

@@ -18,8 +18,7 @@ from bellkit.models import (
     correlation_of,
     evaluate_moment,
     is_projective_state,
-    validate_commuting_model,
-    validate_quantum_model,
+    validate_model,
 )
 from bellkit.presets import (
     block_padded_model,
@@ -38,7 +37,7 @@ def chsh_formula(a, b, x, y):
 
 class TestValidation:
     def test_ideal_chsh_is_valid(self):
-        assert validate_quantum_model(chsh_ideal_model()).valid
+        assert validate_model(chsh_ideal_model()).valid
 
     def test_uniform_povm_valid_not_projective(self):
         sc = Scenario(1, 1, 2, 2)
@@ -47,7 +46,7 @@ class TestValidation:
         m = QuantumModel(scenario=sc, dimA=2, dimB=2,
                          M=[[half, half]], N=[[proj, np.eye(2) - proj]],
                          psi=np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert validate_quantum_model(m).valid
+        assert validate_model(m).valid
         assert not classify(m).projective
 
     def test_completeness_violation_reported(self):
@@ -56,7 +55,7 @@ class TestValidation:
                          M=[[np.eye(2), np.eye(2)]],  # sums to 2*Id
                          N=[[np.eye(2) / 2, np.eye(2) / 2]],
                          psi=np.array([1, 0, 0, 0], dtype=complex))
-        rep = validate_quantum_model(m)
+        rep = validate_model(m)
         assert not rep.valid
         bad = [v for v in rep.violations if v.name == "POVM completeness"]
         assert bad and abs(bad[0].residual - 1.0) < 1e-12
@@ -65,7 +64,7 @@ class TestValidation:
         m = chsh_ideal_model()
         M = [[m.M[0][0], m.M[0][1][:, :1]], [5 * np.eye(2), m.M[1][1]]]
         N = [[m.N[0][0][:1], m.N[0][1]], m.N[1]]
-        rep = validate_quantum_model(QuantumModel(
+        rep = validate_model(QuantumModel(
             scenario=m.scenario, dimA=2, dimB=2, M=M, N=N, psi=m.psi))
         assert [(v.name, v.location) for v in rep.violations] == [
             ("operator shape", "M[0][1]"), ("POVM completeness", "M[1]"),
@@ -75,7 +74,7 @@ class TestValidation:
     def test_misshapen_commuting_operator_reported_not_raised(self):
         c = commuting_from_tensor(chsh_ideal_model())
         M = [[c.M[0][0], c.M[0][1][:, :3]], c.M[1]]
-        rep = validate_commuting_model(CommutingModel(
+        rep = validate_model(CommutingModel(
             scenario=c.scenario, dim=4, M=M, N=c.N, psi=c.psi))
         assert [(v.name, v.location, v.residual) for v in rep.violations] == [
             ("operator shape", "M[0][1]", 1.0)]
@@ -87,7 +86,7 @@ class TestValidation:
         m = CommutingModel(scenario=sc, dim=2,
                            M=[[z, np.eye(2) - z]], N=[[x, np.eye(2) - x]],
                            psi=np.array([1.0, 0.0]))
-        rep = validate_commuting_model(m)
+        rep = validate_model(m)
         assert any(v.name == "commutation" for v in rep.violations)
 
     @staticmethod
@@ -111,12 +110,12 @@ class TestValidation:
         m, spectral, frobenius = self.turned_pair(1e-6)
         tol = Tolerance(spectral / 1.5)
         assert frobenius > tol.eps
-        assert validate_commuting_model(m, tol).valid
+        assert validate_model(m, tol).valid
 
     def test_violation_reports_the_spectral_norm(self):
         """At ||C||_2 = 3 eps every commutator fails, with ||C||_2 as residual."""
         m, spectral, _ = self.turned_pair(1e-6)
-        rep = validate_commuting_model(m, Tolerance(spectral / 3))
+        rep = validate_model(m, Tolerance(spectral / 3))
         assert [(v.name, v.location) for v in rep.violations] == [
             ("commutation", f"[M[0][{a}], N[0][{b}]]") for a in range(2) for b in range(2)]
         for v, (a, b) in zip(rep.violations, product(range(2), repeat=2)):
@@ -143,10 +142,10 @@ class TestCorrelation:
         s3, s2 = example_pair()
         for m in (s3, s2):
             p = correlation_of(m)
-            assert abs(p.value(0, 0, 0, 0) - 0.5) < 1e-12
-            assert abs(p.value(1, 1, 0, 0) - 0.5) < 1e-12
-            assert abs(p.value(0, 1, 0, 0)) < 1e-12
-            assert abs(p.value(1, 0, 0, 0)) < 1e-12
+            assert abs(p.p[0, 0, 0, 0] - 0.5) < 1e-12
+            assert abs(p.p[1, 1, 0, 0] - 0.5) < 1e-12
+            assert abs(p.p[0, 1, 0, 0]) < 1e-12
+            assert abs(p.p[1, 0, 0, 0]) < 1e-12
 
     def test_product_state_deterministic(self):
         sc = Scenario(1, 1, 2, 2)
@@ -155,7 +154,7 @@ class TestCorrelation:
                          M=[[proj, np.eye(2) - proj]], N=[[proj, np.eye(2) - proj]],
                          psi=np.array([1.0, 0, 0, 0]))
         p = correlation_of(m)
-        assert abs(p.value(0, 0, 0, 0) - 1.0) < 1e-14
+        assert abs(p.p[0, 0, 0, 0] - 1.0) < 1e-14
 
     def test_ideal_chsh_against_formula(self):
         p = correlation_of(chsh_ideal_model())
@@ -163,7 +162,7 @@ class TestCorrelation:
             for b in range(2):
                 for x in range(2):
                     for y in range(2):
-                        assert abs(p.value(a, b, x, y) - chsh_formula(a, b, x, y)) < 1e-12
+                        assert abs(p.p[a, b, x, y] - chsh_formula(a, b, x, y)) < 1e-12
 
     def test_correlation_invariants_random_models(self):
         rng = np.random.default_rng(17)
@@ -206,7 +205,7 @@ class TestMoments:
                     for a in range(2):
                         for b in range(2):
                             mom = evaluate_moment(m, Word(((x, a),), ((y, b),)))
-                            assert abs(mom - p.value(a, b, x, y)) < 1e-10
+                            assert abs(mom - p.p[a, b, x, y]) < 1e-10
 
     def test_reversal_conjugates(self):
         rng = np.random.default_rng(37)

@@ -11,7 +11,7 @@ from bellkit.models import (
     classify,
     correlation_of,
     is_projective_state,
-    validate_quantum_model,
+    validate_model,
 )
 from bellkit.presets import (
     block_padded_model,
@@ -102,7 +102,7 @@ class TestBinaryRound:
             N=m.N,
             psi=np.concatenate([m.psi, np.zeros(2)]),
         )
-        assert validate_quantum_model(padded).valid
+        assert validate_model(padded).valid
         rounded, _ = binary_round(padded, True)
         assert classify(rounded).projective
         np.testing.assert_allclose(correlation_of(rounded).p, correlation_of(padded).p,
@@ -134,7 +134,7 @@ class TestBinaryRound:
         )
         rounded, _ = binary_round(padded, True)
         assert classify(rounded).projective
-        assert validate_quantum_model(rounded).valid
+        assert validate_model(rounded).valid
 
 
 def _pad(op, corner):

@@ -15,6 +15,7 @@ from bellkit.presets import (
     _binary_povm,
     chsh_ideal_model,
     commuting_from_tensor,
+    optimal_tilted_model,
     random_quantum_model,
     random_state,
     tensor_with_auxiliary,
@@ -22,7 +23,6 @@ from bellkit.presets import (
 from bellkit.models import QuantumModel
 from bellkit.tilted import (
     NCPoly,
-    optimal_tilted_model,
     tilted_chsh_build,
     verify_tilted_sos,
 )
@@ -268,9 +268,9 @@ class TestOptimizer:
         assert max(cert.identity_defects) < 1e-10
 
     def test_optimizer_model_is_valid_projective(self):
-        from bellkit.models import classify, validate_quantum_model
+        from bellkit.models import classify
         m = optimal_tilted_model(0.75)
-        assert validate_quantum_model(m).valid
+        assert validate_model(m).valid
         assert classify(m).projective
 
     def test_consistency_with_ideal_chsh(self):

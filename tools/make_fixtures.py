@@ -8,9 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bellkit.dilations import trivial_witness
 from bellkit.io import canonical_dumps, correlation_to_obj, model_to_obj, witness_to_obj
-from bellkit.models import correlation_of
+from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import (block_padded_model, chsh_ideal_model, example_pair,
                              random_state, tensor_with_auxiliary)
 
