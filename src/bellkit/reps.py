@@ -215,12 +215,15 @@ def _random_commutant_element(com_basis, rng) -> np.ndarray:
 
 
 def _split_invariant(basis: np.ndarray, work_gens, rng, tol) -> list[np.ndarray]:
-    """Recursively split an invariant subspace into irreducible pieces.
+    """Certify an invariant subspace as irreducible, or split it recursively.
 
     ``basis`` is a d x s isometry; ``work_gens`` the *-closed family on the
-    full space.  A random Hermitian element of the restricted commutant is
-    eigendecomposed and its eigenspace clusters are invariant; recursion
-    bottoms out when the restricted commutant is scalar.
+    full space.  A scalar restricted commutant certifies the subspace, which
+    comes back whole.  Otherwise a random Hermitian element of the restricted
+    commutant is eigendecomposed and each eigenspace cluster is split in
+    turn.  ``_irreducible_leaves`` calls this on each seeded leaf, so it is
+    the fallback for a leaf that fails certification, and then runs on that
+    leaf's space only.
     """
     restricted = [dagger(basis) @ g @ basis for g in work_gens]
     com = commutant_basis(restricted, tol)
@@ -240,6 +243,81 @@ def _split_invariant(basis: np.ndarray, work_gens, rng, tol) -> list[np.ndarray]
     raise AlgebraNotSemisimpleNumerically(
         "commutant is non-scalar but produced no splitting element"
     )
+
+
+def _generic_element(gens, rng) -> np.ndarray:
+    """A random Hermitian element of the *-algebra of ``gens``, of norm <= 1.
+
+    A real combination of the Hermitian and anti-Hermitian parts ``h_j`` of
+    the generators and of their symmetrised products ``h_j h_k + h_k h_j``
+    (j < k).  In the irreducible decomposition it is ``(+) a_i (x) Id_{m_i}``;
+    for random coefficients each ``a_i`` has a simple spectrum and
+    inequivalent irreps share no eigenvalue.
+    """
+    h = np.array([p for g in gens for p in ((g + dagger(g)) / 2, (g - dagger(g)) / 2j)
+                  if np.any(p)] or [0 * gens[0]])
+    c = rng.normal(size=(len(h), len(h)))  # diagonal: linear terms; above it: products
+    a = np.tensordot(np.diag(c), h, 1)
+    for j in range(len(h)):
+        a += h[j] @ np.tensordot(c[j, j + 1:], h[j + 1:], 1)
+    a = (a + dagger(a)) / 2
+    return a / max(1.0, mat_norm(a))
+
+
+def _seeded_leaves(work_gens, tol) -> list[np.ndarray]:
+    """Mutually orthogonal invariant subspaces that span the space, each the
+    cyclic space of an eigenvector of the Hermitian element ``work_gens[0]``.
+
+    That element ``a`` lies in the algebra, so ``a = (+) a_i (x) Id_{m_i}``;
+    when ``a_i`` has a simple spectrum an eigenvector is ``u (x) w`` inside
+    one isotypic block, and its cyclic space under the *-closed family is one
+    irreducible copy ``C^{n_i} (x) w``.  The eigenvectors are taken in order.
+    Each is projected twice off the leaves found so far, and a residual above
+    the ``cluster`` cut (times the generator scale) seeds a new leaf.  The
+    leaf grows a level at a time: the images of its newest columns under
+    every generator, projected twice off all leaves, add their left singular
+    vectors above the same cut.  A non-generic ``a`` can give reducible
+    leaves, which the caller splits.
+    """
+    d = work_gens[0].shape[0]
+    cut = tol.cut("cluster") * max(1.0, max(mat_norm(g) for g in work_gens))
+    found = np.zeros((d, 0), dtype=complex)
+    leaves = []
+    for v in hermitian_eig(work_gens[0], tol)[1].T:
+        for _ in range(2):
+            v = v - found @ (dagger(found) @ v)
+        norm = np.linalg.norm(v)
+        if norm <= cut:
+            continue
+        leaf = new = (v / norm)[:, None]
+        while new.shape[1]:
+            span = np.hstack([found, leaf])
+            images = np.hstack([g @ new for g in work_gens])
+            for _ in range(2):
+                images -= span @ (dagger(span) @ images)
+            u, s, _ = np.linalg.svd(images, full_matrices=False)
+            new = u[:, s > cut]
+            leaf = np.hstack([leaf, new])
+        leaves.append(leaf)
+        found = np.hstack([found, leaf])
+        if found.shape[1] == d:
+            break
+    return leaves
+
+
+def _irreducible_leaves(gens, rng, tol) -> list[np.ndarray]:
+    """Irreducible invariant subspaces of the *-algebra of ``gens`` that
+    span the space: the seeded leaves, each certified or split by
+    ``_split_invariant``.  An irreducible family keeps the identity as its
+    one leaf."""
+    d = gens[0].shape[0]
+    # the generic element goes first: commutant_basis block-diagonalizes the
+    # certification over the eigenspaces of its first Hermitian input
+    work = [_generic_element(gens, rng)] + gens + [dagger(g) for g in gens]
+    leaves = _seeded_leaves(work, tol)
+    if leaves[0].shape[1] == d:
+        leaves = [np.eye(d)]
+    return [piece for leaf in leaves for piece in _split_invariant(leaf, work, rng, tol)]
 
 
 def _intertwiner(gens1, gens2, tol: Tolerance):
@@ -283,21 +361,25 @@ def irrep_decompose(generators, seed: int = 0,
                     tol: Tolerance = DEFAULT_TOL) -> RepDecomposition:
     """Double-commutant decomposition of the algebra generated by ``generators``.
 
-    Adjoints are adjoined so the family is *-closed, the space is split into
-    irreducible invariant subspaces with a seeded random commutant element,
-    and unitarily equivalent pieces are merged into (irrep (x) multiplicity)
-    blocks.  Blocks are sorted by (irrep dimension, trace signature) so the
-    output is deterministic given the seed.  Intertwiner residuals falling in
-    the gray band [eps, 100*eps] are reported in ``ambiguous_pairs`` (those
-    pieces stay split rather than guessing).
+    Adjoints are adjoined so the family is *-closed.  The space is split into
+    irreducible invariant subspaces by a seeded-leaf split: the eigenvectors
+    of one seeded generic Hermitian element of the algebra seed cyclic
+    leaves (``_seeded_leaves``), and each leaf is certified by a commutant
+    solve on its own space, or, if a non-generic element left it reducible,
+    split there by ``_split_invariant``.  So no commutant is solved on the
+    whole space unless the family is irreducible, when the one leaf is kept
+    as the identity basis.  Unitarily equivalent pieces are merged into
+    (irrep (x) multiplicity) blocks.  Blocks are sorted by (irrep dimension,
+    trace signature) so the output is deterministic given the seed.
+    Intertwiner residuals falling in the gray band [eps, 100*eps] are
+    reported in ``ambiguous_pairs`` (those pieces stay split rather than
+    guessing).
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
         raise ValueError("irrep_decompose needs at least one generator")
     d = gens[0].shape[0]
-    work = list(gens) + [dagger(g) for g in gens]
-    rng = np.random.default_rng(seed)
-    leaves = _split_invariant(np.eye(d), work, rng, tol)
+    leaves = _irreducible_leaves(gens, np.random.default_rng(seed), tol)
 
     leaf_gens = [[dagger(v) @ g @ v for g in gens] for v in leaves]
     # group unitarily equivalent leaves; classes[i] = (member leaf indices, U list)

@@ -33,8 +33,8 @@ from bellkit.reps import (
     _apply_letter,
     _cyclic_frame,
     _intertwiner,
+    _irreducible_leaves,
     _max_abs_difference,
-    _split_invariant,
     commutant_basis,
     cyclic_restrict,
     irrep_decompose,
@@ -447,9 +447,7 @@ class TestIntertwinerMatchesKronecker:
         chsh = chsh_ideal_model()
         for family, ideal in ((model.M, chsh.M), (model.N, chsh.N)):
             gens = [op for povm in family for op in povm]
-            work = gens + [dagger(g) for g in gens]
-            leaves = _split_invariant(np.eye(len(gens[0])), work,
-                                      np.random.default_rng(0), DEFAULT_TOL)
+            leaves = _irreducible_leaves(gens, np.random.default_rng(0), DEFAULT_TOL)
             leaf_gens = [[dagger(v) @ g @ v for g in gens] for v in leaves]
             targets = leaf_gens + [[op for povm in ideal for op in povm]]
             for lg, other in itertools.product(leaf_gens, targets):
