@@ -14,43 +14,12 @@ import gc
 import sys
 
 import click
-import numpy as np
 
-from . import __version__
-from .dilations import (
-    NotDilatable,
-    _flat,
-    find_local_dilation,
-    naimark_dilate,
-    verify_local_dilation,
-)
-from .io import (
-    canonical_dumps,
-    correlation_to_obj,
-    file_sha256,
-    load_correlation,
-    load_decomposition,
-    load_model,
-    load_witness,
-    matrix_to_obj,
-    model_to_obj,
-    save_json,
-    witness_to_obj,
-)
-from .linalg import DEFAULT_TOL, Tolerance, mat_norm
-from .models import QuantumModel, _act, correlation_of, validate_model
-from .reps import AlgebraNotSemisimpleNumerically, cyclic_restrict, irrep_decompose, states_equal
-from .schmidt import schmidt_decompose
-from .special import (
-    LemmaViolated,
-    binary_round,
-    check_decomposition,
-    synchronous_verify,
-    xor_of,
-    xor_selftest_certificate,
-)
-from .support import is_centrally_supported_via_transfer, support_of
-from .tilted import verify_tilted_sos
+# Kernel modules, not their names: each runs on its first attribute access
+# (see ``bellkit/__init__``), so a command runs only the modules it calls and
+# ``--version`` none.  ``schmidt`` and ``support`` are also command names.
+from . import __version__, dilations, io, linalg, models, reps, special, tilted
+from . import schmidt as schmidt_kernel, support as support_kernel
 
 __all__ = ["main", "run"]
 
@@ -86,11 +55,9 @@ class _Input(click.Path):
         self.kind = kind
 
     def load(self, path):
-        # Looked up per call, so that rebinding a loader in this module (as
+        # Looked up per call, so that rebinding a loader in ``io`` (as
         # perfbench's tracer does) takes effect.
-        loaders = {"model": load_model, "correlation": load_correlation,
-                   "witness": load_witness, "decomposition": load_decomposition}
-        return loaders[self.kind](path)
+        return getattr(io, f"load_{self.kind}")(path)
 
 
 MODEL, CORRELATION, WITNESS, DECOMPOSITION = (
@@ -103,7 +70,9 @@ def _common_params() -> list[click.Option]:
                      default="json", show_default=True, help="Report format."),
         click.Option(["--seed"], type=int, default=0, show_default=True,
                      help="Seed for randomized subroutines."),
-        click.Option(["--tol"], type=float, default=DEFAULT_TOL.eps, show_default=True,
+        # None stands for linalg.Tolerance(): reading its eps here would run
+        # linalg and numpy at import.  The help shows that eps (tested).
+        click.Option(["--tol"], type=float, default=None, show_default="1e-09",
                      help="Tolerance for all approximate checks."),
     ]
 
@@ -143,7 +112,7 @@ def report(*, tensor: bool = False, validated: bool = True):
 
         def run(fmt, seed, tol, **kwargs):
             try:
-                tolerance = Tolerance(tol)
+                tolerance = linalg.Tolerance() if tol is None else linalg.Tolerance(tol)
                 if seed < 0:
                     raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
                 paths, inputs = [], []
@@ -157,13 +126,13 @@ def report(*, tensor: bool = False, validated: bool = True):
                     obj = param.type.load(path)
                     if param.type is DECOMPOSITION:
                         try:
-                            check_decomposition(inputs[0], obj)
+                            special.check_decomposition(inputs[0], obj)
                         except ValueError as exc:
                             raise ValueError(f"{path}: {exc}") from None
-                    if param.type is MODEL and tensor and not isinstance(obj, QuantumModel):
+                    if param.type is MODEL and tensor and not isinstance(obj, models.QuantumModel):
                         raise ValueError(f"{name} needs a tensor-product model")
                     if param.type is MODEL and validated:
-                        rep = validate_model(obj, tolerance)
+                        rep = models.validate_model(obj, tolerance)
                         if not rep.valid:
                             raise ValueError(f"model is not valid: {rep}")
                     paths.append(path)
@@ -171,12 +140,12 @@ def report(*, tensor: bool = False, validated: bool = True):
                 fields, passed = body(*inputs, tol=tolerance, seed=seed, **kwargs)
                 fields["command"] = name
                 fields["provenance"] = {
-                    "inputs": {str(p): file_sha256(p) for p in paths},
+                    "inputs": {str(p): io.file_sha256(p) for p in paths},
                     "seed": seed,
-                    "tol": tol,
+                    "tol": tolerance.eps,
                     "version": __version__,
                 }
-                out = (canonical_dumps(fields) if fmt == "json"
+                out = (io.canonical_dumps(fields) if fmt == "json"
                        else "\n".join(_render_text(fields)))
             except ValueError as exc:
                 click.echo(f"error: {exc}", err=True)
@@ -196,7 +165,7 @@ def report(*, tensor: bool = False, validated: bool = True):
 @click.argument("model_file", type=MODEL)
 def validate(model, tol, seed):
     """Check the model invariants (POVM structure, commutation, unit state)."""
-    rep = validate_model(model, tol)
+    rep = models.validate_model(model, tol)
     violations = [{"name": v.name, "location": v.location, "residual": v.residual}
                   for v in rep.violations]
     return {"verdicts": {"valid": rep.valid}, "violations": violations}, rep.valid
@@ -206,20 +175,20 @@ def validate(model, tol, seed):
 @click.argument("model_file", type=MODEL)
 def correlation(model, tol, seed):
     """Extract the correlation table of a valid model."""
-    corr = correlation_of(model, tol)
-    return {**correlation_to_obj(corr), "notes": corr.notes}, True
+    corr = models.correlation_of(model, tol)
+    return {**io.correlation_to_obj(corr), "notes": corr.notes}, True
 
 
 @report(tensor=True)
 @click.argument("model_file", type=MODEL)
 def schmidt(model, tol, seed):
     """Schmidt coefficients and rank of a tensor model's state."""
-    sd = schmidt_decompose(model.psi, model.dimA, model.dimB, tol)
+    sd = schmidt_kernel.schmidt_decompose(model.psi, model.dimA, model.dimB, tol)
     return {
         "coefficients": sd.coefficients.tolist(),
         "rank": sd.rank,
-        "witnesses": {"left_basis": matrix_to_obj(sd.left),
-                      "right_basis": matrix_to_obj(sd.right)},
+        "witnesses": {"left_basis": io.matrix_to_obj(sd.left),
+                      "right_basis": io.matrix_to_obj(sd.right)},
     }, True
 
 
@@ -227,8 +196,8 @@ def schmidt(model, tol, seed):
 @click.argument("model_file", type=MODEL)
 def support(model, tol, seed):
     """Support projections and the centrally-supported verdict (both criteria)."""
-    data = support_of(model, tol)
-    transfer_verdict, transfer_res = is_centrally_supported_via_transfer(model, tol)
+    data = support_kernel.support_of(model, tol)
+    transfer_verdict, transfer_res = support_kernel.is_centrally_supported_via_transfer(model, tol)
     agree = data.centrally_supported == transfer_verdict
     return {
         "verdicts": {
@@ -241,7 +210,7 @@ def support(model, tol, seed):
             "commutator": data.commutator_residuals,
             "transfer": transfer_res,
         },
-        "witnesses": {"support_model": model_to_obj(data.supportModel)},
+        "witnesses": {"support_model": io.model_to_obj(data.supportModel)},
     }, agree
 
 
@@ -253,11 +222,11 @@ def naimark(model, tol, seed):
     witnesses = {}
     for label, families in (("M", model.M), ("N", model.N)):
         for x, povm in enumerate(families):
-            nd = naimark_dilate(povm, tol)
+            nd = dilations.naimark_dilate(povm, tol)
             residuals[f"{label}[{x}]"] = max(
-                mat_norm(nd.V.conj().T @ p @ nd.V - m) for p, m in zip(nd.P, povm)
+                linalg.mat_norm(nd.V.conj().T @ p @ nd.V - m) for p, m in zip(nd.P, povm)
             )
-            witnesses[f"{label}[{x}].V"] = matrix_to_obj(nd.V)
+            witnesses[f"{label}[{x}].V"] = io.matrix_to_obj(nd.V)
     passed = max(residuals.values()) <= tol.cut("residual")
     return {
         "verdicts": {"all_within_tolerance": passed},
@@ -273,35 +242,37 @@ def naimark(model, tol, seed):
                    "the toolkit cannot decide extremality).")
 def round_binary(model, assert_extremal, tol, seed):
     """Round a binary POVM model to a projective model with the same correlation."""
+    import numpy as np
+
     if not assert_extremal:
         raise ValueError("binary rounding is only sound for extreme correlations; "
                          "pass --assert-extremal to assert this")
     try:
-        rounded, witness = binary_round(model, True, tol)
-    except LemmaViolated as exc:
+        rounded, witness = special.binary_round(model, True, tol)
+    except special.LemmaViolated as exc:
         return {
             "verdicts": {"rounded": False, "lemma_violated": True,
                          "extremality_asserted": True},
             "violation": {"side": exc.side, "x": exc.x,
                           "eigenvalue": exc.eigenvalue, "residual": exc.residual},
         }, False
-    corr_gap = float(np.abs(correlation_of(rounded, tol).p
-                            - correlation_of(model, tol).p).max())
+    corr_gap = float(np.abs(models.correlation_of(rounded, tol).p
+                            - models.correlation_of(model, tol).p).max())
     effect_res = {}
     for side, name, ops, rops in (("A", "M", model.M, rounded.M),
                                   ("B", "N", model.N, rounded.N)):
         for x in range(len(ops)):
             for a in range(2):
                 effect_res[f"{name}[{x}][{a}]"] = float(np.linalg.norm(
-                    _act(model, side, ops[x][a] - rops[x][a], model.psi)))
+                    models._act(model, side, ops[x][a] - rops[x][a], model.psi)))
     cut = tol.cut("residual")
     passed = corr_gap <= cut and max(effect_res.values()) <= cut
     return {
         "verdicts": {"rounded": True, "lemma_violated": False,
                      "extremality_asserted": True, "correlation_preserved": passed},
         "residuals": {"correlation_gap": corr_gap, "effects_on_state": effect_res},
-        "witnesses": {"rounded_model": model_to_obj(rounded),
-                      "dilation": witness_to_obj(witness)},
+        "witnesses": {"rounded_model": io.model_to_obj(rounded),
+                      "dilation": io.witness_to_obj(witness)},
     }, passed
 
 
@@ -309,7 +280,7 @@ def round_binary(model, assert_extremal, tol, seed):
 @click.argument("model_file", type=MODEL)
 def sync_verify(model, tol, seed):
     """Run every check a synchronous model must satisfy."""
-    rep = synchronous_verify(model, tol)
+    rep = special.synchronous_verify(model, tol)
     return {
         "verdicts": {"passed": rep.passed, "full_rank": rep.full_rank,
                      "projective_state": rep.projective_state},
@@ -322,7 +293,7 @@ def sync_verify(model, tol, seed):
 @click.argument("corr_file", type=CORRELATION)
 def xor(corr, tol, seed):
     """XOR correlation matrix, unbiasedness, and rank of a binary behaviour."""
-    xc = xor_of(corr, tol)
+    xc = special.xor_of(corr, tol)
     return {
         "c": xc.c.tolist(),
         "verdicts": {"unbiased": xc.unbiased},
@@ -338,7 +309,7 @@ def xor(corr, tol, seed):
               default=None, help="Convex decomposition refuting extremality.")
 def xor_certify(corr, decomposition, assert_extremal, tol, seed):
     """Grant or deny the even-rank commuting-operator self-test certificate."""
-    cert = xor_selftest_certificate(corr, assert_extremal, decomposition, tol)
+    cert = special.xor_selftest_certificate(corr, assert_extremal, decomposition, tol)
     return {
         "verdicts": {
             "granted": cert.granted,
@@ -359,7 +330,7 @@ def xor_certify(corr, decomposition, assert_extremal, tol, seed):
 @click.argument("model2", type=MODEL)
 def state_equal(m1, m2, tol, seed):
     """Decide whether two models induce the same abstract state."""
-    equal, witness = states_equal(m1, m2, tol)
+    equal, witness = reps.states_equal(m1, m2, tol)
     if not equal:
         return {
             "verdicts": {"equal": False},
@@ -372,7 +343,7 @@ def state_equal(m1, m2, tol, seed):
         }, False
     return {
         "verdicts": {"equal": True},
-        "witnesses": {"unitary": matrix_to_obj(witness.unitary)},
+        "witnesses": {"unitary": io.matrix_to_obj(witness.unitary)},
         "residuals": {
             "state": witness.state_residual,
             "intertwiner": witness.intertwiner_residual,
@@ -390,22 +361,22 @@ def state_equal(m1, m2, tol, seed):
 def find_dilation(s, t, witness_out, tol, seed):
     """Search for a witness that MODEL_T is a local dilation of MODEL_S."""
     try:
-        witness = find_local_dilation(s, t, seed=seed, tol=tol)
-    except NotDilatable as exc:
+        witness = dilations.find_local_dilation(s, t, seed=seed, tol=tol)
+    except dilations.NotDilatable as exc:
         return {
             "verdicts": {"found": False},
             "reason": exc.reason,
             "obstruction": {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in exc.obstruction.items()},
         }, False
-    rep = verify_local_dilation(s, t, witness, tol)
+    rep = dilations.verify_local_dilation(s, t, witness, tol)
     if witness_out:
-        save_json(witness_out, witness_to_obj(witness))
+        io.save_json(witness_out, io.witness_to_obj(witness))
     return {
         "verdicts": {"found": True, "verified": rep.passed},
         "residuals": {"max": rep.max_residual, "per_index": rep.residuals},
         "schmidt_ranks": rep.schmidt_ranks,
-        "witnesses": {"dilation": witness_to_obj(witness)},
+        "witnesses": {"dilation": io.witness_to_obj(witness)},
     }, rep.passed
 
 
@@ -415,7 +386,7 @@ def find_dilation(s, t, witness_out, tol, seed):
 @click.argument("witness_file", type=WITNESS)
 def verify_dilation(s, t, witness, tol, seed):
     """Verify a local-dilation witness for MODEL_S over MODEL_T."""
-    rep = verify_local_dilation(s, t, witness, tol)
+    rep = dilations.verify_local_dilation(s, t, witness, tol)
     return {
         "verdicts": {
             "passed": rep.passed,
@@ -440,8 +411,8 @@ def irrep(model, tol, seed):
     passed = True
     for side, family in (("A", model.M), ("B", model.N)):
         try:
-            dec = irrep_decompose(_flat(family), seed=seed, tol=tol)
-        except AlgebraNotSemisimpleNumerically as exc:
+            dec = reps.irrep_decompose(reps._flat(family), seed=seed, tol=tol)
+        except reps.AlgebraNotSemisimpleNumerically as exc:
             fields[f"side_{side}"] = {"error": str(exc)}
             passed = False
             continue
@@ -459,7 +430,7 @@ def irrep(model, tol, seed):
 @click.argument("model_file", type=MODEL)
 def cyclic(model, tol, seed):
     """Restrict a model to the cyclic subspace generated by its state."""
-    cm = cyclic_restrict(model, tol)
+    cm = reps.cyclic_restrict(model, tol)
     return {
         "verdicts": {"already_cyclic": not cm.restricted},
         "cyclic_dim": cm.dim,
@@ -467,7 +438,7 @@ def cyclic(model, tol, seed):
             {"A": [list(l) for l in w.lettersA], "B": [list(l) for l in w.lettersB]}
             for w in cm.basis_words
         ],
-        "witnesses": {"restricted_model": model_to_obj(cm.model)},
+        "witnesses": {"restricted_model": io.model_to_obj(cm.model)},
     }, True
 
 
@@ -477,7 +448,7 @@ def cyclic(model, tol, seed):
               help="Tilt parameter in [0, 2).")
 def tilted_sos(model, alpha, tol, seed):
     """Evaluate the tilted-CHSH SOS certificate on a model."""
-    cert = verify_tilted_sos(model, alpha, tol)
+    cert = tilted.verify_tilted_sos(model, alpha, tol)
     return {
         "alpha": cert.alpha,
         "lambda": cert.lam,

@@ -31,7 +31,7 @@ from .models import (
     _check_povm_family,
     correlation_of,
 )
-from .reps import _intertwiner, irrep_decompose, states_equal
+from .reps import _flat, _intertwiner, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
 from .support import support_of
 
@@ -190,10 +190,6 @@ class NotDilatable(RuntimeError):
         super().__init__(reason)
         self.reason = reason
         self.obstruction = obstruction or {}
-
-
-def _flat(family) -> list[np.ndarray]:
-    return [op for povm in family for op in povm]
 
 
 def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,

@@ -357,6 +357,11 @@ def _trace_signature(gens) -> tuple:
     return tuple(sig)
 
 
+def _flat(family) -> list[np.ndarray]:
+    """The effects of a family of POVMs, as one generator list."""
+    return [op for povm in family for op in povm]
+
+
 def irrep_decompose(generators, seed: int = 0,
                     tol: Tolerance = DEFAULT_TOL) -> RepDecomposition:
     """Double-commutant decomposition of the algebra generated by ``generators``.

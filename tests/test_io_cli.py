@@ -192,6 +192,11 @@ class TestCliCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    def test_tolerance_default_shown_is_the_default(self):
+        """``--tol`` defaults to ``Tolerance()``; its help names that eps."""
+        res = invoke(["validate", "--help"])
+        assert f"[default: ({bellkit.Tolerance().eps})]" in " ".join(res.output.split())
+
     @pytest.mark.parametrize("command", ["validate", "irrep"])
     def test_negative_seed_exits_2(self, command):
         """A negative --seed is refused by every command, with a message that
@@ -338,7 +343,7 @@ class TestCliCommands:
         and exit 1 (which would read as a failed check)."""
         def oversized(*args, **kwargs):
             raise exc
-        monkeypatch.setattr(cli, "irrep_decompose", oversized)
+        monkeypatch.setattr(cli.reps, "irrep_decompose", oversized)
         res = CliRunner().invoke(main, ["irrep", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)

@@ -4,7 +4,9 @@ Every name a module lists in ``__all__`` must resolve, so a deletion cannot
 leave a stale export.  The import graph keeps the file types and the CLI apart
 from code they do not run: ``io`` and ``special`` read and write dilation
 witnesses without the dilation kernels, and no module of the package imports
-the fixture builders in ``presets``.
+the fixture builders in ``presets``.  Importing the CLI runs no kernel and no
+numpy, yet leaves every module the benchmark tracer patches in
+``sys.modules``.
 """
 
 import ast
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_trace_targets import traced_names
 
 import bellkit
 
@@ -62,3 +65,32 @@ def test_cli_import_does_not_load_presets():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+
+
+def test_cli_import_does_not_load_numpy():
+    out = python("-c", "import sys, bellkit.cli; print('numpy' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+
+def test_version_child_imports_no_numpy_and_no_warning():
+    out = python("-W", "error", "-X", "importtime", "-m", "bellkit.cli", "--version")
+    assert out.returncode == 0, out.stderr
+    assert "version" in out.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "bellkit" in imported  # the package; the CLI itself runs as __main__
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def test_cli_import_registers_every_traced_module():
+    """The tracer lists bellkit's modules from ``sys.modules`` before it
+    patches, so each one it wraps must be there, run or not."""
+    modules = sorted({f"bellkit.{module}" for module, _ in traced_names()})
+    code = f"import sys, bellkit.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    out = python("-c", code)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
