@@ -10,10 +10,10 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import argparse
 import gc
+import re
 import sys
-
-import click
 
 # Kernel modules, not their names: each runs on its first attribute access
 # (see ``bellkit/__init__``), so a command runs only the modules it calls and
@@ -24,21 +24,38 @@ from . import schmidt as schmidt_kernel, support as support_kernel
 __all__ = ["main", "run"]
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
+def main(argv=None):
     """Verification toolkit for bipartite quantum correlation models."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only --help and --version may precede the command name, so the first
+    # other token is the command, and its parser is the only one built.
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    name = _top_parser().parse_args(argv[:at + 1]).command
+    command = main.commands[name]
+    parser = _Parser(prog=f"bellkit {name}", description=command.__doc__)
+    for names, kwargs in command.args:
+        parser.add_argument(*names, **kwargs)
+    command(**vars(parser.parse_args(argv[at + 1:])))
+
+
+# Command name -> its runner, in registration order; ``report`` fills it.
+main.commands = {}
+# The two things ``click.testing.CliRunner.invoke`` reads of the object it
+# drives.  Kept for perfbench/tracer.py until it calls ``main(argv)``
+# (ROADMAP item 1).
+main.name = "bellkit"
+main.main = lambda args=(), prog_name=None, **_: main(args)
 
 
 def run():
     """Process entry point: ``main``, then ``gc.freeze()`` on the way out.
 
-    Once the report is written and click has raised SystemExit, every
-    tracked object (the heap the numpy, click and bellkit imports built, and
-    what the command built) moves to the permanent generation, so the
-    exiting interpreter's collections no longer traverse and tear it down.
-    Output is flushed and ``atexit`` runs as usual; the OS reclaims the
-    frozen objects.  In-process callers use ``main`` and keep a normal heap.
+    Once the report is written and ``main`` has raised SystemExit, every
+    tracked object (the heap the numpy and bellkit imports built, and what
+    the command built) moves to the permanent generation, so the exiting
+    interpreter's collections no longer traverse and tear it down.  Output
+    is flushed and ``atexit`` runs as usual; the OS reclaims the frozen
+    objects.  In-process callers use ``main`` and keep a normal heap.
     """
     try:
         main()
@@ -46,35 +63,55 @@ def run():
         gc.freeze()
 
 
-class _Input(click.Path):
-    """A file a command reads: parsed for the command, hashed for its report.
-    A missing file is reported by its loader, like every other file error."""
+class _Parser(argparse.ArgumentParser):
+    """No option abbreviations, and a token that reads as a negative number
+    (``--tol -inf``, ``--tol -1e-300``) is a value, not an unknown option."""
 
-    def __init__(self, kind: str):
-        super().__init__()
-        self.kind = kind
-
-    def load(self, path):
-        # Looked up per call, so that rebinding a loader in ``io`` (as
-        # perfbench's tracer does) takes effect.
-        return getattr(io, f"load_{self.kind}")(path)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
-MODEL, CORRELATION, WITNESS, DECOMPOSITION = (
-    _Input(kind) for kind in ("model", "correlation", "witness", "decomposition"))
+def _top_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="bellkit", usage="%(prog)s [-h] [--version] COMMAND ...",
+                     description=main.__doc__,
+                     epilog="commands:\n" + "\n".join(
+                         f"  {name:<17}{command.__doc__}" for name, command in main.commands.items()),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    parser.add_argument("command", choices=main.commands, metavar="COMMAND",
+                        help="one of the commands below; 'bellkit COMMAND --help' "
+                             "shows its arguments")
+    return parser
 
 
-def _common_params() -> list[click.Option]:
-    return [
-        click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]),
-                     default="json", show_default=True, help="Report format."),
-        click.Option(["--seed"], type=int, default=0, show_default=True,
-                     help="Seed for randomized subroutines."),
-        # None stands for linalg.Tolerance(): reading its eps here would run
-        # linalg and numpy at import.  The help shows that eps (tested).
-        click.Option(["--tol"], type=float, default=None, show_default="1e-09",
-                     help="Tolerance for all approximate checks."),
-    ]
+def arg(*names, kind=None, **kwargs):
+    """Declare an argument of the command below, as ``add_argument`` takes it.
+
+    ``kind`` marks an input file, read by ``io.load_<kind>``; an input option
+    names its ``dest``.  Stack these above the body in command-line order.
+    """
+    if not names[0].startswith("-"):  # a positional shows as its upper-case name
+        kwargs.setdefault("metavar", names[0].upper())
+
+    def declare(body):
+        body.__dict__.setdefault("args", []).insert(0, (names, kind, kwargs))
+        return body
+
+    return declare
+
+
+_COMMON = [
+    (("--format",), {"dest": "fmt", "choices": ("json", "text"), "default": "json",
+                     "help": "Report format (default: %(default)s)."}),
+    (("--seed",), {"type": int, "default": 0,
+                   "help": "Seed for randomized subroutines (default: %(default)s)."}),
+    # None stands for linalg.Tolerance(): reading its eps here would run
+    # linalg and numpy at import.  The help names that eps (tested).
+    (("--tol",), {"type": float, "default": None,
+                  "help": "Tolerance for all approximate checks (default: 1e-09)."}),
+]
 
 
 def _render_text(obj, prefix="") -> list[str]:
@@ -92,46 +129,47 @@ def _render_text(obj, prefix="") -> list[str]:
 def report(*, tensor: bool = False, validated: bool = True):
     """Register the decorated body as the subcommand named after it.
 
-    The body declares its own click arguments and options.  Every parameter
-    typed MODEL, CORRELATION, WITNESS or DECOMPOSITION is parsed, hashed into
-    the provenance, and passed to the body positionally in declaration order
-    (an omitted optional input is None); the other parameters arrive by
-    keyword, with ``tol`` as a :class:`Tolerance`.  Each model must be a
-    tensor-product model when ``tensor`` is set and must pass validation when
-    ``validated`` is set, and a decomposition's components must share the
-    correlation's scenario.  The body returns ``(fields, passed)``; the
-    command adds its name and the provenance, prints the report and exits 0 if
-    ``passed``, else 1.  Any ValueError, parse errors included, is bad input,
-    and a MemoryError is an input too large to check: exit 2 with one line on
-    stderr and nothing on stdout.
+    The body declares its own arguments with ``arg``; every command also
+    takes ``--format``, ``--seed`` and ``--tol``.  Every input file is
+    parsed, hashed into the provenance, and passed to the body positionally
+    in declaration order (an omitted optional input is None); the other
+    arguments arrive by keyword, with ``tol`` as a :class:`Tolerance`.  Each
+    model must be a tensor-product model when ``tensor`` is set and must pass
+    validation when ``validated`` is set, and a decomposition's components
+    must share the correlation's scenario.  The body returns
+    ``(fields, passed)``; the command adds its name and the provenance,
+    prints the report and exits 0 if ``passed``, else 1.  Any ValueError,
+    parse errors included, is bad input, and a MemoryError is an input too
+    large to check: exit 2 with one line on stderr and nothing on stdout.
     """
 
     def decorate(body):
         name = body.__name__.replace("_", "-")
-        params = list(reversed(body.__click_params__)) + _common_params()
+        declared = body.__dict__.pop("args")
+        slots = [(kwargs.get("dest", names[0]), kind) for names, kind, kwargs in declared if kind]
 
-        def run(fmt, seed, tol, **kwargs):
+        def command(fmt, seed, tol, **kwargs):
             try:
                 tolerance = linalg.Tolerance() if tol is None else linalg.Tolerance(tol)
                 if seed < 0:
                     raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
                 paths, inputs = [], []
-                for param in params:
-                    if not isinstance(param.type, _Input):
-                        continue
-                    path = kwargs.pop(param.name)
+                for dest, kind in slots:
+                    path = kwargs.pop(dest)
                     if path is None:
                         inputs.append(None)
                         continue
-                    obj = param.type.load(path)
-                    if param.type is DECOMPOSITION:
+                    # Looked up per call, so that rebinding a loader in ``io``
+                    # (as perfbench's tracer does) takes effect.
+                    obj = getattr(io, f"load_{kind}")(path)
+                    if kind == "decomposition":
                         try:
                             special.check_decomposition(inputs[0], obj)
                         except ValueError as exc:
                             raise ValueError(f"{path}: {exc}") from None
-                    if param.type is MODEL and tensor and not isinstance(obj, models.QuantumModel):
+                    if kind == "model" and tensor and not isinstance(obj, models.QuantumModel):
                         raise ValueError(f"{name} needs a tensor-product model")
-                    if param.type is MODEL and validated:
+                    if kind == "model" and validated:
                         rep = models.validate_model(obj, tolerance)
                         if not rep.valid:
                             raise ValueError(f"model is not valid: {rep}")
@@ -148,21 +186,24 @@ def report(*, tensor: bool = False, validated: bool = True):
                 out = (io.canonical_dumps(fields) if fmt == "json"
                        else "\n".join(_render_text(fields)))
             except ValueError as exc:
-                click.echo(f"error: {exc}", err=True)
+                print(f"error: {exc}", file=sys.stderr)
                 sys.exit(2)
             except MemoryError as exc:
-                click.echo("error: out of memory" + (f": {exc}" if str(exc) else ""), err=True)
+                print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
                 sys.exit(2)
-            click.echo(out)
+            print(out)
             sys.exit(0 if passed else 1)
 
-        return main.command(name, params=params, help=body.__doc__)(run)
+        command.__doc__ = body.__doc__
+        command.args = [(names, kwargs) for names, _, kwargs in declared] + _COMMON
+        main.commands[name] = command
+        return command
 
     return decorate
 
 
 @report(validated=False)
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def validate(model, tol, seed):
     """Check the model invariants (POVM structure, commutation, unit state)."""
     rep = models.validate_model(model, tol)
@@ -172,7 +213,7 @@ def validate(model, tol, seed):
 
 
 @report()
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def correlation(model, tol, seed):
     """Extract the correlation table of a valid model."""
     corr = models.correlation_of(model, tol)
@@ -180,7 +221,7 @@ def correlation(model, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def schmidt(model, tol, seed):
     """Schmidt coefficients and rank of a tensor model's state."""
     sd = schmidt_kernel.schmidt_decompose(model.psi, model.dimA, model.dimB, tol)
@@ -193,7 +234,7 @@ def schmidt(model, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def support(model, tol, seed):
     """Support projections and the centrally-supported verdict (both criteria)."""
     data = support_kernel.support_of(model, tol)
@@ -215,7 +256,7 @@ def support(model, tol, seed):
 
 
 @report()
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def naimark(model, tol, seed):
     """Naimark-dilate every POVM in the model and verify the dilation."""
     residuals = {}
@@ -236,10 +277,10 @@ def naimark(model, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_file", type=MODEL)
-@click.option("--assert-extremal", is_flag=True,
-              help="Assert that the correlation is an extreme point (required; "
-                   "the toolkit cannot decide extremality).")
+@arg("model_file", kind="model")
+@arg("--assert-extremal", action="store_true",
+     help="Assert that the correlation is an extreme point (required; "
+          "the toolkit cannot decide extremality).")
 def round_binary(model, assert_extremal, tol, seed):
     """Round a binary POVM model to a projective model with the same correlation."""
     import numpy as np
@@ -277,7 +318,7 @@ def round_binary(model, assert_extremal, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def sync_verify(model, tol, seed):
     """Run every check a synchronous model must satisfy."""
     rep = special.synchronous_verify(model, tol)
@@ -290,7 +331,7 @@ def sync_verify(model, tol, seed):
 
 
 @report()
-@click.argument("corr_file", type=CORRELATION)
+@arg("corr_file", kind="correlation")
 def xor(corr, tol, seed):
     """XOR correlation matrix, unbiasedness, and rank of a binary behaviour."""
     xc = special.xor_of(corr, tol)
@@ -302,11 +343,11 @@ def xor(corr, tol, seed):
 
 
 @report()
-@click.argument("corr_file", type=CORRELATION)
-@click.option("--assert-extremal", is_flag=True,
-              help="Assert the correlation is extreme (recorded verbatim).")
-@click.option("--decomposition", "decomposition_file", type=DECOMPOSITION,
-              default=None, help="Convex decomposition refuting extremality.")
+@arg("corr_file", kind="correlation")
+@arg("--assert-extremal", action="store_true",
+     help="Assert the correlation is extreme (recorded verbatim).")
+@arg("--decomposition", kind="decomposition", dest="decomposition_file",
+     help="Convex decomposition refuting extremality.")
 def xor_certify(corr, decomposition, assert_extremal, tol, seed):
     """Grant or deny the even-rank commuting-operator self-test certificate."""
     cert = special.xor_selftest_certificate(corr, assert_extremal, decomposition, tol)
@@ -326,8 +367,8 @@ def xor_certify(corr, decomposition, assert_extremal, tol, seed):
 
 
 @report()
-@click.argument("model1", type=MODEL)
-@click.argument("model2", type=MODEL)
+@arg("model1", kind="model")
+@arg("model2", kind="model")
 def state_equal(m1, m2, tol, seed):
     """Decide whether two models induce the same abstract state."""
     equal, witness = reps.states_equal(m1, m2, tol)
@@ -354,10 +395,9 @@ def state_equal(m1, m2, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_s", type=MODEL)
-@click.argument("model_t", type=MODEL)
-@click.option("--witness-out", type=click.Path(), default=None,
-              help="Write the found witness to this file.")
+@arg("model_s", kind="model")
+@arg("model_t", kind="model")
+@arg("--witness-out", help="Write the found witness to this file.")
 def find_dilation(s, t, witness_out, tol, seed):
     """Search for a witness that MODEL_T is a local dilation of MODEL_S."""
     try:
@@ -381,9 +421,9 @@ def find_dilation(s, t, witness_out, tol, seed):
 
 
 @report(tensor=True)
-@click.argument("model_s", type=MODEL)
-@click.argument("model_t", type=MODEL)
-@click.argument("witness_file", type=WITNESS)
+@arg("model_s", kind="model")
+@arg("model_t", kind="model")
+@arg("witness_file", kind="witness")
 def verify_dilation(s, t, witness, tol, seed):
     """Verify a local-dilation witness for MODEL_S over MODEL_T."""
     rep = dilations.verify_local_dilation(s, t, witness, tol)
@@ -404,7 +444,7 @@ def verify_dilation(s, t, witness, tol, seed):
 
 
 @report()
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def irrep(model, tol, seed):
     """Irreducible (block (x) multiplicity) decomposition of both local algebras."""
     fields = {}
@@ -427,7 +467,7 @@ def irrep(model, tol, seed):
 
 
 @report()
-@click.argument("model_file", type=MODEL)
+@arg("model_file", kind="model")
 def cyclic(model, tol, seed):
     """Restrict a model to the cyclic subspace generated by its state."""
     cm = reps.cyclic_restrict(model, tol)
@@ -443,9 +483,8 @@ def cyclic(model, tol, seed):
 
 
 @report()
-@click.argument("model_file", type=MODEL)
-@click.option("--alpha", type=float, required=True,
-              help="Tilt parameter in [0, 2).")
+@arg("model_file", kind="model")
+@arg("--alpha", type=float, required=True, help="Tilt parameter in [0, 2).")
 def tilted_sos(model, alpha, tol, seed):
     """Evaluate the tilted-CHSH SOS certificate on a model."""
     cert = tilted.verify_tilted_sos(model, alpha, tol)

@@ -4,9 +4,9 @@ Every name a module lists in ``__all__`` must resolve, so a deletion cannot
 leave a stale export.  The import graph keeps the file types and the CLI apart
 from code they do not run: ``io`` and ``special`` read and write dilation
 witnesses without the dilation kernels, and no module of the package imports
-the fixture builders in ``presets``.  Importing the CLI runs no kernel and no
-numpy, yet leaves every module the benchmark tracer patches in
-``sys.modules``.
+the fixture builders in ``presets``.  Importing the CLI runs no kernel and
+imports neither numpy nor click, yet leaves every module the benchmark tracer
+patches in ``sys.modules``.
 """
 
 import ast
@@ -72,19 +72,21 @@ def python(*args: str) -> subprocess.CompletedProcess:
                           timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
 
 
-def test_cli_import_does_not_load_numpy():
-    out = python("-c", "import sys, bellkit.cli; print('numpy' in sys.modules)")
+@pytest.mark.parametrize("package", ["numpy", "click"])
+def test_cli_import_does_not_load(package):
+    out = python("-c", f"import sys, bellkit.cli; print({package!r} in sys.modules)")
     assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
-def test_version_child_imports_no_numpy_and_no_warning():
+@pytest.mark.parametrize("package", ["numpy", "click"])
+def test_version_child_does_not_load(package):
     out = python("-W", "error", "-X", "importtime", "-m", "bellkit.cli", "--version")
     assert out.returncode == 0, out.stderr
     assert "version" in out.stdout
     imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "bellkit" in imported  # the package; the CLI itself runs as __main__
-    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+    assert [m for m in imported if m.split(".")[0] == package] == []
 
 
 def test_cli_import_registers_every_traced_module():

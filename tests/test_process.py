@@ -55,11 +55,20 @@ def test_child_version_exits_0():
     assert bellkit.__version__.encode() in res.stdout
 
 
-def test_child_usage_error_exits_2():
-    res = child(["-m", "bellkit.cli", "validate"])
+@pytest.mark.parametrize("args", [
+    ["validate"],                                        # missing argument
+    [],                                                  # no subcommand
+    ["no-such-command"],                                 # unknown subcommand
+    ["validate", "--form", "json", CASES["validate"][1]],  # abbreviated option
+    ["validate", "--seed", "x", CASES["validate"][1]],   # non-integer --seed
+], ids=["missing-argument", "no-subcommand", "unknown-subcommand", "abbreviated-option",
+        "non-integer-seed"])
+def test_child_usage_error_exits_2(args):
+    res = child(["-m", "bellkit.cli", *args], cwd=ROOT)
     assert res.returncode == 2
     assert res.stdout == b""
-    assert b"Missing argument" in res.stderr
+    assert b"error: " in res.stderr
+    assert b"Traceback" not in res.stderr
 
 
 def test_child_writes_a_large_report_whole(tmp_path):
