@@ -11,7 +11,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import gc
+import os
 import re
 import sys
 
@@ -48,19 +48,33 @@ main.main = lambda args=(), prog_name=None, **_: main(args)
 
 
 def run():
-    """Process entry point: ``main``, then ``gc.freeze()`` on the way out.
+    """Process entry point: ``main``, then exit without interpreter teardown.
 
-    Once the report is written and ``main`` has raised SystemExit, every
-    tracked object (the heap the numpy and bellkit imports built, and what
-    the command built) moves to the permanent generation, so the exiting
-    interpreter's collections no longer traverse and tear it down.  Output
-    is flushed and ``atexit`` runs as usual; the OS reclaims the frozen
-    objects.  In-process callers use ``main`` and keep a normal heap.
+    ``main`` ends by raising SystemExit.  Its code is mapped as the
+    interpreter maps it (None is 0; any other non-integer is printed to
+    stderr and gives 1), stdout and stderr are flushed, and ``os._exit``
+    ends the process, so neither ``atexit`` nor the teardown of the heap the
+    numpy and bellkit imports built runs.  A flush that fails (a reader
+    that closed the pipe) exits 120, as the interpreter does when its own
+    final flush fails.  In-process callers use ``main``, which never exits
+    the process.
     """
     try:
         main()
-    finally:
-        gc.freeze()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
 
 
 class _Parser(argparse.ArgumentParser):

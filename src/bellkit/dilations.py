@@ -11,8 +11,6 @@ isometries block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import (
@@ -21,6 +19,7 @@ from .linalg import (
     as_matrix,
     dagger,
     psd_sqrt,
+    record,
     structural_predicates,
 )
 from .models import (
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NaimarkDilation:
     """Isometry V : H -> H (x) C^k and PVM P with V* P_i V = M_i."""
 
@@ -77,7 +76,7 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     return NaimarkDilation(V=v.reshape(d * k, d), P=projections)
 
 
-@dataclass
+@record
 class DilationReport:
     passed: bool
     max_residual: float

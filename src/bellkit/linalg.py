@@ -3,17 +3,22 @@
 Everything downstream works with plain ``numpy`` arrays: matrices are
 2-d ``complex128`` arrays (row-major), vectors 1-d.  Composite indices of a
 tensor product follow the numpy ``kron`` convention, ``i_A * dimB + i_B``.
-All approximate comparisons go through :class:`Tolerance`.
+All approximate comparisons go through :class:`Tolerance`.  Every record
+type of the package is declared with :func:`record`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 __all__ = [
+    "record",
+    "field",
+    "replace",
+    "FrozenInstanceError",
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
@@ -26,6 +31,123 @@ __all__ = [
     "psd_sqrt",
     "mat_norm",
 ]
+
+_MISSING = object()
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class _Field:
+    __slots__ = ("default_factory", "compare")
+
+    def __init__(self, default_factory, compare):
+        self.default_factory, self.compare = default_factory, compare
+
+
+def field(*, default_factory, compare: bool = True):
+    """A record field whose default is ``default_factory()``, called for
+    each instance not given the field, and whether ``==`` and ``hash`` read it."""
+    return _Field(default_factory, compare)
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Class decorator: one field per annotation of the class body, in order.
+
+    It gives the class what ``dataclasses.dataclass`` would, built from
+    closures over the field names rather than from generated source, so a
+    declaration runs no ``exec``:
+
+    - ``_fields``, the field names;
+    - ``__init__``, taking the fields by position or keyword; a field not
+      given takes its default, or a fresh ``field(default_factory=...)``
+      value; then ``__post_init__`` runs, if the class has one;
+    - ``__repr__`` as ``Name(f=v, ...)``;
+    - ``__eq__`` between instances of the same class, over the fields not
+      declared ``field(compare=False)``.
+
+    A ``frozen`` record raises :class:`FrozenInstanceError` on assignment
+    and deletion and hashes as the tuple of its compared fields, as
+    ``dataclasses`` does, so a set of records iterates in the same order;
+    any other record is unhashable.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults, compared = {}, []  # defaults: name -> a call giving the value
+    for name in names:
+        spec = cls.__dict__.get(name, _MISSING)
+        if isinstance(spec, _Field):
+            defaults[name] = spec.default_factory
+            delattr(cls, name)
+        elif spec is not _MISSING:
+            defaults[name] = lambda value=spec: value
+        if not isinstance(spec, _Field) or spec.compare:
+            compared.append(name)
+    title = cls.__qualname__
+
+    def bind(args, kwargs) -> list:
+        """All field values in order; ``kwargs`` is the call's own dict."""
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name]())
+            else:
+                raise TypeError(f"{title}() missing required argument {name!r}")
+        if kwargs:  # a name given by position too, or no field's name
+            key = next(iter(kwargs))
+            raise TypeError(f"{title}() got multiple values for argument {key!r}" if key in names
+                            else f"{title}() got an unexpected keyword argument {key!r}")
+        return values
+
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return f"{title}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    get = attrgetter(*compared)  # of one name, the value rather than a 1-tuple
+    key = (lambda obj: (get(obj),)) if len(compared) == 1 else get
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    cls.__hash__ = __hash__ if frozen else None
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls._fields = names
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record ``obj`` with the named fields changed; the copy
+    is built by ``__init__``, so ``__post_init__`` checks it again."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
 
 # Every cut that is not a uniform eps rule: name -> (k, floor), the cut is max(k * eps, floor).
 # k = 0 is a fixed cut, floor = 0 a multiple of eps; one name per rule, with the decisions it cuts.
@@ -45,7 +167,7 @@ _CUTS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tolerance:
     """Tolerance used for all approximate checks.
 
@@ -92,8 +214,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def mat_norm(m: np.ndarray) -> float:
-    """Spectral norm; the operator norm used for all matrix residuals."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """Spectral norm; the operator norm used for all matrix residuals.
+
+    The largest singular value, as ``np.linalg.norm(m, 2)`` takes it (the
+    same bits), without that function's dispatch.
+    """
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
@@ -144,7 +270,7 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     return vals.real, vecs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructuralFlags:
     hermitian: bool
     positive: bool

@@ -11,13 +11,21 @@ of the word one letter shorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, dagger, mat_norm
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    as_vector,
+    dagger,
+    field,
+    mat_norm,
+    record,
+)
 from .schmidt import schmidt_decompose
 
 __all__ = [
@@ -39,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """Input/output alphabet sizes of a bipartite Bell scenario."""
 
@@ -57,7 +65,7 @@ def _family(ops) -> list[list[np.ndarray]]:
     return [[as_matrix(m) for m in povm] for povm in ops]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuantumModel:
     """Tensor-product model: local POVMs M[x][a], N[y][b] and a joint state.
 
@@ -81,7 +89,7 @@ class QuantumModel:
         return "tensor"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommutingModel:
     """Single-space model with mutually commuting measurement families."""
 
@@ -101,7 +109,7 @@ class CommutingModel:
         return "commuting"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Correlation:
     """Outcome table p[a, b, x, y]; rows sum to 1 for every setting pair."""
 
@@ -117,7 +125,7 @@ class Correlation:
         object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DilationWitness:
     """Local isometries and auxiliary state certifying S >= T.
 
@@ -146,7 +154,7 @@ def trivial_witness(m: QuantumModel) -> DilationWitness:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Word:
     """Product word pi_A(lettersA) pi_B(lettersB) of the universal algebra.
 
@@ -183,7 +191,7 @@ class Word:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelFlags:
     projective: bool
     full_rank: bool
@@ -191,7 +199,7 @@ class ModelFlags:
     binary: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     name: str
     location: str
@@ -201,7 +209,7 @@ class Violation:
         return f"{self.name} at {self.location}: residual {self.residual:.3e}"
 
 
-@dataclass
+@record
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
 
@@ -234,8 +242,10 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
                 rows, cols = m.shape
                 rep.add("operator shape", loc, float(max(abs(rows - dim), abs(cols - dim))))
                 break  # no completeness check for this POVM
-            herm_res = mat_norm(m - dagger(m))
-            if herm_res > tol.eps * (1 + mat_norm(m)):
+            # A Frobenius norm <= eps passes without an SVD, as in _check_commutation.
+            skew = m - dagger(m)
+            if (np.linalg.norm(skew) > tol.eps
+                    and (herm_res := mat_norm(skew)) > tol.eps * (1 + mat_norm(m))):
                 rep.add("hermiticity", loc, herm_res)
             else:
                 min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
@@ -243,8 +253,9 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
                     rep.add("positivity", loc, -min_eig)
             total = total + m
         else:
-            comp_res = mat_norm(total - np.eye(dim))
-            if comp_res > tol.eps * (1 + mat_norm(total)):
+            defect = total - np.eye(dim)
+            if (np.linalg.norm(defect) > tol.eps
+                    and (comp_res := mat_norm(defect)) > tol.eps * (1 + mat_norm(total))):
                 rep.add("POVM completeness", f"{label}[{x}]", comp_res)
 
 

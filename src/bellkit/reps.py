@@ -12,8 +12,6 @@ linear map between the frames is the intertwining unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .linalg import (
@@ -22,8 +20,10 @@ from .linalg import (
     as_matrix,
     cluster_eigenvalues,
     dagger,
+    field,
     hermitian_eig,
     mat_norm,
+    record,
 )
 from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _word_vector
 
@@ -162,7 +162,7 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     return list(v @ t @ dagger(v))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RepBlock:
     """One isotypic block: irrep of dimension n with multiplicity m.
 
@@ -177,7 +177,7 @@ class RepBlock:
     generators: list[np.ndarray]
 
 
-@dataclass
+@record
 class RepDecomposition:
     blocks: list[RepBlock]
     dim: int
@@ -427,7 +427,7 @@ def irrep_decompose(generators, seed: int = 0,
     return dec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CyclicModel:
     """A model whose state is cyclic, plus the words that span its space.
 
@@ -514,7 +514,7 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
     return CyclicModel(model=small, basis_words=words, dim=r, restricted=True)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EquivalenceWitness:
     """Unitary between the cyclic spaces carrying state 1 onto state 2."""
 
@@ -525,7 +525,7 @@ class EquivalenceWitness:
     words_checked: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DistinguishingMoment:
     word: Word
     value1: complex

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, _fix_column_phases
+from .linalg import DEFAULT_TOL, Tolerance, as_vector, _fix_column_phases, record
 
 __all__ = [
     "SchmidtDecomposition",
@@ -14,7 +12,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SchmidtDecomposition:
     """psi = sum_i coefficients[i] * left[:, i] (x) right[:, i].
 

@@ -11,8 +11,6 @@ or refuted by an explicit convex decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .linalg import (
@@ -20,8 +18,10 @@ from .linalg import (
     Tolerance,
     cluster_eigenvalues,
     dagger,
+    field,
     hermitian_eig,
     mat_norm,
+    record,
 )
 from .models import (
     Correlation,
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class SyncReport:
     swap_residuals: dict[str, float]
     full_rank: bool
@@ -178,7 +178,7 @@ def binary_round(m: QuantumModel, extremal_assertion: bool,
     return rounded, trivial_witness(m)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class XorCorrelation:
     """Signed marginal matrix c[x, y] = sum_{a,b} (-1)^{a+b} p(a,b|x,y)."""
 
@@ -211,7 +211,7 @@ def xor_of(p: Correlation, tol: Tolerance = DEFAULT_TOL) -> XorCorrelation:
     return XorCorrelation(c=c, unbiased=unbiased, rank=rank)
 
 
-@dataclass
+@record
 class XorCertificate:
     granted: bool
     rank: int

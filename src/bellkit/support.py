@@ -9,18 +9,16 @@ enforces this on a large fixture corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, dagger, mat_norm
+from .linalg import DEFAULT_TOL, Tolerance, dagger, mat_norm, record
 from .models import QuantumModel
 from .schmidt import SchmidtDecomposition, schmidt_decompose
 
 __all__ = ["SupportData", "support_of", "is_centrally_supported_via_transfer"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SupportData:
     PiA: np.ndarray
     PiB: np.ndarray

@@ -14,11 +14,10 @@ optimal exactly when the state annihilates every term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, mat_norm
+from .linalg import DEFAULT_TOL, Tolerance, mat_norm, record
 from .models import QuantumModel, Scenario, ValidationReport, _act, _check_commutation
 
 __all__ = [
@@ -116,7 +115,7 @@ class NCPoly:
         return f"NCPoly({len(self.terms)} terms)"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TiltedChshPolynomials:
     """The functional and the twelve certificate polynomials for one alpha."""
 
@@ -204,7 +203,7 @@ def _identity_defect(diff: NCPoly) -> tuple[float, float]:
     return max(map(abs, normal.values()), default=0.0), swaps
 
 
-@dataclass
+@record
 class TiltedChshCertificate:
     alpha: float
     lam: float

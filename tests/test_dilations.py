@@ -1,6 +1,5 @@
 """Naimark dilation and local-dilation search/verification."""
 
-import dataclasses
 import re
 import tracemalloc
 
@@ -13,7 +12,7 @@ from bellkit.dilations import (
     naimark_dilate,
     verify_local_dilation,
 )
-from bellkit.linalg import Tolerance, mat_norm, structural_predicates
+from bellkit.linalg import Tolerance, mat_norm, replace, structural_predicates
 from bellkit.models import (
     DilationWitness,
     QuantumModel,
@@ -166,7 +165,7 @@ class TestVerifyLocalDilation:
         m = chsh_ideal_model()
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
-        t = dataclasses.replace(m, N=[[rot @ op @ rot.T for op in povm] for povm in m.N])
+        t = replace(m, N=[[rot @ op @ rot.T for op in povm] for povm in m.N])
         assert support_of(t).centrally_supported
         rep = verify_local_dilation(m, t, trivial_witness(m))
         equal, moment = states_equal(m, t)
@@ -175,7 +174,7 @@ class TestVerifyLocalDilation:
         assert rep.moment_residual > Tolerance().cut("frame")
 
     def test_no_state_check_without_central_support(self):
-        m = dataclasses.replace(chsh_ideal_model(), psi=np.array([1.0, 0, 0, 0]))
+        m = replace(chsh_ideal_model(), psi=np.array([1.0, 0, 0, 0]))
         assert not support_of(m).centrally_supported
         rep = verify_local_dilation(m, m, trivial_witness(m))
         assert rep.passed and rep.moment_residual is None

@@ -1,6 +1,5 @@
 """File formats, canonical serialization, and the CLI contract."""
 
-import dataclasses
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from bellkit.io import (
     witness_to_obj,
     obj_to_witness,
 )
+from bellkit.linalg import replace
 from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import chsh_ideal_model, example_pair, tensor_with_auxiliary
 
@@ -165,7 +165,7 @@ class TestCliCommands:
         on to report the next POVM's completeness violation."""
         obj = model_to_obj(chsh_ideal_model())
         obj["M"][0][1] = [row[:1] for row in obj["M"][0][1]]
-        obj["M"][1][0] = model_to_obj(dataclasses.replace(
+        obj["M"][1][0] = model_to_obj(replace(
             chsh_ideal_model(), M=[[5 * np.eye(2)] * 2] * 2))["M"][1][0]
         path = tmp_path / "bad.json"
         save_json(path, obj)

@@ -1,14 +1,23 @@
-"""Numerics substrate: tolerance, Hermitian eigensystems, structural flags, PSD root."""
+"""Numerics substrate: tolerance, Hermitian eigensystems, structural flags,
+PSD root, spectral norm, and the record decorator."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from bellkit.linalg import (
+    FrozenInstanceError,
     Tolerance,
+    field,
     hermitian_eig,
+    mat_norm,
     psd_sqrt,
+    record,
+    replace,
     structural_predicates,
 )
+from bellkit.models import Scenario, Word
 
 
 def rand_herm(rng, d):
@@ -109,3 +118,97 @@ def test_tolerance_contract():
 def test_tolerance_rejects_non_finite(eps):
     with pytest.raises(ValueError, match="finite"):
         Tolerance(eps)
+
+
+def test_mat_norm_is_bitwise_the_numpy_2_norm():
+    rng = np.random.default_rng(22)
+    for n in range(2, 65):
+        for shape in ((n, n), (n, n // 2 + 1)):
+            for _ in range(4):
+                a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                assert mat_norm(a) == float(np.linalg.norm(a, 2))
+                assert mat_norm(a.real) == float(np.linalg.norm(a.real.astype(complex), 2))
+    assert mat_norm(np.zeros((3, 3))) == 0.0
+
+
+# The same declarations through the standard library, as the reference.
+def declare(decorate, fld):
+    @decorate(frozen=True)
+    class Point:
+        x: int
+        y: float = 0.5
+        note: dict = fld(default_factory=dict, compare=False)
+
+        def __post_init__(self):
+            if self.x < 0:
+                raise ValueError(f"negative: {self}")
+
+    @decorate
+    class Log:
+        entries: list = fld(default_factory=list)
+        total: float = 0.0
+
+    return Point, Log
+
+
+Point, Log = declare(record, field)
+RefPoint, RefLog = declare(dataclasses.dataclass, dataclasses.field)
+
+
+def test_record_construction_matches_dataclasses():
+    for args, kwargs in (((1,), {}), ((1, 2.0), {}), ((), {"x": 3, "y": 1.0}),
+                         ((4,), {"note": {"a": 1}}), ((1, 2.0, {"k": 0}), {})):
+        p, ref = Point(*args, **kwargs), RefPoint(*args, **kwargs)
+        assert vars(p) == vars(ref)
+        assert repr(p) == repr(ref)
+    assert Point._fields == ("x", "y", "note") == tuple(f.name for f in dataclasses.fields(RefPoint))
+    assert Point(1).note is not Point(1).note  # a fresh default per instance
+    assert Log().entries is not Log().entries
+    for bad_args, bad_kwargs in (((), {}), ((1, 2, 3, 4), {}), ((1,), {"x": 1}),
+                                 ((1,), {"z": 0})):
+        with pytest.raises(TypeError):
+            Point(*bad_args, **bad_kwargs)
+    with pytest.raises(ValueError, match="negative: "):
+        Point(-1)
+    # __post_init__'s message, which reaches stderr, shows the record's repr
+    with pytest.raises(ValueError) as err:
+        Scenario(0, 2, 2, 2)
+    assert str(err.value) == "scenario counts must be >= 1: Scenario(nX=0, nY=2, nA=2, nB=2)"
+
+
+def test_record_equality_and_hash_match_dataclasses():
+    pairs = [((1, 2.0, {"a": 1}), (1, 2.0, {"b": 2})), ((1, 2.0), (1, 3.0)), ((1,), (2,))]
+    for a, b in pairs:
+        assert (Point(*a) == Point(*b)) == (RefPoint(*a) == RefPoint(*b))
+        assert hash(Point(*a)) == hash(RefPoint(*a)) == hash((Point(*a).x, Point(*a).y))
+    assert Point(1) != RefPoint(1) and Point(1) != (1, 0.5)
+    assert Log([1]) == Log([1]) and Log([1]) != Log([2])
+    with pytest.raises(TypeError):
+        hash(Log())
+    words = [Word(((x, a),), ((y, 0),)) for x in range(3) for a in range(2) for y in range(2)]
+    assert [hash(w) for w in words] == [hash((w.lettersA, w.lettersB)) for w in words]
+    assert hash(Tolerance(1e-9)) == hash((1e-9,))
+
+
+def test_frozen_record_refuses_assignment_and_deletion():
+    p = Point(1)
+    for change in (lambda: setattr(p, "x", 2), lambda: setattr(p, "other", 2),
+                   lambda: delattr(p, "x")):
+        with pytest.raises(FrozenInstanceError):
+            change()
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert p.x == 1
+    log = Log()
+    log.total = 2.0
+    assert log.total == 2.0
+
+
+def test_replace_changes_fields_and_checks_the_copy_again():
+    p = Point(1, 2.0, {"a": 1})
+    q = replace(p, y=3.0)
+    assert (q.x, q.y, q.note) == (1, 3.0, {"a": 1}) and p.y == 2.0
+    assert replace(Tolerance(1e-6)) == Tolerance(1e-6)
+    with pytest.raises(ValueError):
+        replace(p, x=-1)
+    with pytest.raises(TypeError):
+        replace(p, z=0)

@@ -6,7 +6,7 @@ from code they do not run: ``io`` and ``special`` read and write dilation
 witnesses without the dilation kernels, and no module of the package imports
 the fixture builders in ``presets``.  Importing the CLI runs no kernel and
 imports neither numpy nor click, yet leaves every module the benchmark tracer
-patches in ``sys.modules``.
+patches in ``sys.modules``.  No command child imports ``dataclasses``.
 """
 
 import ast
@@ -87,6 +87,22 @@ def test_version_child_does_not_load(package):
                 if line.startswith("import time:")]
     assert "bellkit" in imported  # the package; the CLI itself runs as __main__
     assert [m for m in imported if m.split(".")[0] == package] == []
+
+
+def test_find_dilation_child_does_not_load_dataclasses():
+    """``find-dilation`` runs the modules that declare the most record types;
+    ``linalg.record`` builds them, so the child never imports ``dataclasses``."""
+    out = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", "-m", "bellkit.cli",
+                          "find-dilation", "fixtures/chsh_ideal.model.json",
+                          "fixtures/chsh_ideal.model.json"],
+                         capture_output=True, text=True, timeout=120, cwd=PACKAGE.parent.parent,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.returncode == 0, out.stderr
+    assert '"found":true' in out.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported  # the kernels ran
+    assert "dataclasses" not in imported
 
 
 def test_cli_import_registers_every_traced_module():

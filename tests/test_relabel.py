@@ -9,12 +9,11 @@ that normalises each (x, y) slice, and the XOR sum, so those values move by
 a few units in the last place.
 """
 
-import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bellkit.linalg import DEFAULT_TOL, dagger
+from bellkit.linalg import DEFAULT_TOL, dagger, replace
 from bellkit.models import QuantumModel, Scenario, Word, correlation_of, evaluate_moment
 from bellkit.presets import random_povm, random_quantum_model
 from bellkit.reps import states_equal
@@ -53,7 +52,7 @@ def relabel(m, labels):
                 out[p_in[x]][p_out[x][a]] = op
         return out
 
-    return dataclasses.replace(m, M=family(m.M, px, pa), N=family(m.N, py, pb))
+    return replace(m, M=family(m.M, px, pa), N=family(m.N, py, pb))
 
 
 def relabel_table(p, labels):
@@ -121,7 +120,7 @@ def test_states_equal_verdicts_and_distinguishing_moment(case):
     rotated = local_rotation(m, rng)
     changed_M = [list(povm) for povm in m.M]
     changed_M[0] = random_povm(rng, m.dimA, sc.nA)
-    changed = dataclasses.replace(m, M=changed_M)
+    changed = replace(m, M=changed_M)
 
     assert states_equal(m, rotated)[0]
     assert states_equal(relabel(m, labels), relabel(rotated, labels))[0]

@@ -1,13 +1,12 @@
 """Tilted-CHSH polynomials, SOS identities, and the optimizer oracle."""
 
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bellkit.linalg import dagger, mat_norm
+from bellkit.linalg import dagger, mat_norm, replace
 from bellkit.models import CommutingModel, Scenario, validate_model
 from bellkit.presets import (
     _X,
@@ -173,7 +172,7 @@ def _turned_b(m, rng, eps, norm=None):
     if norm is not None:
         w = w * (norm / np.abs(w).max())
     u = (v * np.exp(1j * eps * w)) @ dagger(v)
-    return dataclasses.replace(m, N=[[u @ op @ dagger(u) for op in povm] for povm in m.N])
+    return replace(m, N=[[u @ op @ dagger(u) for op in povm] for povm in m.N])
 
 
 class TestNormalFormDefect:
@@ -284,7 +283,7 @@ def _b_turned(m, angle):
     """The optimal model with both B observables cos(mu) Z +- sin(mu) X at mu + angle."""
     b0 = (m.N[0][0] - m.N[0][1]).real
     mu = math.atan2(b0[0, 1], b0[0, 0]) + angle
-    return dataclasses.replace(m, N=[_binary_povm(math.cos(mu) * _Z + sign * math.sin(mu) * _X)
+    return replace(m, N=[_binary_povm(math.cos(mu) * _Z + sign * math.sin(mu) * _X)
                                      for sign in (1, -1)])
 
 
