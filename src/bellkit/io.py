@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import math
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -116,43 +118,54 @@ def matrix_to_obj(m: np.ndarray) -> list:
 
 def _is_finite_number(x) -> bool:
     """A JSON number: an int or float (not a bool), finite as a float."""
-    # the bound is False for NaN, +-inf and ints too large for a float
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    with suppress(OverflowError):  # an int too large for a float
+        return type(x) in (int, float) and math.isfinite(x)
+    return False
 
 
-def _complex_entries(obj, where: str) -> list[complex]:
-    """A list of ``[re, im]`` pairs of JSON numbers as complex values, else a
-    ParseError naming ``where`` and the first entry that is not one.
-    Non-finite values pass here; ``_finite`` rejects them on the array."""
-    try:
-        if {type(x) for e in obj for x in e} <= {int, float}:
-            return [complex(re, im) for re, im in obj]
-    except (TypeError, ValueError, OverflowError):
-        pass  # a non-iterable entry, not a pair, or an int beyond float range
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected a list of [re, im] pairs")
-    k, e = next((k, e) for k, e in enumerate(obj) if not (
-        isinstance(e, list) and len(e) == 2 and all(map(_is_finite_number, e))))
-    raise ParseError(f"{where}[{k}]: expected an [re, im] pair of finite numbers, "
-                     f"got {e!r:.40}")
+def _numbers(obj, where: str, shape: tuple) -> np.ndarray:
+    """``obj``, lists nested ``len(shape)`` deep with finite JSON numbers as
+    leaves, as a float array.  ``shape`` holds ``None`` for a depth whose
+    lists share any one length, then the fixed lengths of an entry.  Else a
+    ParseError naming the first bad entry in row-major order, whole."""
+    def deep(depth: int):
+        items = [obj]
+        for _ in range(depth):
+            items = chain.from_iterable(items)
+        return items
+    # with one length per depth, a str or dict among the lists puts a str among the leaves
+    with suppress(TypeError, OverflowError):  # a number where a list belongs; a huge int
+        found = [set(map(len, deep(depth))) for depth in range(len(shape))]
+        lengths = [min(f, default=0) for f in found]
+        if (all(len(f) == 1 and n in (None, *f) for f, n in zip(found, shape)) and 0 not in lengths
+                and set(map(type, deep(len(shape)))) <= {int, float}):
+            a = np.fromiter(deep(len(shape)), float, math.prod(lengths)).reshape(lengths)
+            if np.isfinite(a).all():
+                return a
+    seen = list(shape)
 
+    def check(x, depth: int, at: str):
+        if depth == len(shape):
+            if not _is_finite_number(x):
+                raise ParseError(f"{at}: expected a finite number, got {x!r:.40}")
+        elif not isinstance(x, list):
+            raise ParseError(f"{at}: expected a list, got {x!r:.40}")
+        elif seen[depth] not in (None, len(x)):
+            raise ParseError(f"{where}: rows of unequal length" if shape[depth] is None else
+                             f"{at}: expected a list of length {shape[depth]}, got {x!r:.40}")
+        else:
+            seen[depth] = len(x)
+            for k, y in enumerate(x):
+                check(y, depth + 1, f"{at}[{k}]" if shape[depth] is None else at)
 
-def _finite(a: np.ndarray, where: str) -> np.ndarray:
-    """``a`` if every entry is finite, else a ParseError at the first that is not."""
-    bad = np.argwhere(~np.isfinite(a))
-    if len(bad):
-        at = "".join(f"[{i}]" for i in bad[0])
-        raise ParseError(f"{where}{at}: non-finite entry {a[tuple(bad[0])]}")
-    return a
+    check(obj, 0, where)
+    if None in seen:
+        raise ParseError(f"{where}: an empty list leaves the shape open")
+    return np.zeros(seen)  # only an empty array passes the check but not the fast path
 
 
 def obj_to_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected a list of rows")
-    rows = [_complex_entries(row, f"{where}[{i}]") for i, row in enumerate(obj)]
-    if len({len(row) for row in rows}) > 1:
-        raise ParseError(f"{where}: rows of unequal length")
-    return _finite(np.array(rows, dtype=complex), where)
+    return _numbers(obj, where, (None, None, 2)).view(complex)[..., 0]
 
 
 def vector_to_obj(v: np.ndarray) -> list:
@@ -160,7 +173,7 @@ def vector_to_obj(v: np.ndarray) -> list:
 
 
 def obj_to_vector(obj, where: str) -> np.ndarray:
-    return _finite(np.array(_complex_entries(obj, where), dtype=complex), where)
+    return _numbers(obj, where, (None, 2)).view(complex)[..., 0]
 
 
 def _scenario_to_obj(sc: Scenario) -> dict:
@@ -240,27 +253,13 @@ def correlation_to_obj(c: Correlation) -> dict:
     }
 
 
-def _check_number_table(obj, where: str) -> None:
-    """Nested lists whose leaves are finite JSON numbers, else a ParseError
-    at the first bad leaf."""
-    if isinstance(obj, list):
-        for k, x in enumerate(obj):
-            _check_number_table(x, f"{where}[{k}]")
-    elif not _is_finite_number(obj):
-        raise ParseError(f"{where}: expected a finite number, got {obj!r:.40}")
-
-
 def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
     if "p" not in obj:
         raise ParseError(f"{where}: missing field 'p'")
-    _check_number_table(obj["p"], f"{where}.p")
-    try:
-        p = np.array(obj["p"], dtype=float)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad table 'p' ({exc})") from None
+    p = _numbers(obj["p"], f"{where}.p", (None,) * 4)
     if p.shape != (sc.nA, sc.nB, sc.nX, sc.nY):
         raise ParseError(
             f"{where}: table shape {p.shape} does not match scenario "

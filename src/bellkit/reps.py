@@ -147,6 +147,10 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     # whole map is fp noise and a relative cutoff would see rank everywhere
     scale = max(1.0, max(mat_norm(g) for g in gens))
     cutoff = tol.cut("commutant") * scale
+    # The eigen-block clustering and the principal generators stay although the
+    # seeded leaves are mostly 1- or 2-dim: an anticommuting (Tsirelson) family
+    # seeds one leaf that is the whole space, and without them its irrep_decompose
+    # at d=32 takes 34 s instead of 2.8 s (2-vCPU Xeon, one BLAS thread).
     herm = next((g for g in gens if mat_norm(g - dagger(g)) <= cutoff), np.zeros((d, d)))
     vals, v = np.linalg.eigh((herm + dagger(herm)) / 2)
     gap = max(1e3 * cutoff, tol.cut("dust") * scale * scale / cutoff)
@@ -599,8 +603,8 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
     u = (v2 @ dagger(Vh) / s) @ dagger(U)
     state_res = float(np.linalg.norm(u @ c1.model.psi - c2.model.psi))
     eye = np.eye(c1.dim, dtype=complex)
-    inter_res = max(float(np.linalg.norm(u @ _apply_letter(c1.model, letter, eye)
-                                         - _apply_letter(c2.model, letter, u), 2))
+    inter_res = max(mat_norm(u @ _apply_letter(c1.model, letter, eye)
+                             - _apply_letter(c2.model, letter, u))
                     for letter in letters)
     witness = EquivalenceWitness(
         unitary=u,

@@ -135,6 +135,24 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="sums to"):
             obj_to_correlation(obj)
 
+    def test_entries_load_as_complex_of_each_pair(self):
+        """Each [re, im] entry loads to the bits of complex(re, im): ints,
+        an int of 2**60, -0.0, subnormals and the largest float included."""
+        rng = np.random.default_rng(3)
+        special = [[2 ** 60, -0.0], [-0.0, 1], [5e-324, -1.7976931348623157e308], [-7, 0.1]]
+        rows = rng.standard_normal((4, 4, 2)).tolist()
+        rows[1] = special
+        obj = model_to_obj(chsh_ideal_model())
+        obj["M"][0][0] = rows
+        obj["psi"] = special
+        m = obj_to_model(obj)
+        for got, want in ((m.M[0][0], [[complex(re, im) for re, im in row] for row in rows]),
+                          (m.psi, [complex(re, im) for re, im in special])):
+            want = np.array(want, dtype=complex)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert m.M[0][0][1, 0] == float(2 ** 60)
+
     def test_witness_roundtrip(self):
         w = trivial_witness(chsh_ideal_model())
         w2 = obj_to_witness(witness_to_obj(w))
@@ -298,6 +316,32 @@ class TestCliCommands:
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: {path}.{location}: ")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("place,value,exit_code,expected", [
+        (("psi",), [], 1, '"name":"state dimension"'),
+        (("M", 0, 0), [[]], 1, '"name":"operator shape"'),
+        (("M", 0, 0), [], 2, ""),
+        (("M", 0, 0), [[[1, 0], [0, 0]], [[0, 0]]], 2, ".M[0][0]: rows of unequal length"),
+    ])
+    def test_empty_and_ragged_lists(self, tmp_path, place, value, exit_code, expected):
+        """An empty state or a 1x0 operator parses and fails validation; an
+        empty or a ragged matrix is a parse error."""
+        obj = model_to_obj(chsh_ideal_model())
+        parent = obj
+        for key in place[:-1]:
+            parent = parent[key]
+        parent[place[-1]] = value
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps(obj))
+        res = invoke(["validate", str(path)])
+        assert res.exit_code == exit_code
+        if exit_code == 1:
+            assert expected in res.stdout
+            assert res.stderr == ""
+        else:
+            assert res.stdout == ""
+            assert res.stderr.startswith(f"error: {path}{expected}" if expected else "error: ")
+            assert res.stderr.count("\n") == 1
 
     def test_boolean_entries_rejected_where_they_equal_the_numbers(self, tmp_path):
         """CHSH's M[0][0] = diag(1, 0) written with true/false entries would

@@ -19,7 +19,7 @@ from bellkit import reps
 from bellkit.cli import main
 from bellkit.dilations import find_local_dilation, verify_local_dilation
 from bellkit.io import model_to_obj, save_json
-from bellkit.linalg import DEFAULT_TOL, dagger, mat_norm
+from bellkit.linalg import DEFAULT_TOL, cluster_eigenvalues, dagger, mat_norm
 from bellkit.presets import (
     chsh_ideal_model,
     commuting_from_tensor,
@@ -28,6 +28,7 @@ from bellkit.presets import (
     tensor_with_auxiliary,
 )
 from bellkit.reps import (
+    _generic_element,
     _seeded_leaves,
     _split_invariant,
     commutant_basis,
@@ -238,3 +239,58 @@ class TestCertificationFallback:
         assert dec.commutant_dim == 5
         assert max(split) > 1
         assert_reassembles(dec, gens, 7)
+
+
+def jordan_wigner_pvms(n, copies, seed):
+    """The binary PVMs (I +- g_j)/2 of the 2n anticommuting involutions
+    Z..Z X I..I and Z..Z Y I..I on C^(2^n), each tensored with Id_copies, in
+    a Haar basis: Tsirelson's XOR-game families, one 2^n-dim irrep of
+    multiplicity ``copies``."""
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    gammas = []
+    for j in range(n):
+        for p in (x, y):
+            g = np.ones((1, 1))
+            for f in [z] * j + [p] + [np.eye(2)] * (n - j - 1):
+                g = np.kron(g, f)
+            gammas.append(np.kron(g, np.eye(copies)))
+    d = 2 ** n * copies
+    v = haar_unitary(np.random.default_rng(seed), d)
+    return [v @ ((np.eye(d) + s * g) / 2) @ dagger(v) for g in gammas for s in (1, -1)]
+
+
+class TestAnticommutingFamilies:
+    """The generic element of an anticommuting family lies in span{I, g_j}, so
+    its spectrum is two clusters of d/2 and no seed eigenvalue is simple: the
+    seeded leaf is the whole space, and the commutant solve there certifies
+    it (one irrep) or ``_split_invariant`` splits it (multiplicity 2)."""
+
+    def decompose(self, gens, seed, monkeypatch):
+        d = gens[0].shape[0]
+        vals = np.linalg.eigvalsh(_generic_element(gens, np.random.default_rng(seed)))
+        clusters = cluster_eigenvalues(vals, DEFAULT_TOL.cut("cluster"))
+        assert [c.stop - c.start for c in clusters] == [d // 2, d // 2]
+        sizes = []
+        real = reps.commutant_basis
+
+        def spy(generators, tol=DEFAULT_TOL):
+            sizes.append(generators[0].shape[0])
+            return real(generators, tol)
+
+        monkeypatch.setattr(reps, "commutant_basis", spy)
+        dec = irrep_decompose(gens, seed=seed)
+        assert sizes[0] == d  # the one seeded leaf is the whole space
+        return dec
+
+    def test_four_qubit_family_is_irreducible(self, monkeypatch):
+        dec = self.decompose(jordan_wigner_pvms(4, 1, seed=16), seed=0, monkeypatch=monkeypatch)
+        assert structure(dec) == [(16, 1)]
+        assert dec.commutant_dim == 1
+        assert dec.reassembly_defect == 0.0
+
+    def test_three_qubit_family_with_multiplicity_two(self, monkeypatch):
+        gens = jordan_wigner_pvms(3, 2, seed=17)
+        dec = self.decompose(gens, seed=0, monkeypatch=monkeypatch)
+        assert structure(dec) == [(8, 2)]
+        assert dec.commutant_dim == 4
+        assert_reassembles(dec, gens, 16)
