@@ -24,18 +24,22 @@ from . import schmidt as schmidt_kernel, support as support_kernel
 __all__ = ["main", "run"]
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     """Verification toolkit for bipartite quantum correlation models."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only --help and --version may precede the command name, so the first
     # other token is the command, and its parser is the only one built.
     at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
-    name = _top_parser().parse_args(argv[:at + 1]).command
-    command = main.commands[name]
-    parser = _Parser(prog=f"bellkit {name}", description=command.__doc__)
-    for names, kwargs in command.args:
-        parser.add_argument(*names, **kwargs)
-    command(**vars(parser.parse_args(argv[at + 1:])))
+    try:
+        name = _top_parser().parse_args(argv[:at + 1]).command
+        command = main.commands[name]
+        parser = _Parser(prog=f"bellkit {name}", description=command.__doc__)
+        for names, kwargs in command.args:
+            parser.add_argument(*names, **kwargs)
+        kwargs = vars(parser.parse_args(argv[at + 1:]))
+    except SystemExit as exc:  # --help, --version or a usage error
+        return exc.code
+    return command(**kwargs)
 
 
 # Command name -> its runner, in registration order; ``report`` fills it.
@@ -44,31 +48,20 @@ main.commands = {}
 # drives.  Kept for perfbench/tracer.py until it calls ``main(argv)``
 # (ROADMAP item 1).
 main.name = "bellkit"
-main.main = lambda args=(), prog_name=None, **_: main(args)
+main.main = lambda args=(), prog_name=None, **_: sys.exit(main(args))
 
 
 def run():
     """Process entry point: ``main``, then exit without interpreter teardown.
 
-    ``main`` ends by raising SystemExit.  Its code is mapped as the
-    interpreter maps it (None is 0; any other non-integer is printed to
-    stderr and gives 1), stdout and stderr are flushed, and ``os._exit``
-    ends the process, so neither ``atexit`` nor the teardown of the heap the
+    Stdout and stderr are flushed and ``os._exit`` ends the process with
+    ``main``'s code, so neither ``atexit`` nor the teardown of the heap the
     numpy and bellkit imports built runs.  A flush that fails (a reader
     that closed the pipe) exits 120, as the interpreter does when its own
-    final flush fails.  In-process callers use ``main``, which never exits
-    the process.
+    final flush fails.  In-process callers use ``main``, which returns the
+    code and never exits the process.
     """
-    try:
-        main()
-        code = 0
-    except SystemExit as exc:
-        code = exc.code
-    if code is None:
-        code = 0
-    elif not isinstance(code, int):
-        print(code, file=sys.stderr)
-        code = 1
+    code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
@@ -152,9 +145,9 @@ def report(*, tensor: bool = False, validated: bool = True):
     validation when ``validated`` is set, and a decomposition's components
     must share the correlation's scenario.  The body returns
     ``(fields, passed)``; the command adds its name and the provenance,
-    prints the report and exits 0 if ``passed``, else 1.  Any ValueError,
+    prints the report and returns 0 if ``passed``, else 1.  Any ValueError,
     parse errors included, is bad input, and a MemoryError is an input too
-    large to check: exit 2 with one line on stderr and nothing on stdout.
+    large to check: 2, with one line on stderr and nothing on stdout.
     """
 
     def decorate(body):
@@ -201,12 +194,12 @@ def report(*, tensor: bool = False, validated: bool = True):
                        else "\n".join(_render_text(fields)))
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
-                sys.exit(2)
+                return 2
             except MemoryError as exc:
                 print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-                sys.exit(2)
+                return 2
             print(out)
-            sys.exit(0 if passed else 1)
+            return 0 if passed else 1
 
         command.__doc__ = body.__doc__
         command.args = [(names, kwargs) for names, _, kwargs in declared] + _COMMON

@@ -271,8 +271,8 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
                     "ideal state",
                     {"kind": "component-state", "side": side, "block": i},
                 )
-            u, res = _intertwiner(blk.generators, _flat(ideal), tol)
-            if u is None or res > tol.cut("intertwiner"):
+            u, res = _intertwiner(blk.generators, _flat(ideal))
+            if res > tol.cut("intertwiner"):
                 raise NotDilatable(
                     f"{side}-side component {i} is not unitarily equivalent to the ideal "
                     f"representation (residual {res:.3e})",

@@ -272,7 +272,7 @@ def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
         bad = np.abs(sums - 1.0).argmax()
         x, y = np.unravel_index(bad, sums.shape)
         raise ParseError(
-            f"{where}: outcome table for (x={x},y={y}) sums to {sums[x, y]:.9f}, not 1")
+            f"{where}: outcome table for (x={x},y={y}) sums to {sums[x, y]:.9g}, not 1")
     return Correlation(scenario=sc, p=p)
 
 
@@ -346,7 +346,7 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
         out.append((float(weight), obj_to_correlation(comp["correlation"], here)))
     total = sum(w for w, _ in out)
     if abs(total - 1.0) > DEFAULT_TOL.cut("coarse"):
-        raise ParseError(f"{where}: weights sum to {total:.9f}, not 1")
+        raise ParseError(f"{where}: weights sum to {total:.9g}, not 1")
     return out
 
 

@@ -156,7 +156,7 @@ _CUTS = {
     "rank": (0.0, 1e-9),            # Schmidt/support rank (relative), negative probabilities
     "cluster": (0.0, 1e-8),         # eigenvalue clusters, a vanishing commutant element
     "overlap": (0.0, 1e-7),         # component-state overlap modulus against 1
-    "coarse": (0.0, 1e-6),          # probability sums, component correlations, intertwiner rank
+    "coarse": (0.0, 1e-6),          # probability sums, component correlations
     "commutant": (1.0, 1e-12),      # commutant rank cut (times the generator scale)
     "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity coefficient residuals
     "frame": (2.0, 0.0),            # cyclic frame residuals, state-equal Gram gaps

@@ -324,26 +324,22 @@ def _irreducible_leaves(gens, rng, tol) -> list[np.ndarray]:
     return [piece for leaf in leaves for piece in _split_invariant(leaf, work, rng, tol)]
 
 
-def _intertwiner(gens1, gens2, tol: Tolerance):
-    """Unitary U with U g1 U* = g2 for irreducible families, else None.
+def _intertwiner(gens1, gens2):
+    """The unitary U that best maps one irreducible family onto another of
+    the same size, ``U g1 U* ~ g2``, and its residual.
 
-    Returns ``(U, residual)``; by Schur's lemma the solution space of
-    ``X g1 = g2 X`` is at most one-dimensional, and any nonzero solution is
-    proportional to a unitary, recovered here by polar correction.  The
-    stacked maps ``X -> X g1 - g2 X`` over all n^2 unknowns come from
+    Returns ``(U, residual)``.  X is the least singular vector of the
+    stacked maps ``X -> X g1 - g2 X`` over all n^2 unknowns, which come from
     ``_sylvester_columns(-g2, -g1)``, entry for entry the Kronecker matrix
-    ``Id (x) g1^T - g2 (x) Id``.
+    ``Id (x) g1^T - g2 (x) Id``; U is its polar factor.  By Schur's lemma an
+    equivalent pair has a one-dimensional solution space, spanned by a
+    multiple of a unitary, so the residual alone decides equivalence.
     """
     n = gens1[0].shape[0]
-    if gens2[0].shape[0] != n:
-        return None, np.inf
     a, b = np.divmod(np.arange(n * n), n)
     rows = [_sylvester_columns(-g2, -g1, a, b) for g1, g2 in zip(gens1, gens2)]
-    _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-    x = vh[-1, :].conj().reshape(n, n)
-    u_svd, s_x, vh_x = np.linalg.svd(x)
-    if s_x[-1] < tol.cut("coarse") * s_x[0]:
-        return None, np.inf  # solution not invertible: inequivalent
+    _, _, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    u_svd, _, vh_x = np.linalg.svd(vh[-1, :].conj().reshape(n, n))
     u = u_svd @ vh_x
     # deterministic global phase
     flat = u.reshape(-1)
@@ -398,8 +394,10 @@ def irrep_decompose(generators, seed: int = 0,
         placed = False
         for c in classes:
             rep_gens = leaf_gens[c["members"][0]]
-            u, res = _intertwiner(lg, rep_gens, tol)
-            if u is not None and res < tol.cut("intertwiner"):
+            if rep_gens[0].shape != lg[0].shape:
+                continue
+            u, res = _intertwiner(lg, rep_gens)
+            if res < tol.cut("intertwiner"):
                 if res < tol.eps:
                     c["members"].append(k)
                     c["intertwiners"].append(u)
@@ -534,10 +532,6 @@ class DistinguishingMoment:
     word: Word
     value1: complex
     value2: complex
-
-    def __str__(self):
-        return (f"f1(wA={self.word.lettersA}, wB={self.word.lettersB}) = {self.value1:.6g}, "
-                f"f2 = {self.value2:.6g}")
 
 
 def _max_abs_difference(g1: np.ndarray, g2: np.ndarray):

@@ -10,9 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from bellkit.cli import main as cli_main
 from bellkit.dilations import (
     NotDilatable,
     find_local_dilation,
@@ -47,6 +45,7 @@ from bellkit.schmidt import schmidt_decompose
 from bellkit.special import LemmaViolated, binary_round, synchronous_verify, xor_of
 from bellkit.support import is_centrally_supported_via_transfer, support_of
 from bellkit.tilted import verify_tilted_sos
+from run_cli import invoke
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,10 +55,6 @@ def report(number: int, description: str, ok: bool, extra: str = ""):
     suffix = f"  ({extra})" if extra else ""
     print(f"[{tag}] criterion {number}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description} {suffix}"
-
-
-def invoke(args):
-    return CliRunner().invoke(cli_main, args, catch_exceptions=False)
 
 
 def test_criterion_1_example_reproduction():
@@ -80,10 +75,10 @@ def test_criterion_1_example_reproduction():
     ok &= schmidt_decompose(s3.psi, 3, 3).rank == 3
 
     res = invoke(["state-equal", str(s_path), str(shat_path)])
-    ok &= res.exit_code == 0 and json.loads(res.output)["verdicts"]["equal"] is True
+    ok &= res.exit_code == 0 and json.loads(res.stdout)["verdicts"]["equal"] is True
 
     res = invoke(["find-dilation", str(s_path), str(shat_path)])
-    rep = json.loads(res.output)
+    rep = json.loads(res.stdout)
     ok &= res.exit_code == 1 and rep["obstruction"]["kind"] == "schmidt-rank"
 
     elapsed = time.perf_counter() - start
@@ -103,7 +98,7 @@ def test_criterion_2_chsh_suite(tmp_path):
     ok &= xc.rank == 2
 
     res = invoke(["xor-certify", str(FIXTURES / "chsh.corr.json"), "--assert-extremal"])
-    ok &= res.exit_code == 0 and json.loads(res.output)["verdicts"]["granted"] is True
+    ok &= res.exit_code == 0 and json.loads(res.stdout)["verdicts"]["granted"] is True
 
     big = tensor_with_auxiliary(ideal, np.array([0.8, 0.0, 0.0, 0.6]), 2, 2)
     big_path = tmp_path / "chsh_aux.model.json"
@@ -116,7 +111,7 @@ def test_criterion_2_chsh_suite(tmp_path):
     ok &= res.exit_code == 0
     res = invoke(["verify-dilation", str(big_path), str(ideal_path), str(witness_path),
                   "--tol", "1e-8"])
-    rep = json.loads(res.output)
+    rep = json.loads(res.stdout)
     ok &= res.exit_code == 0 and rep["residuals"]["max"] < 1e-8
 
     elapsed = time.perf_counter() - start

@@ -17,6 +17,7 @@ from bellkit.models import (
     DilationWitness,
     QuantumModel,
     Scenario,
+    correlation_of,
     trivial_witness,
     validate_model,
 )
@@ -430,3 +431,34 @@ class TestComponentObstructions:
         ob = _obstruction(S, T)
         assert (ob["kind"], ob["block"]) == ("component-correlation", (0, 0))
         assert ob["gap"] == pytest.approx(0.5)
+
+
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def conjugate_pair():
+    """``(S, T)`` in the (3,3,2,2) scenario on Phi+.  In T, Alice measures
+    the Pauli X, Y and Z PVMs and Bob X, -Y and Z, so every pair is
+    perfectly correlated.  S is T with every effect complex-conjugated: the
+    same correlation, but Alice's irreps are inequivalent (XYZ = iI against
+    -iI), so T is no local dilation of S."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+
+    def model(M, N):
+        return QuantumModel(scenario=Scenario(3, 3, 2, 2), dimA=2, dimB=2, M=M, N=N, psi=phi)
+
+    def conj(family):
+        return [[e.conj() for e in povm] for povm in family]
+
+    T = model([_pvm(o) for o in (_X, _Y, _Z)], [_pvm(o) for o in (_X, -_Y, _Z)])
+    return model(conj(T.M), conj(T.N)), T
+
+
+class TestConjugatePair:
+    def test_conjugate_is_a_component_state_obstruction(self):
+        S, T = conjugate_pair()
+        assert validate_model(S).valid and validate_model(T).valid
+        np.testing.assert_allclose(correlation_of(S).p, correlation_of(T).p, atol=1e-15)
+        ob = _obstruction(S, T)
+        assert (ob["kind"], ob["side"], ob["block"]) == ("component-state", "A", 0)
+        assert ob["residual"] == pytest.approx(1.0)

@@ -7,19 +7,19 @@ The enumeration is exhaustive, so it needs no seed.  Every run must exit 2
 with one ``error:`` line on stderr, nothing on stdout and no traceback.  The
 one exception is ``validate``, whose job is to report the invariants a
 parseable model breaks: there a file that parses may also exit 1 with
-``"valid":false``.
+``"valid":false``.  A crash raises out of ``invoke`` and fails the case at
+its first crashing mutation.
 """
 
 import copy
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from bellkit.cli import main
 from bellkit.io import correlation_to_obj, model_to_obj, witness_to_obj
 from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import chsh_ideal_model, commuting_from_tensor
+from run_cli import invoke
 
 VALUES = [5, None, [5], "x", {}, [], -1, 0, 2.5, True]
 
@@ -76,8 +76,6 @@ def mutations(obj):
 
 
 def _exits_2(res, command) -> bool:
-    if not isinstance(res.exception, SystemExit):
-        return False
     if command == "validate" and res.exit_code == 1 and '"valid":false' in res.stdout:
         return True
     return (res.exit_code == 2 and res.stdout == "" and res.stderr.startswith("error: ")
@@ -106,17 +104,16 @@ def test_every_bad_field_exits_2(tmp_path, kind, cmd):
     failures = []
     for what, obj in mutations(FILES[kind]):
         bad_path.write_text(json.dumps(obj))
-        res = CliRunner().invoke(main, _argv(cmd, paths))
+        res = invoke(_argv(cmd, paths))
         if not _exits_2(res, cmd[0]):
-            failures.append((what, res.exit_code, repr(res.exception), res.stderr[-200:]))
+            failures.append((what, res.exit_code, res.stderr[-200:]))
     assert failures == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
 @pytest.mark.parametrize("cmd", MODEL_COMMANDS + CORR_COMMANDS, ids=lambda c: c[0])
 def test_bad_tolerance_exits_2(tmp_path, cmd, tol):
-    res = CliRunner().invoke(main, [*_argv(cmd, _good_files(tmp_path)), "--tol", tol])
-    assert isinstance(res.exception, SystemExit)
+    res = invoke([*_argv(cmd, _good_files(tmp_path)), "--tol", tol])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: tolerance must be finite and nonnegative")

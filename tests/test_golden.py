@@ -11,9 +11,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from bellkit.cli import main
+from run_cli import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -68,8 +68,8 @@ CASES = {
 
 
 def run_case(name: str) -> bytes:
-    res = CliRunner().invoke(main, CASES[name], catch_exceptions=False)
-    return f"exit {res.exit_code}\n".encode() + res.stdout_bytes
+    res = invoke(CASES[name])
+    return f"exit {res.exit_code}\n".encode() + res.stdout.encode()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,5 +1,6 @@
 """File formats, canonical serialization, and the CLI contract."""
 
+import copy
 import json
 import math
 import os
@@ -9,11 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import bellkit
 from bellkit import cli
-from bellkit.cli import main
 from bellkit.io import (
     ParseError,
     canonical_dumps,
@@ -29,14 +28,12 @@ from bellkit.io import (
 from bellkit.linalg import replace
 from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import chsh_ideal_model, example_pair, tensor_with_auxiliary
+from run_cli import invoke
+from test_dilations import conjugate_pair
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CHSH_CORR = correlation_to_obj(correlation_of(chsh_ideal_model()))
 NAN = float("nan")
-
-
-def invoke(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
 class TestCanonicalForm:
@@ -164,7 +161,7 @@ class TestCliCommands:
     def test_validate_fixture(self):
         res = invoke(["validate", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["verdicts"]["valid"] is True
         assert report["provenance"]["tol"] == 1e-9
 
@@ -176,7 +173,7 @@ class TestCliCommands:
         save_json(path, obj)
         res = invoke(["validate", str(path)])
         assert res.exit_code == 1
-        assert json.loads(res.output)["verdicts"]["valid"] is False
+        assert json.loads(res.stdout)["verdicts"]["valid"] is False
 
     def test_validate_misshapen_operator_and_later_povm(self, tmp_path):
         """A 2x1 effect is reported with a nonzero residual, and the check goes
@@ -189,7 +186,7 @@ class TestCliCommands:
         save_json(path, obj)
         res = invoke(["validate", str(path)])
         assert res.exit_code == 1
-        assert json.loads(res.output)["violations"] == [
+        assert json.loads(res.stdout)["violations"] == [
             {"location": "M[0][1]", "name": "operator shape", "residual": 1},
             {"location": "M[1]", "name": "POVM completeness", "residual": 5},
         ]
@@ -214,7 +211,7 @@ class TestCliCommands:
         """``--tol`` defaults to ``Tolerance()``; its help names that eps."""
         res = invoke(["validate", "--help"])
         assert res.exit_code == 0
-        assert f"(default: {bellkit.Tolerance().eps})" in " ".join(res.output.split())
+        assert f"(default: {bellkit.Tolerance().eps})" in " ".join(res.stdout.split())
 
     @pytest.mark.parametrize("command", ["validate", "irrep"])
     def test_negative_seed_exits_2(self, command):
@@ -363,6 +360,24 @@ class TestCliCommands:
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: {path}.p[0][0][0][0]: ")
 
+    @pytest.mark.parametrize("field", ["p", "weight"])
+    def test_huge_sum_gives_a_short_error_line(self, tmp_path, monkeypatch, field):
+        """A sum of 1e308 is written in 9 significant digits, not in full."""
+        corr = copy.deepcopy(CHSH_CORR)
+        weight = 1.0
+        if field == "p":
+            corr["p"][0][0][0][0] = 1e308
+        else:
+            weight = 1e308
+        monkeypatch.chdir(tmp_path)
+        save_json("corr.json", corr)
+        save_json("dec.json", {"components": [{"weight": weight, "correlation": corr}]})
+        res = invoke(["xor-certify", "corr.json", "--decomposition", "dec.json"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "e+308, not 1\n" in res.stderr
+        assert len(res.stderr.encode()) < 200
+
     def test_decomposition_from_another_scenario_exits_2(self, tmp_path):
         """Two 1x1-scenario components do not refute the uniform 2x2 table; the
         error names the decomposition file, like every other input-file error."""
@@ -389,9 +404,8 @@ class TestCliCommands:
         def oversized(*args, **kwargs):
             raise exc
         monkeypatch.setattr(cli.reps, "irrep_decompose", oversized)
-        res = CliRunner().invoke(main, ["irrep", str(FIXTURES / "chsh_ideal.model.json")])
+        res = invoke(["irrep", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 2
-        assert isinstance(res.exception, SystemExit)
         assert res.stdout == ""
         assert res.stderr == ("error: out of memory" + (f": {exc}" if str(exc) else "") + "\n")
 
@@ -458,7 +472,7 @@ class TestCliCommands:
     def test_correlation_matches_ideal_values(self):
         res = invoke(["correlation", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 0
-        p = np.array(json.loads(res.output)["p"])
+        p = np.array(json.loads(res.stdout)["p"])
         for a in range(2):
             for b in range(2):
                 for x in range(2):
@@ -468,36 +482,53 @@ class TestCliCommands:
 
     def test_schmidt_ranks(self):
         res = invoke(["schmidt", str(FIXTURES / "exA_S.model.json")])
-        assert json.loads(res.output)["rank"] == 3
+        assert json.loads(res.stdout)["rank"] == 3
         res = invoke(["schmidt", str(FIXTURES / "exA_Shat.model.json")])
-        assert json.loads(res.output)["rank"] == 2
+        assert json.loads(res.stdout)["rank"] == 2
 
     def test_state_equal_fixture_pair(self):
         res = invoke(["state-equal", str(FIXTURES / "exA_S.model.json"),
                       str(FIXTURES / "exA_Shat.model.json")])
         assert res.exit_code == 0
-        assert json.loads(res.output)["verdicts"]["equal"] is True
+        assert json.loads(res.stdout)["verdicts"]["equal"] is True
 
     def test_find_dilation_obstruction(self):
         res = invoke(["find-dilation", str(FIXTURES / "exA_S.model.json"),
                       str(FIXTURES / "exA_Shat.model.json")])
         assert res.exit_code == 1
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["verdicts"]["found"] is False
         assert report["obstruction"]["kind"] == "schmidt-rank"
+
+    def test_conjugate_pair_is_not_found(self, tmp_path):
+        """T and its complex conjugate S have equal correlations and
+        inequivalent irreps on A: a component-state obstruction with a
+        finite residual, reported as a failed check, not as bad input."""
+        paths = [tmp_path / "s.json", tmp_path / "t.json"]
+        for path, model in zip(paths, conjugate_pair()):
+            save_json(path, model_to_obj(model))
+        res = invoke(["find-dilation", *map(str, paths)])
+        assert (res.exit_code, res.stderr) == (1, "")
+        report = json.loads(res.stdout)
+        assert report["verdicts"]["found"] is False
+        assert report["obstruction"]["kind"] == "component-state"
+        assert math.isfinite(report["obstruction"]["residual"])
+        res = invoke(["state-equal", *map(str, paths)])
+        assert (res.exit_code, res.stderr) == (1, "")
+        assert len(json.loads(res.stdout)["distinguishing"]["wordA"]) == 3
 
     def test_xor_certify_grants_chsh(self):
         res = invoke(["xor-certify", str(FIXTURES / "chsh.corr.json"),
                       "--assert-extremal"])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["verdicts"]["granted"] is True
         assert report["rank"] == 2
 
     def test_xor_certify_denied_without_assertion(self):
         res = invoke(["xor-certify", str(FIXTURES / "chsh.corr.json")])
         assert res.exit_code == 1
-        assert "extremality not asserted" in json.loads(res.output)["reasons"][0]
+        assert "extremality not asserted" in json.loads(res.stdout)["reasons"][0]
 
     def test_find_and_verify_dilation_via_files(self, tmp_path):
         m = chsh_ideal_model()
@@ -509,12 +540,12 @@ class TestCliCommands:
         save_json(ideal_path, model_to_obj(m))
         res = invoke(["find-dilation", str(big_path), str(ideal_path),
                       "--witness-out", str(witness_path), "--tol", "1e-8"])
-        assert res.exit_code == 0, res.output
+        assert res.exit_code == 0, res.stdout
         assert witness_path.exists()
         res = invoke(["verify-dilation", str(big_path), str(ideal_path),
                       str(witness_path), "--tol", "1e-8"])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["residuals"]["max"] < 1e-8
 
     def test_find_dilation_across_scenarios_exits_2(self):
@@ -553,21 +584,21 @@ class TestCliCommands:
         save_json(path, model_to_obj(s3))
         res = invoke(["sync-verify", str(path)])
         assert res.exit_code == 0
-        assert json.loads(res.output)["verdicts"]["passed"] is True
+        assert json.loads(res.stdout)["verdicts"]["passed"] is True
 
     def test_naimark_command(self):
         res = invoke(["naimark", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert max(report["residuals"].values()) < 1e-10
 
     def test_irrep_command(self):
         res = invoke(["irrep", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["side_A"]["irreducible"] is True
         res2 = invoke(["irrep", str(FIXTURES / "exA_S.model.json")])
-        blocks = json.loads(res2.output)["side_A"]["blocks"]
+        blocks = json.loads(res2.stdout)["side_A"]["blocks"]
         assert sorted((b["irrep_dim"], b["multiplicity"]) for b in blocks) == [(1, 1), (1, 2)]
 
     def test_cyclic_command(self, tmp_path):
@@ -577,7 +608,7 @@ class TestCliCommands:
         save_json(path, model_to_obj(commuting_from_tensor(s2)))
         res = invoke(["cyclic", str(path)])
         assert res.exit_code == 0
-        assert json.loads(res.output)["cyclic_dim"] == 2
+        assert json.loads(res.stdout)["cyclic_dim"] == 2
 
     def test_round_binary_requires_assertion(self):
         res = invoke(["round-binary", str(FIXTURES / "chsh_ideal.model.json")])
@@ -590,7 +621,7 @@ class TestCliCommands:
         res = invoke(["tilted-sos", str(FIXTURES / "chsh_ideal.model.json"),
                       "--alpha", "0"])
         assert res.exit_code == 0
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["verdicts"]["identities_ok"] is True
         assert report["verdicts"]["optimal"] is True
         assert abs(report["f_eta"] - 2 * np.sqrt(2)) < 1e-9
@@ -599,16 +630,16 @@ class TestCliCommands:
         res = invoke(["validate", str(FIXTURES / "chsh_ideal.model.json"),
                       "--format", "text"])
         assert res.exit_code == 0
-        assert "verdicts.valid = True" in res.output
+        assert "verdicts.valid = True" in res.stdout
 
     def test_reports_deterministic(self):
         args = ["correlation", str(FIXTURES / "chsh_ideal.model.json")]
-        assert invoke(args).output == invoke(args).output
+        assert invoke(args).stdout == invoke(args).stdout
 
     def test_report_reserialization_lossless(self):
         res = invoke(["support", str(FIXTURES / "exA_S.model.json")])
-        report = json.loads(res.output)
-        assert canonical_dumps(report) == res.output.strip()
+        report = json.loads(res.stdout)
+        assert canonical_dumps(report) == res.stdout.strip()
 
 
 def test_cli_import_does_not_load_scipy():

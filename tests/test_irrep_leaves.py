@@ -12,11 +12,9 @@ import json
 import tracemalloc
 
 import numpy as np
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from bellkit import reps
-from bellkit.cli import main
 from bellkit.dilations import find_local_dilation, verify_local_dilation
 from bellkit.io import model_to_obj, save_json
 from bellkit.linalg import DEFAULT_TOL, cluster_eigenvalues, dagger, mat_norm
@@ -34,6 +32,7 @@ from bellkit.reps import (
     commutant_basis,
     irrep_decompose,
 )
+from run_cli import invoke
 
 SEEDED = settings(database=None, derandomize=True, max_examples=25, deadline=None)
 
@@ -145,7 +144,7 @@ class TestCommutingD256:
     def test_irrep_exits_0(self, tmp_path):
         path = tmp_path / "chsh_aux8_commuting.model.json"
         save_json(path, model_to_obj(commuting_chsh_aux8()))
-        res = CliRunner().invoke(main, ["irrep", str(path)], catch_exceptions=False)
+        res = invoke(["irrep", str(path)])
         assert res.exit_code == 0, res.stderr
         report = json.loads(res.stdout)
         for side in ("side_A", "side_B"):

@@ -6,7 +6,8 @@ from code they do not run: ``io`` and ``special`` read and write dilation
 witnesses without the dilation kernels, and no module of the package imports
 the fixture builders in ``presets``.  Importing the CLI runs no kernel and
 imports neither numpy nor click, yet leaves every module the benchmark tracer
-patches in ``sys.modules``.  No command child imports ``dataclasses``.
+patches in ``sys.modules``.  No command child imports ``dataclasses``, and
+only the tracer's contract test imports click.
 """
 
 import ast
@@ -103,6 +104,23 @@ def test_find_dilation_child_does_not_load_dataclasses():
                 if line.startswith("import time:")]
     assert "numpy" in imported  # the kernels ran
     assert "dataclasses" not in imported
+
+
+def test_only_the_tracer_test_imports_click():
+    """The tests drive the CLI through ``run_cli.invoke``; click serves only
+    ``perfbench/tracer.py``, whose contract ``test_trace_targets`` pins."""
+    importers = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "click" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["test_trace_targets.py"]
 
 
 def test_cli_import_registers_every_traced_module():

@@ -1,9 +1,9 @@
 """The real process path: ``python -m bellkit.cli`` as a child process.
 
-The other CLI tests call ``main`` in-process through ``CliRunner``.  A child
-goes through the process entry ``bellkit.cli.run`` instead, which flushes
-stdout and stderr after ``main`` and leaves through ``os._exit``, skipping
-the interpreter's teardown.  These tests check that the child's exit code,
+The other CLI tests call ``main`` in-process through ``run_cli.invoke``.  A
+child goes through the process entry ``bellkit.cli.run`` instead, which
+flushes stdout and stderr after ``main`` and leaves through ``os._exit``,
+skipping the interpreter's teardown.  These tests check that the child's exit code,
 stdout and stderr are still exactly the in-process ones, that a failed flush
 still exits non-zero, and that ``os._exit`` stays out of in-process calls.
 """
@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import bellkit
 from bellkit import cli
 from bellkit.io import model_to_obj, save_json
 from bellkit.models import Scenario
 from bellkit.presets import random_quantum_model
+from run_cli import invoke
 from test_golden import CASES, CHSH, GOLDEN, ROOT
 
 SRC = str(Path(bellkit.__file__).resolve().parent.parent)
@@ -88,12 +88,12 @@ def large_model(tmp_path_factory) -> str:
 
 def assert_child_matches_main(args, code: int):
     """The child's exit code, stdout and stderr are the in-process ones."""
-    expected = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    expected = invoke(args)
     assert expected.exit_code == code
     res = child(["-m", "bellkit.cli", *args], cwd=ROOT)
     assert res.returncode == code
-    assert res.stdout == expected.stdout_bytes
-    assert res.stderr == expected.stderr_bytes
+    assert res.stdout == expected.stdout.encode()
+    assert res.stderr == expected.stderr.encode()
     return res
 
 
@@ -123,7 +123,7 @@ def test_in_process_main_never_calls_os_exit(monkeypatch):
     monkeypatch.chdir(ROOT)
     for args, code in ((CASES["validate"], 0), (CASES["find_dilation_obstructed"], 1),
                        (["validate", "no-such-file.json"], 2), (["--version"], 0)):
-        assert CliRunner().invoke(cli.main, args, catch_exceptions=False).exit_code == code
+        assert invoke(args).exit_code == code
 
 
 @pytest.mark.parametrize("large, code", [(False, 120), (True, 1)],

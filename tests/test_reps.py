@@ -384,19 +384,14 @@ class TestIrrepDecompose:
         assert sorted((b.n, b.m) for b in dec.blocks) == [(1, 1), (1, 2)]
 
 
-def kron_intertwiner(gens1, gens2, tol):
+def kron_intertwiner(gens1, gens2):
     """The Kronecker-matrix form of ``_intertwiner``: the stacked maps
     ``X -> X g1 - g2 X`` as ``Id (x) g1^T - g2 (x) Id``, n^2 x n^2 each."""
     n = gens1[0].shape[0]
-    if gens2[0].shape[0] != n:
-        return None, np.inf
     eye = np.eye(n)
     rows = [np.kron(eye, g1.T) - np.kron(g2, eye) for g1, g2 in zip(gens1, gens2)]
-    _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-    x = vh[-1, :].conj().reshape(n, n)
-    u_svd, s_x, vh_x = np.linalg.svd(x)
-    if s_x[-1] < tol.cut("coarse") * s_x[0]:
-        return None, np.inf
+    _, _, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    u_svd, _, vh_x = np.linalg.svd(vh[-1, :].conj().reshape(n, n))
     u = u_svd @ vh_x
     flat = u.reshape(-1)
     pivot = flat[np.argmax(np.abs(flat))]
@@ -406,13 +401,11 @@ def kron_intertwiner(gens1, gens2, tol):
 
 
 def assert_intertwiner_matches_kron(gens1, gens2):
-    u, res = _intertwiner(gens1, gens2, DEFAULT_TOL)
-    u_ref, res_ref = kron_intertwiner(gens1, gens2, DEFAULT_TOL)
-    assert (u is None) == (u_ref is None)
-    if u is not None:
-        assert u.tobytes() == u_ref.tobytes()  # bitwise, signed zeros included
-    assert res == res_ref or (np.isinf(res) and np.isinf(res_ref))
-    return u
+    u, res = _intertwiner(gens1, gens2)
+    u_ref, res_ref = kron_intertwiner(gens1, gens2)
+    assert u.tobytes() == u_ref.tobytes()  # bitwise, signed zeros included
+    assert res == res_ref
+    return res
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -429,7 +422,7 @@ class TestIntertwinerMatchesKronecker:
         gens1 = [rand_herm(rng, n) for _ in range(3)]
         v = rand_unitary(rng, n)
         gens2 = [v @ g @ dagger(v) for g in gens1]
-        assert assert_intertwiner_matches_kron(gens1, gens2) is not None
+        assert assert_intertwiner_matches_kron(gens1, gens2) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inequivalent_families(self, n):
@@ -451,7 +444,8 @@ class TestIntertwinerMatchesKronecker:
             leaf_gens = [[dagger(v) @ g @ v for g in gens] for v in leaves]
             targets = leaf_gens + [[op for povm in ideal for op in povm]]
             for lg, other in itertools.product(leaf_gens, targets):
-                assert_intertwiner_matches_kron(lg, other)
+                if lg[0].shape == other[0].shape:
+                    assert_intertwiner_matches_kron(lg, other)
 
 
 class TestCyclicRestrict:
