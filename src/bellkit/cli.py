@@ -296,7 +296,7 @@ def round_binary(model, assert_extremal, tol, seed):
         raise ValueError("binary rounding is only sound for extreme correlations; "
                          "pass --assert-extremal to assert this")
     try:
-        rounded, witness = special.binary_round(model, True, tol)
+        rounded, witness = special.binary_round(model, tol)
     except special.LemmaViolated as exc:
         return {
             "verdicts": {"rounded": False, "lemma_violated": True,

@@ -178,8 +178,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not math.isfinite(self.eps) or self.eps < 0:
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.eps}")
 
     def is_zero(self, x) -> bool:
         return abs(x) <= self.eps
@@ -223,11 +223,11 @@ def mat_norm(m: np.ndarray) -> float:
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
-    """Slices of index ranges whose eigenvalues differ by less than ``gap``."""
+    """Slices of index ranges in which adjacent eigenvalues differ by at most ``gap``."""
     slices = []
     start = 0
     for i in range(1, len(vals)):
-        if abs(vals[i] - vals[i - 1]) >= gap:
+        if abs(vals[i] - vals[i - 1]) > gap:
             slices.append(slice(start, i))
             start = i
     if len(vals):
@@ -252,10 +252,10 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     """Spectral decomposition of a Hermitian matrix.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending and
-    eigenvectors as columns.  Inside each degenerate cluster (gap below the
-    ``cluster`` cut) the columns are re-orthonormalized in index order and
-    each column's phase is fixed so its first entry above the ``dust`` cut is
-    real positive, making the output reproducible.
+    eigenvectors as columns.  Inside each degenerate cluster (adjacent gaps
+    at most the ``cluster`` cut) the columns are re-orthonormalized in index
+    order and each column's phase is fixed so its first entry above the
+    ``dust`` cut is real positive, making the output reproducible.
     """
     h = as_matrix(h)
     if mat_norm(h - dagger(h)) > tol.eps * (1 + mat_norm(h)):

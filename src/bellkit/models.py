@@ -387,7 +387,7 @@ def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
                     val = _moment(model, ((x, a),), ((y, b),), table)
                     max_imag = max(max_imag, abs(val.imag))
                     p[a, b, x, y] = val.real
-    if max_imag >= tol.eps:
+    if max_imag > tol.eps:
         raise ValueError(
             f"correlation has residual imaginary part {max_imag:.3e}; model is not valid"
         )

@@ -123,13 +123,13 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     its Hermitian part leave room for 1.  With no Hermitian input, or a
     scalar H, there is one block and this is the full problem.
 
-    Eigenvalues closer than ``gap = max(1e3 cutoff, dust scale^2 / cutoff)``
-    share a block (``dust`` is the 1e-12 cut).  Merging eigenspaces only adds
-    the unknowns that couple them, so it never loses a commutant element;
-    splitting is safe once the eigenvalues are a gap apart.  The unknowns
-    then left out meet singular values of at least 1e3 cutoff in H's own
-    map, and the eigenbasis error, about ``eps_mach scale / gap``, moves a
-    commutator by less than 1e-3 of the cutoff.  H's own map stays in the
+    Eigenvalues at most ``gap = max(1e3 cutoff, dust scale^2 / cutoff)``
+    apart share a block (``dust`` is the 1e-12 cut).  Merging eigenspaces
+    only adds the unknowns that couple them, so it never loses a commutant
+    element; splitting is safe once the eigenvalues are a gap apart.  The
+    unknowns then left out meet singular values of at least 1e3 cutoff in
+    H's own map, and the eigenbasis error, about ``eps_mach scale / gap``,
+    moves a commutator by less than 1e-3 of the cutoff.  H's own map stays in the
     stack, so the rank cut, not the clustering, decides the dimension:
     unknowns coupling merged eigenvalues delta > cutoff apart meet singular
     values of about delta and are cut like any other.  The SVD is thin: the
@@ -235,7 +235,7 @@ def _split_invariant(basis: np.ndarray, work_gens, rng, tol) -> list[np.ndarray]
         return [basis]
     for _ in range(8):
         t = _random_commutant_element(com, rng)
-        if mat_norm(t) < tol.cut("cluster"):
+        if mat_norm(t) <= tol.cut("cluster"):
             continue
         vals, vecs = hermitian_eig(t, tol)  # t is exactly Hermitian
         clusters = cluster_eigenvalues(vals, tol.cut("cluster"))
@@ -376,7 +376,7 @@ def irrep_decompose(generators, seed: int = 0,
     as the identity basis.  Unitarily equivalent pieces are merged into
     (irrep (x) multiplicity) blocks.  Blocks are sorted by (irrep dimension,
     trace signature) so the output is deterministic given the seed.
-    Intertwiner residuals falling in the gray band [eps, 100*eps] are
+    Intertwiner residuals falling in the gray band (eps, 100*eps] are
     reported in ``ambiguous_pairs`` (those pieces stay split rather than
     guessing).
     """
@@ -397,8 +397,8 @@ def irrep_decompose(generators, seed: int = 0,
             if rep_gens[0].shape != lg[0].shape:
                 continue
             u, res = _intertwiner(lg, rep_gens)
-            if res < tol.cut("intertwiner"):
-                if res < tol.eps:
+            if res <= tol.cut("intertwiner"):
+                if res <= tol.eps:
                     c["members"].append(k)
                     c["intertwiners"].append(u)
                     placed = True
@@ -475,7 +475,7 @@ def _cyclic_frame(model, tol: Tolerance):
             for _ in range(2):
                 resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
             norm = float(np.linalg.norm(resid))
-            if norm >= cutoff:
+            if norm > cutoff:
                 if r == Q.shape[1]:
                     Q = np.pad(Q, ((0, 0), (0, min(r, total_dim - r))))
                 Q[:, r] = resid / norm

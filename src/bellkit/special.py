@@ -77,7 +77,7 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
             for b in range(sc.nB):
                 if a != b:
                     worst_sync = max(worst_sync, p[a, b, x, x])
-    if worst_sync >= tol.eps:
+    if worst_sync > tol.eps:
         raise ValueError(
             f"correlation is not synchronous: max off-diagonal p(a,b|x,x) = {worst_sync:.3e}"
         )
@@ -140,18 +140,18 @@ def _round_effect(m: QuantumModel, side: str, x: int, tol: Tolerance) -> np.ndar
     for block in cluster_eigenvalues(vals, tol.cut("cluster")):
         lam = float(vals[block].mean())
         cols = vecs[:, block]
-        if abs(lam - 1.0) < tol.eps:
+        if abs(lam - 1.0) <= tol.eps:
             proj = proj + cols @ dagger(cols)
-        elif abs(lam) < tol.eps:
+        elif abs(lam) <= tol.eps:
             continue
         else:
             residual = float(np.linalg.norm(_act(m, side, cols @ dagger(cols), m.psi)))
-            if residual >= tol.eps:
+            if residual > tol.eps:
                 raise LemmaViolated("M" if side == "A" else "N", x, lam, residual)
     return (proj + dagger(proj)) / 2
 
 
-def binary_round(m: QuantumModel, extremal_assertion: bool,
+def binary_round(m: QuantumModel,
                  tol: Tolerance = DEFAULT_TOL) -> tuple[QuantumModel, DilationWitness]:
     """Round a binary POVM model to a projective model with the same correlation.
 
@@ -165,9 +165,6 @@ def binary_round(m: QuantumModel, extremal_assertion: bool,
     sc = m.scenario
     if sc.nA != 2 or sc.nB != 2:
         raise ValueError(f"binary rounding needs two outputs per side, got {sc}")
-    if not extremal_assertion:
-        raise ValueError("binary rounding is only sound for extreme correlations; "
-                         "pass extremal_assertion=True to assert this")
     P, Q = [], []
     for side, n_inputs, dim, family in (("A", sc.nX, m.dimA, P), ("B", sc.nY, m.dimB, Q)):
         for x in range(n_inputs):

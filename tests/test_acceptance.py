@@ -9,10 +9,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from bellkit.dilations import (
-    NotDilatable,
     find_local_dilation,
     naimark_dilate,
     verify_local_dilation,
@@ -24,7 +22,6 @@ from bellkit.models import (
     QuantumModel,
     classify,
     correlation_of,
-    is_projective_state,
     validate_model,
 )
 from bellkit.presets import (
@@ -225,7 +222,7 @@ def test_criterion_7_binary_rounding():
     ok = True
     # (a) already projective: unchanged
     ideal = chsh_ideal_model()
-    rounded, witness = binary_round(ideal, True)
+    rounded, witness = binary_round(ideal)
     ok &= all(mat_norm(rounded.M[x][a] - ideal.M[x][a]) < 1e-12
               for x in range(2) for a in range(2))
     ok &= witness.dimAuxA == 1
@@ -233,7 +230,7 @@ def test_criterion_7_binary_rounding():
     # (b) eigenvalue 1/3 outside the support: stripped, correlation preserved
     padded, _ = _padded_chsh(1 / 3)
     ok &= validate_model(padded).valid
-    rounded, _ = binary_round(padded, True)
+    rounded, _ = binary_round(padded)
     ok &= classify(rounded).projective
     gap = np.abs(correlation_of(rounded).p - correlation_of(padded).p).max()
     ok &= gap < 1e-9
@@ -251,7 +248,7 @@ def test_criterion_7_binary_rounding():
                             N=[[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]],
                             psi=np.array([1, 0, 0, 1]) / np.sqrt(2))
     try:
-        binary_round(violator, True)
+        binary_round(violator)
         ok = False
     except LemmaViolated:
         pass

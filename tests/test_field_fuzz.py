@@ -2,7 +2,8 @@
 
 Each top-level field of a model (tensor and commuting), witness, correlation
 and decomposition file, each scenario count, each decomposition component's
-fields and the whole document are set in turn to each value of ``VALUES``.
+fields and the whole document are set in turn to each value of ``VALUES``,
+and each of these fields is also deleted.
 The enumeration is exhaustive, so it needs no seed.  Every run must exit 2
 with one ``error:`` line on stderr, nothing on stdout and no traceback.  The
 one exception is ``validate``, whose job is to report the invariants a
@@ -22,6 +23,7 @@ from bellkit.presets import chsh_ideal_model, commuting_from_tensor
 from run_cli import invoke
 
 VALUES = [5, None, [5], "x", {}, [], -1, 0, 2.5, True]
+DELETED = object()  # a field removed rather than set
 
 CHSH = chsh_ideal_model()
 CORR = correlation_to_obj(correlation_of(CHSH))
@@ -57,22 +59,27 @@ CASES = (
 
 
 def mutations(obj):
-    """(description, mutated copy) for every field of ``obj`` and every value."""
-    places = [()] + [(key,) for key in obj]
+    """(description, mutated copy) for every field of ``obj`` and every value,
+    and for every field deleted."""
+    for value in VALUES:
+        yield f"<document> = {value!r}", value
+    places = [(key,) for key in obj]
     places += [(key, sub) for key in obj if isinstance(obj[key], dict) for sub in obj[key]]
     if "components" in obj:
         places += [("components", 0, "weight"), ("components", 0, "correlation")]
     for place in places:
-        for value in VALUES:
-            if not place:
-                yield f"<document> = {value!r}", value
-                continue
+        where = ".".join(map(str, place))
+        for value in [*VALUES, DELETED]:
             out = copy.deepcopy(obj)
             parent = out
             for key in place[:-1]:
                 parent = parent[key]
-            parent[place[-1]] = value
-            yield f"{'.'.join(map(str, place))} = {value!r}", out
+            if value is DELETED:
+                del parent[place[-1]]
+                yield f"del {where}", out
+            else:
+                parent[place[-1]] = value
+                yield f"{where} = {value!r}", out
 
 
 def _exits_2(res, command) -> bool:
@@ -110,10 +117,11 @@ def test_every_bad_field_exits_2(tmp_path, kind, cmd):
     assert failures == []
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "0", "-0.0"])
 @pytest.mark.parametrize("cmd", MODEL_COMMANDS + CORR_COMMANDS, ids=lambda c: c[0])
 def test_bad_tolerance_exits_2(tmp_path, cmd, tol):
     res = invoke([*_argv(cmd, _good_files(tmp_path)), "--tol", tol])
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: tolerance must be finite and nonnegative")
+    assert res.stderr.startswith("error: tolerance must be finite and positive, got ")
+    assert res.stderr.count("\n") == 1

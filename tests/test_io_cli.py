@@ -26,8 +26,14 @@ from bellkit.io import (
     obj_to_witness,
 )
 from bellkit.linalg import replace
-from bellkit.models import correlation_of, trivial_witness
-from bellkit.presets import chsh_ideal_model, example_pair, tensor_with_auxiliary
+from bellkit.models import QuantumModel, Scenario, correlation_of, trivial_witness
+from bellkit.presets import (
+    chsh_ideal_model,
+    commuting_from_tensor,
+    example_pair,
+    random_quantum_model,
+    tensor_with_auxiliary,
+)
 from run_cli import invoke
 from test_dilations import conjugate_pair
 
@@ -613,9 +619,47 @@ class TestCliCommands:
     def test_round_binary_requires_assertion(self):
         res = invoke(["round-binary", str(FIXTURES / "chsh_ideal.model.json")])
         assert res.exit_code == 2
+        assert res.stderr == ("error: binary rounding is only sound for extreme correlations; "
+                              "pass --assert-extremal to assert this\n")
         res = invoke(["round-binary", str(FIXTURES / "chsh_ideal.model.json"),
                       "--assert-extremal"])
         assert res.exit_code == 0
+
+    def test_round_binary_reports_a_lemma_violation(self, tmp_path):
+        """The eigenvalue-1/2 effect seen by the state: exit 1, and the report
+        names the eigenpair."""
+        half = np.eye(2) / 2
+        m = QuantumModel(scenario=Scenario(1, 1, 2, 2), dimA=2, dimB=2, M=[[half, half]],
+                         N=[[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]],
+                         psi=np.array([1, 0, 0, 1]) / np.sqrt(2))
+        path = tmp_path / "half.json"
+        save_json(path, model_to_obj(m))
+        res = invoke(["round-binary", str(path), "--assert-extremal"])
+        assert (res.exit_code, res.stderr) == (1, "")
+        report = json.loads(res.stdout)
+        assert report["verdicts"]["lemma_violated"] is True
+        assert report["violation"]["eigenvalue"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_round_binary_needs_two_outputs(self, tmp_path):
+        m = random_quantum_model(np.random.default_rng(0), Scenario(2, 2, 3, 3), 2, 2)
+        path = tmp_path / "ternary.json"
+        save_json(path, model_to_obj(m))
+        res = invoke(["round-binary", str(path), "--assert-extremal"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: binary rounding needs two outputs per side")
+
+    @pytest.mark.parametrize("cmd", [
+        ["schmidt", "@m"], ["support", "@m"], ["round-binary", "@m", "--assert-extremal"],
+        ["sync-verify", "@m"], ["find-dilation", "@m", "@m"],
+        ["verify-dilation", "@m", "@m", "@w"],
+    ], ids=lambda c: c[0])
+    def test_tensor_only_command_refuses_a_commuting_model(self, tmp_path, cmd):
+        paths = {"@m": tmp_path / "m.json", "@w": tmp_path / "w.json"}
+        save_json(paths["@m"], model_to_obj(commuting_from_tensor(chsh_ideal_model())))
+        save_json(paths["@w"], witness_to_obj(trivial_witness(chsh_ideal_model())))
+        res = invoke([str(paths.get(a, a)) for a in cmd])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: {cmd[0]} needs a tensor-product model\n"
 
     def test_tilted_sos_command(self):
         res = invoke(["tilted-sos", str(FIXTURES / "chsh_ideal.model.json"),

@@ -26,7 +26,6 @@ from bellkit.presets import (
     random_povm,
     random_pvm,
     random_quantum_model,
-    random_state,
     tensor_with_auxiliary,
 )
 from bellkit.reps import (

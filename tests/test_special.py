@@ -10,14 +10,12 @@ from bellkit.models import (
     QuantumModel,
     classify,
     correlation_of,
-    is_projective_state,
     validate_model,
 )
 from bellkit.presets import (
     block_padded_model,
     chsh_ideal_model,
     example_pair,
-    random_povm,
     synchronous_model,
 )
 from bellkit.special import (
@@ -85,7 +83,7 @@ class TestSynchronous:
 class TestBinaryRound:
     def test_projective_model_unchanged(self):
         m = chsh_ideal_model()
-        rounded, witness = binary_round(m, True)
+        rounded, witness = binary_round(m)
         for x in range(2):
             for a in range(2):
                 assert mat_norm(rounded.M[x][a] - m.M[x][a]) < 1e-10
@@ -103,7 +101,7 @@ class TestBinaryRound:
             psi=np.concatenate([m.psi, np.zeros(2)]),
         )
         assert validate_model(padded).valid
-        rounded, _ = binary_round(padded, True)
+        rounded, _ = binary_round(padded)
         assert classify(rounded).projective
         np.testing.assert_allclose(correlation_of(rounded).p, correlation_of(padded).p,
                                    atol=1e-10)
@@ -121,7 +119,7 @@ class TestBinaryRound:
                          N=[[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]],
                          psi=np.array([1, 0, 0, 1]) / np.sqrt(2))
         with pytest.raises(LemmaViolated) as exc_info:
-            binary_round(m, True)
+            binary_round(m)
         assert abs(exc_info.value.eigenvalue - 0.5) < 1e-12
 
     def test_rounded_output_is_pvm(self):
@@ -132,7 +130,7 @@ class TestBinaryRound:
             N=m.N,
             psi=np.concatenate([m.psi, np.zeros(2)]),
         )
-        rounded, _ = binary_round(padded, True)
+        rounded, _ = binary_round(padded)
         assert classify(rounded).projective
         assert validate_model(rounded).valid
 
