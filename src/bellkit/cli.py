@@ -3,9 +3,9 @@
 One subcommand per verification procedure; each reads JSON model or
 correlation files, runs exactly one check, and writes a single canonical JSON
 report to stdout (diagnostics go to stderr).  Exit code 0 means every check
-passed, 1 means a check failed, 2 means the input or usage was bad.  Reports
-embed the input hashes, tolerance, and seed, so published numbers are
-reproducible byte for byte.
+passed, 1 a failed check, 2 bad input or usage.  Reports embed the input
+hashes, tolerance, and seed, so published numbers are reproducible byte for
+byte with the same numpy/OpenBLAS build, CPU kernel and one BLAS thread.
 """
 
 from __future__ import annotations

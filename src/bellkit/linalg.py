@@ -9,7 +9,7 @@ type of the package is declared with :func:`record`.
 
 from __future__ import annotations
 
-import math
+import sys
 from operator import attrgetter
 
 import numpy as np
@@ -172,17 +172,15 @@ class Tolerance:
     """Tolerance used for all approximate checks.
 
     Besides the uniform ``eps`` rules, every cut is ``cut(name)``, from the
-    one table above.
+    one table above.  ``eps`` is finite and at least ``sys.float_info.epsilon``.
     """
 
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.eps}")
-
-    def is_zero(self, x) -> bool:
-        return abs(x) <= self.eps
+        if not sys.float_info.epsilon <= self.eps <= sys.float_info.max:
+            raise ValueError(f"tolerance must be finite and at least {sys.float_info.epsilon!r}"
+                             f" (float64 resolution), got {self.eps}")
 
     def cut(self, name: str) -> float:
         """``max(k * eps, floor)`` for the named entry of the cut table."""
@@ -222,6 +220,24 @@ def mat_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
+def _operator_excess(c: np.ndarray, tol: Tolerance, scale) -> float | None:
+    """``||c||_2`` if it exceeds ``eps * scale()``, else None.  ``scale()`` is at
+    least 1, so a Frobenius norm at most eps passes (``||c||_2 <= ||c||_F``)
+    with no SVD and no call of ``scale``."""
+    if np.linalg.norm(c) <= tol.eps:
+        return None
+    res = mat_norm(c)
+    return res if res > tol.eps * scale() else None
+
+
+def _project_off(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` (a vector or columns) less ``Q (Q^H x)``, ``Q = basis`` orthonormal,
+    twice: the second pass removes what rounding left of ``x`` in Q's span."""
+    for _ in range(2):
+        x = x - basis @ (dagger(basis) @ x)
+    return x
+
+
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
     """Slices of index ranges in which adjacent eigenvalues differ by at most ``gap``."""
     slices = []
@@ -258,7 +274,7 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     ``dust`` cut is real positive, making the output reproducible.
     """
     h = as_matrix(h)
-    if mat_norm(h - dagger(h)) > tol.eps * (1 + mat_norm(h)):
+    if _operator_excess(h - dagger(h), tol, lambda: 1 + mat_norm(h)) is not None:
         raise ValueError("hermitian_eig: input is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     vals = vals[::-1].copy()
@@ -288,20 +304,16 @@ def structural_predicates(m, tol: Tolerance = DEFAULT_TOL) -> StructuralFlags:
     m = as_matrix(m)
     rows, cols = m.shape
     scale = 1 + mat_norm(m)
-    herm = rows == cols and mat_norm(m - dagger(m)) <= tol.eps * scale
-    positive = False
-    projection = False
+    herm = rows == cols and _operator_excess(m - dagger(m), tol, lambda: scale) is None
+    positive = projection = False
     if herm:
         vals = np.linalg.eigvalsh((m + dagger(m)) / 2)
         positive = bool(vals.min(initial=0.0) >= -tol.eps * scale)
-        projection = mat_norm(m @ m - m) <= tol.eps * scale**2
-    gram = dagger(m) @ m
-    isometry = cols <= rows and mat_norm(gram - np.eye(cols)) <= tol.eps * scale**2
-    unitary = (
-        rows == cols
-        and isometry
-        and mat_norm(m @ dagger(m) - np.eye(rows)) <= tol.eps * scale**2
-    )
+        projection = _operator_excess(m @ m - m, tol, lambda: scale**2) is None
+    isometry = (cols <= rows
+                and _operator_excess(dagger(m) @ m - np.eye(cols), tol, lambda: scale**2) is None)
+    unitary = (rows == cols and isometry
+               and _operator_excess(m @ dagger(m) - np.eye(rows), tol, lambda: scale**2) is None)
     return StructuralFlags(herm, positive, projection, isometry, unitary)
 
 

@@ -4,9 +4,9 @@ A quantum model is a pair of local POVM families plus a bipartite pure state;
 a commuting model puts both families on one space and requires them to
 commute.  Word moments ``<psi| M^{x1}_{a1}...  (x) N^{y1}_{b1}... |psi>`` are
 the single currency for everything observable: correlations are just the
-degree-(1,1) moments.  Every word vector ``pi_A(A) pi_B(B) psi`` is built by
-``_word_vector`` in one per-call table: one letter acting on the cached vector
-of the word one letter shorter.
+degree-(1,1) moments.  Word vectors ``pi_A(A) pi_B(B) psi`` of moments, frames
+and cyclic restrictions come from ``_word_vector``'s per-call table, one letter
+acting on the word one letter shorter (``tilted`` keeps its own monomials).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .linalg import (
     dagger,
     field,
     mat_norm,
+    _operator_excess,
     record,
 )
 from .schmidt import schmidt_decompose
@@ -242,10 +243,8 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
                 rows, cols = m.shape
                 rep.add("operator shape", loc, float(max(abs(rows - dim), abs(cols - dim))))
                 break  # no completeness check for this POVM
-            # A Frobenius norm <= eps passes without an SVD, as in _check_commutation.
-            skew = m - dagger(m)
-            if (np.linalg.norm(skew) > tol.eps
-                    and (herm_res := mat_norm(skew)) > tol.eps * (1 + mat_norm(m))):
+            herm_res = _operator_excess(m - dagger(m), tol, lambda: 1 + mat_norm(m))
+            if herm_res is not None:
                 rep.add("hermiticity", loc, herm_res)
             else:
                 min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
@@ -253,9 +252,8 @@ def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
                     rep.add("positivity", loc, -min_eig)
             total = total + m
         else:
-            defect = total - np.eye(dim)
-            if (np.linalg.norm(defect) > tol.eps
-                    and (comp_res := mat_norm(defect)) > tol.eps * (1 + mat_norm(total))):
+            comp_res = _operator_excess(total - np.eye(dim), tol, lambda: 1 + mat_norm(total))
+            if comp_res is not None:
                 rep.add("POVM completeness", f"{label}[{x}]", comp_res)
 
 
@@ -292,22 +290,17 @@ def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance)
     """Record every [M^x_a, N^y_b] whose norm exceeds eps (1 + ||M^x_a|| ||N^y_b||).
 
     The one commutation rule: ``validate_model`` and ``verify_tilted_sos``
-    both apply it to commuting models.  A commutator whose Frobenius norm is
-    at most eps passes without an SVD, since ``||C||_2 <= ||C||_F`` and the
-    bound is at least eps; spectral norms are taken only for the others, each
-    operator's once.
-    """
+    both apply it to commuting models.  An operator's spectral norm is taken
+    once, and only for a commutator past ``_operator_excess``'s screen."""
     norm_m = cache(lambda x, a: mat_norm(m.M[x][a]))
     norm_n = cache(lambda y, b: mat_norm(m.N[y][b]))
     for x, povm in enumerate(m.M):
         for a, ma in enumerate(povm):
             for y, qovm in enumerate(m.N):
                 for b, nb in enumerate(qovm):
-                    comm = ma @ nb - nb @ ma
-                    if np.linalg.norm(comm) <= tol.eps:
-                        continue
-                    res = mat_norm(comm)
-                    if res > tol.eps * (1 + norm_m(x, a) * norm_n(y, b)):
+                    res = _operator_excess(ma @ nb - nb @ ma, tol,
+                                          lambda: 1 + norm_m(x, a) * norm_n(y, b))
+                    if res is not None:
                         rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
 
 
@@ -428,7 +421,5 @@ def is_projective_state(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     pairs = [(((x, a),), ()) for x in range(sc.nX) for a in range(sc.nA)]
     pairs += [((), ((y, b),)) for y in range(sc.nY) for b in range(sc.nB)]
     table: dict = {}
-    for wa, wb in pairs:  # one letter, then the letter squared
-        if not tol.is_zero(_moment(m, wa, wb, table) - _moment(m, wa * 2, wb * 2, table)):
-            return False
-    return True
+    return all(abs(_moment(m, wa, wb, table) - _moment(m, wa * 2, wb * 2, table)) <= tol.eps
+               for wa, wb in pairs)  # one letter, then the letter squared

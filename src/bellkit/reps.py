@@ -23,6 +23,7 @@ from .linalg import (
     field,
     hermitian_eig,
     mat_norm,
+    _project_off,
     record,
 )
 from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _word_vector
@@ -288,17 +289,14 @@ def _seeded_leaves(work_gens, tol) -> list[np.ndarray]:
     found = np.zeros((d, 0), dtype=complex)
     leaves = []
     for v in hermitian_eig(work_gens[0], tol)[1].T:
-        for _ in range(2):
-            v = v - found @ (dagger(found) @ v)
+        v = _project_off(found, v)
         norm = np.linalg.norm(v)
         if norm <= cut:
             continue
         leaf = new = (v / norm)[:, None]
         while new.shape[1]:
             span = np.hstack([found, leaf])
-            images = np.hstack([g @ new for g in work_gens])
-            for _ in range(2):
-                images -= span @ (dagger(span) @ images)
+            images = _project_off(span, np.hstack([g @ new for g in work_gens]))
             u, s, _ = np.linalg.svd(images, full_matrices=False)
             new = u[:, s > cut]
             leaf = np.hstack([leaf, new])
@@ -450,8 +448,8 @@ def _cyclic_frame(model, tol: Tolerance):
 
     Level L+1 candidates are letters prepended to the retained level-L words,
     processed in length-lex order.  Each candidate's vector, from the word
-    vector table, is projected twice on the basis so far, ``r -= Q (Q^H r)``,
-    and becomes Q's next column when the residual norm is at least 2 eps
+    vector table, is projected twice off the basis so far (``_project_off``)
+    and becomes Q's next column when its norm exceeds the ``frame`` cut, 2 eps
     (word vectors have norm <= 1).  The search ends at the first level that
     retains nothing, or when Q spans the whole space.  Q's buffer starts at a
     few columns and doubles when full, up to the whole space: cyclic spaces
@@ -471,9 +469,7 @@ def _cyclic_frame(model, tol: Tolerance):
         candidates = {w.prepend(letter) for letter in letters for w in level}
         next_level = []
         for w in sorted(candidates, key=Word.key):
-            resid = _word_vector(model, w.lettersA, w.lettersB, table).copy()
-            for _ in range(2):
-                resid -= Q[:, :r] @ (dagger(Q[:, :r]) @ resid)
+            resid = _project_off(Q[:, :r], _word_vector(model, w.lettersA, w.lettersB, table))
             norm = float(np.linalg.norm(resid))
             if norm > cutoff:
                 if r == Q.shape[1]:

@@ -14,6 +14,7 @@ on the left, flipped against a negated cut: ``min_eig < -tol.eps``).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,7 +175,8 @@ def test_direction_guard_allows_a_cut_passed_at_equality(snippet):
     assert wrong_way_cuts(snippet) == []
 
 
-EPS_GRID = [1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.5, 1e300]
+EPS_GRID = [sys.float_info.epsilon, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7,
+            1e-6, 1e-3, 0.5, 1e300]
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
@@ -203,7 +205,10 @@ def test_tolerance_has_the_one_field_eps():
     assert len(set(_CUTS.values())) == len(_CUTS)  # one name per rule
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.0, -1e-300, float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [0.0, -0.0, -1e-300, float("nan"), float("inf"),
+                                 1e-17, 1e-300, 5e-324])
 def test_tolerance_must_be_finite_and_positive(eps):
-    with pytest.raises(ValueError, match=r"^tolerance must be finite and positive, got "):
+    """And at least float64's resolution, which the message names."""
+    with pytest.raises(ValueError, match=r"^tolerance must be finite and at least "
+                                         r"2\.220446049250313e-16 \(float64 resolution\), got "):
         Tolerance(eps)

@@ -14,6 +14,7 @@ its first crashing mutation.
 
 import copy
 import json
+import sys
 
 import pytest
 
@@ -117,11 +118,20 @@ def test_every_bad_field_exits_2(tmp_path, kind, cmd):
     assert failures == []
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "0", "-0.0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "0", "-0.0",
+                                 "1e-17", "1e-300", "5e-324"])
 @pytest.mark.parametrize("cmd", MODEL_COMMANDS + CORR_COMMANDS, ids=lambda c: c[0])
 def test_bad_tolerance_exits_2(tmp_path, cmd, tol):
     res = invoke([*_argv(cmd, _good_files(tmp_path)), "--tol", tol])
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: tolerance must be finite and positive, got ")
+    assert res.stderr.startswith("error: tolerance must be finite and at least "
+                                 "2.220446049250313e-16 (float64 resolution), got ")
     assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", MODEL_COMMANDS + CORR_COMMANDS, ids=lambda c: c[0])
+def test_floor_tolerance_gives_the_default_exit_code(tmp_path, cmd):
+    argv = _argv(cmd, _good_files(tmp_path))
+    floor = invoke([*argv, "--tol", repr(sys.float_info.epsilon)])
+    assert floor.exit_code == invoke(argv).exit_code

@@ -640,6 +640,25 @@ class TestCliCommands:
         assert report["verdicts"]["lemma_violated"] is True
         assert report["violation"]["eigenvalue"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_round_binary_exact_model_at_the_tolerance_floor(self, tmp_path):
+        """Z and X PVMs on |00>: below float64 resolution the rounding's
+        rebuilt projectors could not meet their cut, so that --tol is refused;
+        at the floor the exact model keeps its correlation."""
+        z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        x = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+        m = QuantumModel(scenario=Scenario(2, 2, 2, 2), dimA=2, dimB=2, M=[z, x], N=[z, x],
+                         psi=np.array([1.0, 0.0, 0.0, 0.0]))
+        path = tmp_path / "zx.json"
+        save_json(path, model_to_obj(m))
+        argv = ["round-binary", str(path), "--assert-extremal", "--tol"]
+        res = invoke([*argv, "1e-17"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: tolerance must be finite and at least ")
+        assert res.stderr.count("\n") == 1
+        res = invoke([*argv, repr(sys.float_info.epsilon)])
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["verdicts"]["correlation_preserved"] is True
+
     def test_round_binary_needs_two_outputs(self, tmp_path):
         m = random_quantum_model(np.random.default_rng(0), Scenario(2, 2, 3, 3), 2, 2)
         path = tmp_path / "ternary.json"

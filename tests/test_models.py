@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bellkit import models
+from bellkit import linalg, models
 from bellkit.linalg import DEFAULT_TOL, Tolerance, mat_norm
 from bellkit.models import (
     CommutingModel,
@@ -130,6 +130,7 @@ class TestValidation:
             return mat_norm(op)
 
         monkeypatch.setattr(models, "mat_norm", counted)
+        monkeypatch.setattr(linalg, "mat_norm", counted)
         m = commuting_from_tensor(tensor_with_auxiliary(
             chsh_ideal_model(), np.array([0.6, 0.0, 0.0, 0.8]), 2, 2))
         rep = models.ValidationReport()
