@@ -5,7 +5,8 @@ correlation files, runs exactly one check, and writes a single canonical JSON
 report to stdout (diagnostics go to stderr).  Exit code 0 means every check
 passed, 1 a failed check, 2 bad input or usage.  Reports embed the input
 hashes, tolerance, and seed, so published numbers are reproducible byte for
-byte with the same numpy/OpenBLAS build, CPU kernel and one BLAS thread.
+byte with the same numpy/OpenBLAS build, CPU kernel and one BLAS thread,
+which the process entry ``run`` sets unless the caller chose a thread count.
 """
 
 from __future__ import annotations
@@ -54,13 +55,17 @@ main.main = lambda args=(), prog_name=None, **_: sys.exit(main(args))
 def run():
     """Process entry point: ``main``, then exit without interpreter teardown.
 
-    Stdout and stderr are flushed and ``os._exit`` ends the process with
-    ``main``'s code, so neither ``atexit`` nor the teardown of the heap the
-    numpy and bellkit imports built runs.  A flush that fails (a reader
-    that closed the pipe) exits 120, as the interpreter does when its own
-    final flush fails.  In-process callers use ``main``, which returns the
-    code and never exits the process.
+    Each BLAS thread variable the caller left unset is set to 1 before numpy
+    loads, so a default run prints one thread's bytes.  Stdout and stderr
+    are flushed and ``os._exit`` ends the process with ``main``'s code, so
+    neither ``atexit`` nor the teardown of the heap the numpy and bellkit
+    imports built runs.  A flush that fails (a reader that closed the pipe)
+    exits 120, as the interpreter does when its own final flush fails.
+    In-process callers use ``main``, which returns the code, never exits the
+    process and sets no thread count.
     """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

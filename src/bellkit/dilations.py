@@ -27,7 +27,7 @@ from .models import (
     QuantumModel,
     ValidationReport,
     _act,
-    _check_povm_family,
+    _povm_violations,
     correlation_of,
 )
 from .reps import _flat, _intertwiner, irrep_decompose, states_equal
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class NaimarkDilation:
     """Isometry V : H -> H (x) C^k and PVM P with V* P_i V = M_i."""
 
@@ -63,8 +63,7 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     ops = [as_matrix(m) for m in povm]
     k = len(ops)
     d = ops[0].shape[0]
-    rep = ValidationReport()
-    _check_povm_family(rep, [ops], "POVM", 1, k, d, tol)
+    rep = ValidationReport(list(_povm_violations([ops], "POVM", 1, k, d, tol)))
     if not rep.valid:
         raise ValueError(f"POVM is not valid: {rep}")
 

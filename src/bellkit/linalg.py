@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "record",
-    "field",
     "replace",
     "FrozenInstanceError",
     "Tolerance",
@@ -32,59 +31,32 @@ __all__ = [
     "mat_norm",
 ]
 
-_MISSING = object()
-
 
 class FrozenInstanceError(AttributeError):
-    """Assignment to, or deletion of, an attribute of a frozen record."""
+    """Assignment to, or deletion of, an attribute of a record."""
 
 
-class _Field:
-    __slots__ = ("default_factory", "compare")
-
-    def __init__(self, default_factory, compare):
-        self.default_factory, self.compare = default_factory, compare
-
-
-def field(*, default_factory, compare: bool = True):
-    """A record field whose default is ``default_factory()``, called for
-    each instance not given the field, and whether ``==`` and ``hash`` read it."""
-    return _Field(default_factory, compare)
-
-
-def record(cls=None, /, *, frozen: bool = False):
+def record(cls):
     """Class decorator: one field per annotation of the class body, in order.
 
-    It gives the class what ``dataclasses.dataclass`` would, built from
-    closures over the field names rather than from generated source, so a
-    declaration runs no ``exec``:
+    It gives the class what ``dataclasses.dataclass(frozen=True)`` would,
+    built from closures over the field names rather than from generated
+    source, so a declaration runs no ``exec``:
 
     - ``_fields``, the field names;
     - ``__init__``, taking the fields by position or keyword; a field not
-      given takes its default, or a fresh ``field(default_factory=...)``
-      value; then ``__post_init__`` runs, if the class has one;
+      given takes its default, the class attribute of its name, one value
+      shared by every instance; then ``__post_init__`` runs, if the class
+      has one;
     - ``__repr__`` as ``Name(f=v, ...)``;
-    - ``__eq__`` between instances of the same class, over the fields not
-      declared ``field(compare=False)``.
-
-    A ``frozen`` record raises :class:`FrozenInstanceError` on assignment
-    and deletion and hashes as the tuple of its compared fields, as
-    ``dataclasses`` does, so a set of records iterates in the same order;
-    any other record is unhashable.
+    - ``__eq__`` between instances of the same class, over all fields;
+    - ``__hash__`` as the tuple of the fields, so a set of records iterates
+      in the same order as one of dataclasses;
+    - ``__setattr__`` and ``__delattr__``, which raise
+      :class:`FrozenInstanceError`: a record is a value, built whole.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults, compared = {}, []  # defaults: name -> a call giving the value
-    for name in names:
-        spec = cls.__dict__.get(name, _MISSING)
-        if isinstance(spec, _Field):
-            defaults[name] = spec.default_factory
-            delattr(cls, name)
-        elif spec is not _MISSING:
-            defaults[name] = lambda value=spec: value
-        if not isinstance(spec, _Field) or spec.compare:
-            compared.append(name)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     title = cls.__qualname__
 
     def bind(args, kwargs) -> list:
@@ -97,7 +69,7 @@ def record(cls=None, /, *, frozen: bool = False):
             if name in kwargs:
                 values.append(kwargs.pop(name))
             elif name in defaults:
-                values.append(defaults[name]())
+                values.append(defaults[name])
             else:
                 raise TypeError(f"{title}() missing required argument {name!r}")
         if kwargs:  # a name given by position too, or no field's name
@@ -118,8 +90,8 @@ def record(cls=None, /, *, frozen: bool = False):
     def __repr__(self):
         return f"{title}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
 
-    get = attrgetter(*compared)  # of one name, the value rather than a 1-tuple
-    key = (lambda obj: (get(obj),)) if len(compared) == 1 else get
+    get = attrgetter(*names)  # of one name, the value rather than a 1-tuple
+    key = (lambda obj: (get(obj),)) if len(names) == 1 else get
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,10 +107,8 @@ def record(cls=None, /, *, frozen: bool = False):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__hash__ = __hash__ if frozen else None
-    if frozen:
-        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = __init__, __repr__, __eq__, __hash__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     cls._fields = names
     return cls
 
@@ -167,7 +137,7 @@ _CUTS = {
 }
 
 
-@record(frozen=True)
+@record
 class Tolerance:
     """Tolerance used for all approximate checks.
 
@@ -268,10 +238,11 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     """Spectral decomposition of a Hermitian matrix.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending and
-    eigenvectors as columns.  Inside each degenerate cluster (adjacent gaps
-    at most the ``cluster`` cut) the columns are re-orthonormalized in index
-    order and each column's phase is fixed so its first entry above the
-    ``dust`` cut is real positive, making the output reproducible.
+    eigenvectors as columns.  Each column's phase is fixed so its first
+    entry above the ``dust`` cut is real positive.  A degenerate cluster
+    (adjacent gaps at most the ``cluster`` cut) goes through QR first, which
+    on orthonormal columns changes only phases (and rounding), so its basis
+    is the eigensolver's own and moves with the BLAS kernel and threads.
     """
     h = as_matrix(h)
     if _operator_excess(h - dagger(h), tol, lambda: 1 + mat_norm(h)) is not None:
@@ -286,7 +257,7 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
     return vals.real, vecs
 
 
-@record(frozen=True)
+@record
 class StructuralFlags:
     hermitian: bool
     positive: bool

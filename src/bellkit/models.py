@@ -22,7 +22,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     dagger,
-    field,
     mat_norm,
     _operator_excess,
     record,
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class Scenario:
     """Input/output alphabet sizes of a bipartite Bell scenario."""
 
@@ -66,7 +65,7 @@ def _family(ops) -> list[list[np.ndarray]]:
     return [[as_matrix(m) for m in povm] for povm in ops]
 
 
-@record(frozen=True)
+@record
 class QuantumModel:
     """Tensor-product model: local POVMs M[x][a], N[y][b] and a joint state.
 
@@ -90,7 +89,7 @@ class QuantumModel:
         return "tensor"
 
 
-@record(frozen=True)
+@record
 class CommutingModel:
     """Single-space model with mutually commuting measurement families."""
 
@@ -110,13 +109,13 @@ class CommutingModel:
         return "commuting"
 
 
-@record(frozen=True)
+@record
 class Correlation:
     """Outcome table p[a, b, x, y]; rows sum to 1 for every setting pair."""
 
     scenario: Scenario
     p: np.ndarray
-    notes: dict = field(default_factory=dict, compare=False)
+    notes: dict | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -126,7 +125,7 @@ class Correlation:
         object.__setattr__(self, "p", p)
 
 
-@record(frozen=True)
+@record
 class DilationWitness:
     """Local isometries and auxiliary state certifying S >= T.
 
@@ -155,7 +154,7 @@ def trivial_witness(m: QuantumModel) -> DilationWitness:
     )
 
 
-@record(frozen=True)
+@record
 class Word:
     """Product word pi_A(lettersA) pi_B(lettersB) of the universal algebra.
 
@@ -192,7 +191,7 @@ class Word:
         )
 
 
-@record(frozen=True)
+@record
 class ModelFlags:
     projective: bool
     full_rank: bool
@@ -200,7 +199,7 @@ class ModelFlags:
     binary: bool
 
 
-@record(frozen=True)
+@record
 class Violation:
     name: str
     location: str
@@ -212,14 +211,11 @@ class Violation:
 
 @record
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
 
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    def add(self, name: str, location: str, residual: float):
-        self.violations.append(Violation(name, location, float(residual)))
 
     def __str__(self):
         if self.valid:
@@ -227,34 +223,36 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _check_povm_family(rep: ValidationReport, ops, label: str, n_inputs: int,
-                       n_outputs: int, dim: int, tol: Tolerance):
+def _povm_violations(ops, label: str, n_inputs: int, n_outputs: int, dim: int,
+                     tol: Tolerance):
+    """Every violation of a POVM family, in the order ``validate_model`` reports them."""
     if len(ops) != n_inputs:
-        rep.add("family count", label, abs(len(ops) - n_inputs))
+        yield Violation("family count", label, float(abs(len(ops) - n_inputs)))
         return
     for x, povm in enumerate(ops):
         if len(povm) != n_outputs:
-            rep.add("POVM outcome count", f"{label}[{x}]", abs(len(povm) - n_outputs))
+            yield Violation("POVM outcome count", f"{label}[{x}]",
+                            float(abs(len(povm) - n_outputs)))
             continue
         total = np.zeros((dim, dim), dtype=complex)
         for a, m in enumerate(povm):
             loc = f"{label}[{x}][{a}]"
             if m.shape != (dim, dim):
                 rows, cols = m.shape
-                rep.add("operator shape", loc, float(max(abs(rows - dim), abs(cols - dim))))
+                yield Violation("operator shape", loc, float(max(abs(rows - dim), abs(cols - dim))))
                 break  # no completeness check for this POVM
             herm_res = _operator_excess(m - dagger(m), tol, lambda: 1 + mat_norm(m))
             if herm_res is not None:
-                rep.add("hermiticity", loc, herm_res)
+                yield Violation("hermiticity", loc, herm_res)
             else:
                 min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
                 if min_eig < -tol.eps:
-                    rep.add("positivity", loc, -min_eig)
+                    yield Violation("positivity", loc, -min_eig)
             total = total + m
         else:
             comp_res = _operator_excess(total - np.eye(dim), tol, lambda: 1 + mat_norm(total))
             if comp_res is not None:
-                rep.add("POVM completeness", f"{label}[{x}]", comp_res)
+                yield Violation("POVM completeness", f"{label}[{x}]", comp_res)
 
 
 def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
@@ -269,25 +267,24 @@ def validate_model(m, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         dimA = dimB = dim = m.dim
     else:
         raise TypeError(f"not a model: {type(m)}")
-    rep = ValidationReport()
     sc = m.scenario
-    _check_povm_family(rep, m.M, "M", sc.nX, sc.nA, dimA, tol)
-    _check_povm_family(rep, m.N, "N", sc.nY, sc.nB, dimB, tol)
+    violations = [*_povm_violations(m.M, "M", sc.nX, sc.nA, dimA, tol),
+                  *_povm_violations(m.N, "N", sc.nY, sc.nB, dimB, tol)]
     if len(m.psi) != dim:
-        rep.add("state dimension", "psi", abs(len(m.psi) - dim))
+        violations.append(Violation("state dimension", "psi", float(abs(len(m.psi) - dim))))
     else:
         norm_res = abs(float(np.linalg.norm(m.psi)) - 1.0)
         if norm_res > tol.eps:
-            rep.add("state normalization", "psi", norm_res)
+            violations.append(Violation("state normalization", "psi", norm_res))
     # products of misshapen operators are undefined; their shapes are reported
     if isinstance(m, CommutingModel) and all(op.shape == (dim, dim)
                                              for povm in (*m.M, *m.N) for op in povm):
-        _check_commutation(rep, m, tol)
-    return rep
+        violations += _commutation_violations(m, tol)
+    return ValidationReport(violations)
 
 
-def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance):
-    """Record every [M^x_a, N^y_b] whose norm exceeds eps (1 + ||M^x_a|| ||N^y_b||).
+def _commutation_violations(m: CommutingModel, tol: Tolerance):
+    """Every [M^x_a, N^y_b] whose norm exceeds eps (1 + ||M^x_a|| ||N^y_b||).
 
     The one commutation rule: ``validate_model`` and ``verify_tilted_sos``
     both apply it to commuting models.  An operator's spectral norm is taken
@@ -301,7 +298,7 @@ def _check_commutation(rep: ValidationReport, m: CommutingModel, tol: Tolerance)
                     res = _operator_excess(ma @ nb - nb @ ma, tol,
                                           lambda: 1 + norm_m(x, a) * norm_n(y, b))
                     if res is not None:
-                        rep.add("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
+                        yield Violation("commutation", f"[M[{x}][{a}], N[{y}][{b}]]", res)
 
 
 def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:

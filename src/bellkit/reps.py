@@ -20,7 +20,6 @@ from .linalg import (
     as_matrix,
     cluster_eigenvalues,
     dagger,
-    field,
     hermitian_eig,
     mat_norm,
     _project_off,
@@ -167,7 +166,7 @@ def commutant_basis(generators, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray
     return list(v @ t @ dagger(v))
 
 
-@record(frozen=True)
+@record
 class RepBlock:
     """One isotypic block: irrep of dimension n with multiplicity m.
 
@@ -186,9 +185,8 @@ class RepBlock:
 class RepDecomposition:
     blocks: list[RepBlock]
     dim: int
-    ambiguous_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    # max over generators of ||reassemble(i) - g_i||, set by irrep_decompose
-    reassembly_defect: float = 0.0
+    ambiguous_pairs: list[tuple[int, int, float]]
+    reassembly_defect: float  # max over generators of ||reassemble(i) - g_i||
 
     @property
     def irreducible(self) -> bool:
@@ -203,15 +201,19 @@ class RepDecomposition:
 
     def reassemble(self, index: int) -> np.ndarray:
         """The generator rebuilt from its block images, in the original basis."""
-        u = self.change_of_basis()
-        parts = [np.kron(b.generators[index], np.eye(b.m)) for b in self.blocks]
-        full = np.zeros((self.dim, self.dim), dtype=complex)
-        off = 0
-        for part in parts:
-            k = part.shape[0]
-            full[off:off + k, off:off + k] = part
-            off += k
-        return u @ full @ dagger(u)
+        return _reassemble(self.blocks, self.dim, index)
+
+
+def _reassemble(blocks: list[RepBlock], d: int, index: int) -> np.ndarray:
+    u = np.hstack([b.basis for b in blocks])
+    parts = [np.kron(b.generators[index], np.eye(b.m)) for b in blocks]
+    full = np.zeros((d, d), dtype=complex)
+    off = 0
+    for part in parts:
+        k = part.shape[0]
+        full[off:off + k, off:off + k] = part
+        off += k
+    return u @ full @ dagger(u)
 
 
 def _random_commutant_element(com_basis, rng) -> np.ndarray:
@@ -416,18 +418,16 @@ def irrep_decompose(generators, seed: int = 0,
         blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep_idx]))
 
     blocks.sort(key=lambda b: (b.n, _trace_signature(b.generators)))
-    dec = RepDecomposition(blocks=blocks, dim=d, ambiguous_pairs=ambiguous)
-
-    defect = max(mat_norm(dec.reassemble(t) - gens[t]) for t in range(len(gens)))
+    defect = max(mat_norm(_reassemble(blocks, d, t) - gens[t]) for t in range(len(gens)))
     if defect > tol.cut("reassembly"):
         raise AlgebraNotSemisimpleNumerically(
             f"reassembly defect {defect:.3e} exceeds tolerance; input too ill-conditioned"
         )
-    dec.reassembly_defect = defect
-    return dec
+    return RepDecomposition(blocks=blocks, dim=d, ambiguous_pairs=ambiguous,
+                            reassembly_defect=defect)
 
 
-@record(frozen=True)
+@record
 class CyclicModel:
     """A model whose state is cyclic, plus the words that span its space.
 
@@ -512,7 +512,7 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
     return CyclicModel(model=small, basis_words=words, dim=r, restricted=True)
 
 
-@record(frozen=True)
+@record
 class EquivalenceWitness:
     """Unitary between the cyclic spaces carrying state 1 onto state 2."""
 
@@ -523,7 +523,7 @@ class EquivalenceWitness:
     words_checked: int
 
 
-@record(frozen=True)
+@record
 class DistinguishingMoment:
     word: Word
     value1: complex

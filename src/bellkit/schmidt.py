@@ -12,7 +12,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class SchmidtDecomposition:
     """psi = sum_i coefficients[i] * left[:, i] (x) right[:, i].
 

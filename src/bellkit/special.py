@@ -18,7 +18,6 @@ from .linalg import (
     Tolerance,
     cluster_eigenvalues,
     dagger,
-    field,
     hermitian_eig,
     mat_norm,
     record,
@@ -175,7 +174,7 @@ def binary_round(m: QuantumModel,
     return rounded, trivial_witness(m)
 
 
-@record(frozen=True)
+@record
 class XorCorrelation:
     """Signed marginal matrix c[x, y] = sum_{a,b} (-1)^{a+b} p(a,b|x,y)."""
 
@@ -215,7 +214,7 @@ class XorCertificate:
     unbiased: bool
     extremal_asserted: bool
     extremality_refuted: bool | None
-    reasons: list[str] = field(default_factory=list)
+    reasons: list[str]
 
 
 def check_decomposition(p: Correlation, decomposition) -> None:

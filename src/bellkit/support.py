@@ -18,7 +18,7 @@ from .schmidt import SchmidtDecomposition, schmidt_decompose
 __all__ = ["SupportData", "support_of", "is_centrally_supported_via_transfer"]
 
 
-@record(frozen=True)
+@record
 class SupportData:
     PiA: np.ndarray
     PiB: np.ndarray

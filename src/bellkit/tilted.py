@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, mat_norm, record
-from .models import QuantumModel, Scenario, ValidationReport, _act, _check_commutation
+from .models import QuantumModel, Scenario, _act, _commutation_violations
 
 __all__ = [
     "NCPoly",
@@ -115,7 +115,7 @@ class NCPoly:
         return f"NCPoly({len(self.terms)} terms)"
 
 
-@record(frozen=True)
+@record
 class TiltedChshPolynomials:
     """The functional and the twelve certificate polynomials for one alpha."""
 
@@ -245,10 +245,10 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     lhs, rhs1, rhs2 = polys.identity_sides()
     residual1, swaps1 = _identity_defect(lhs - rhs1)
     residual2, swaps2 = _identity_defect(lhs - rhs2)
-    commutator, commutes = 0.0, ValidationReport()
+    commutator, commutes = 0.0, True
     if not isinstance(m, QuantumModel):
         commutator = max(mat_norm(a @ b - b @ a) for a in gens[:B0] for b in gens[B0:])
-        _check_commutation(commutes, m, tol)
+        commutes = not any(_commutation_violations(m, tol))
 
     # a monomial's vector is its first generator acting on the vector of the rest
     vec = {(): psi}
@@ -269,7 +269,7 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     for j, s in enumerate(polys.s, 1):
         residuals[f"s{j}"] = float(np.real(np.vdot(psi, on_psi(s))))
 
-    identities_ok = max(residual1, residual2) <= tol.cut("identity") and commutes.valid
+    identities_ok = max(residual1, residual2) <= tol.cut("identity") and commutes
     optimal = abs(f_eta - polys.lam) <= tol.eps
     return TiltedChshCertificate(
         alpha=alpha,

@@ -2,15 +2,17 @@
 PSD root, spectral norm, and the record decorator."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import bellkit
 from bellkit import linalg
 from bellkit.linalg import (
     FrozenInstanceError,
     Tolerance,
-    field,
     hermitian_eig,
     mat_norm,
     psd_sqrt,
@@ -146,12 +148,12 @@ def test_mat_norm_is_bitwise_the_numpy_2_norm():
 
 
 # The same declarations through the standard library, as the reference.
-def declare(decorate, fld):
-    @decorate(frozen=True)
+def declare(decorate):
+    @decorate
     class Point:
         x: int
         y: float = 0.5
-        note: dict = fld(default_factory=dict, compare=False)
+        note: str | None = None
 
         def __post_init__(self):
             if self.x < 0:
@@ -159,25 +161,24 @@ def declare(decorate, fld):
 
     @decorate
     class Log:
-        entries: list = fld(default_factory=list)
+        entries: tuple = ()
         total: float = 0.0
 
     return Point, Log
 
 
-Point, Log = declare(record, field)
-RefPoint, RefLog = declare(dataclasses.dataclass, dataclasses.field)
+Point, Log = declare(record)
+RefPoint, RefLog = declare(dataclasses.dataclass(frozen=True))
 
 
 def test_record_construction_matches_dataclasses():
     for args, kwargs in (((1,), {}), ((1, 2.0), {}), ((), {"x": 3, "y": 1.0}),
-                         ((4,), {"note": {"a": 1}}), ((1, 2.0, {"k": 0}), {})):
+                         ((4,), {"note": "a"}), ((1, 2.0, "k"), {})):
         p, ref = Point(*args, **kwargs), RefPoint(*args, **kwargs)
         assert vars(p) == vars(ref)
         assert repr(p) == repr(ref)
     assert Point._fields == ("x", "y", "note") == tuple(f.name for f in dataclasses.fields(RefPoint))
-    assert Point(1).note is not Point(1).note  # a fresh default per instance
-    assert Log().entries is not Log().entries
+    assert vars(Log()) == vars(RefLog())
     for bad_args, bad_kwargs in (((), {}), ((1, 2, 3, 4), {}), ((1,), {"x": 1}),
                                  ((1,), {"z": 0})):
         with pytest.raises(TypeError):
@@ -191,36 +192,49 @@ def test_record_construction_matches_dataclasses():
 
 
 def test_record_equality_and_hash_match_dataclasses():
-    pairs = [((1, 2.0, {"a": 1}), (1, 2.0, {"b": 2})), ((1, 2.0), (1, 3.0)), ((1,), (2,))]
+    pairs = [((1, 2.0, "a"), (1, 2.0, "b")), ((1, 2.0), (1, 3.0)), ((1,), (2,)), ((1,), (1,))]
     for a, b in pairs:
         assert (Point(*a) == Point(*b)) == (RefPoint(*a) == RefPoint(*b))
-        assert hash(Point(*a)) == hash(RefPoint(*a)) == hash((Point(*a).x, Point(*a).y))
-    assert Point(1) != RefPoint(1) and Point(1) != (1, 0.5)
-    assert Log([1]) == Log([1]) and Log([1]) != Log([2])
-    with pytest.raises(TypeError):
-        hash(Log())
+        p = Point(*a)
+        assert hash(p) == hash(RefPoint(*a)) == hash((p.x, p.y, p.note))
+    assert Point(1) != RefPoint(1) and Point(1) != (1, 0.5, None)
+    assert Log((1,)) == Log((1,)) and Log((1,)) != Log((2,))
+    assert hash(Log((1,), 2.0)) == hash(RefLog((1,), 2.0))
     words = [Word(((x, a),), ((y, 0),)) for x in range(3) for a in range(2) for y in range(2)]
     assert [hash(w) for w in words] == [hash((w.lettersA, w.lettersB)) for w in words]
     assert hash(Tolerance(1e-9)) == hash((1e-9,))
 
 
 def test_frozen_record_refuses_assignment_and_deletion():
-    p = Point(1)
-    for change in (lambda: setattr(p, "x", 2), lambda: setattr(p, "other", 2),
-                   lambda: delattr(p, "x")):
-        with pytest.raises(FrozenInstanceError):
-            change()
+    for obj, name in ((Point(1), "x"), (Log(), "total")):
+        for change in (lambda: setattr(obj, name, 2), lambda: setattr(obj, "other", 2),
+                       lambda: delattr(obj, name)):
+            with pytest.raises(FrozenInstanceError):
+                change()
     assert issubclass(FrozenInstanceError, AttributeError)
-    assert p.x == 1
-    log = Log()
-    log.total = 2.0
-    assert log.total == 2.0
+    assert Point(1).x == 1 and Log().total == 0.0
+
+
+def test_every_record_type_refuses_assignment():
+    """Every class the package declares with ``record``, found by its
+    ``_fields``, refuses assignment, even to an instance not yet built."""
+    modules = [importlib.import_module(f"bellkit.{info.name}")
+               for info in pkgutil.iter_modules(bellkit.__path__)]
+    records = {cls.__name__: cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and hasattr(cls, "_fields")}
+    assert len(records) >= 25 and {"DilationReport", "ValidationReport", "RepDecomposition",
+                                   "SyncReport", "XorCertificate",
+                                   "TiltedChshCertificate"} <= set(records)
+    for cls in records.values():
+        with pytest.raises(FrozenInstanceError):
+            setattr(object.__new__(cls), cls._fields[0], None)
 
 
 def test_replace_changes_fields_and_checks_the_copy_again():
-    p = Point(1, 2.0, {"a": 1})
+    p = Point(1, 2.0, "a")
     q = replace(p, y=3.0)
-    assert (q.x, q.y, q.note) == (1, 3.0, {"a": 1}) and p.y == 2.0
+    assert (q.x, q.y, q.note) == (1, 3.0, "a") and p.y == 2.0
     assert replace(Tolerance(1e-6)) == Tolerance(1e-6)
     with pytest.raises(ValueError):
         replace(p, x=-1)

@@ -5,7 +5,8 @@ child goes through the process entry ``bellkit.cli.run`` instead, which
 flushes stdout and stderr after ``main`` and leaves through ``os._exit``,
 skipping the interpreter's teardown.  These tests check that the child's exit code,
 stdout and stderr are still exactly the in-process ones, that a failed flush
-still exits non-zero, and that ``os._exit`` stays out of in-process calls.
+still exits non-zero, that ``os._exit`` stays out of in-process calls, and
+that a child left to its default BLAS thread count prints one thread's bytes.
 """
 
 import importlib
@@ -21,7 +22,7 @@ import bellkit
 from bellkit import cli
 from bellkit.io import model_to_obj, save_json
 from bellkit.models import Scenario
-from bellkit.presets import random_quantum_model
+from bellkit.presets import commuting_from_tensor, random_quantum_model
 from run_cli import invoke
 from test_golden import CASES, CHSH, GOLDEN, ROOT
 
@@ -142,6 +143,27 @@ def test_child_exits_nonzero_when_the_reader_has_gone(large, code, large_model):
         os.close(write_end)
     assert res.returncode == code
     assert (b"BrokenPipeError" in res.stderr) == (code == 1)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_child_defaults_to_one_blas_thread(tmp_path):
+    """A d = 9 POVM model against its commuting embedding: on a machine with
+    more than one CPU, its state-equal report differs in the low bits at two
+    BLAS threads, so with the thread variables unset the child prints the
+    one-thread bytes only because ``run`` pins them.  On one CPU both
+    children run one thread anyway, and the test cannot fail."""
+    model = random_quantum_model(np.random.default_rng(0), Scenario(2, 2, 2, 2), 9, 9)
+    paths = [str(tmp_path / "tensor.json"), str(tmp_path / "commuting.json")]
+    save_json(paths[0], model_to_obj(model))
+    save_json(paths[1], model_to_obj(commuting_from_tensor(model)))
+    unset = {k: v for k, v in CHILD_ENV.items() if k not in BLAS_THREADS}
+    outs = [subprocess.run([sys.executable, "-m", "bellkit.cli", "state-equal", *paths],
+                           capture_output=True, timeout=120, env=env)
+            for env in (unset, {**unset, **dict.fromkeys(BLAS_THREADS, "1")})]
+    assert [r.returncode for r in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_console_script_is_the_process_entry():

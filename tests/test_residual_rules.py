@@ -45,11 +45,10 @@ def test_hermiticity(side):
     op = upper(SIDES[side][0])
     family = [[op, np.eye(2) - op]]  # sums to the identity exactly
     tol = tolerance(op - op.conj().T, mat_norm(op), side)
-    rep = models.ValidationReport()
-    models._check_povm_family(rep, family, "M", 1, 2, 2, tol)
+    violations = list(models._povm_violations(family, "M", 1, 2, 2, tol))
     expected = [("hermiticity", f"M[0][{a}]", mat_norm(m - m.conj().T))
                 for a, m in enumerate(family[0]) if side == "above"]
-    assert [(v.name, v.location, v.residual) for v in rep.violations] == expected
+    assert [(v.name, v.location, v.residual) for v in violations] == expected
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -57,10 +56,10 @@ def test_completeness(side):
     family = [[np.diag([1.0 + SIDES[side][0], 0.0]), np.diag([0.0, 1.0])]]
     total = family[0][0] + family[0][1]
     defect = total - np.eye(2)
-    rep = models.ValidationReport()
-    models._check_povm_family(rep, family, "M", 1, 2, 2, tolerance(defect, mat_norm(total), side))
+    violations = list(models._povm_violations(family, "M", 1, 2, 2,
+                                              tolerance(defect, mat_norm(total), side)))
     expected = [("POVM completeness", "M[0]", mat_norm(defect))] if side == "above" else []
-    assert [(v.name, v.location, v.residual) for v in rep.violations] == expected
+    assert [(v.name, v.location, v.residual) for v in violations] == expected
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -73,12 +72,11 @@ def test_commutation(side):
     m = CommutingModel(scenario=Scenario(1, 1, 2, 2), dim=2, M=[[p, np.eye(2) - p]],
                        N=[[q, np.eye(2) - q]], psi=np.array([1.0, 0.0]))
     tol = tolerance(p @ q - q @ p, mat_norm(p) * mat_norm(q), side)
-    rep = models.ValidationReport()
-    models._check_commutation(rep, m, tol)
+    violations = list(models._commutation_violations(m, tol))
     expected = [(f"[M[0][{a}], N[0][{b}]]", mat_norm(ma @ nb - nb @ ma))
                 for a, ma in enumerate(m.M[0]) for b, nb in enumerate(m.N[0])
                 if mat_norm(ma @ nb - nb @ ma) > tol.eps * (1 + mat_norm(ma) * mat_norm(nb))]
-    assert [(v.location, v.residual) for v in rep.violations] == expected
+    assert [(v.location, v.residual) for v in violations] == expected
     assert len(expected) == (4 if side == "above" else 0)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bellkit.io import canonical_dumps, correlation_to_obj, model_to_obj, witness_to_obj
+from bellkit.io import correlation_to_obj, model_to_obj, save_json, witness_to_obj
 from bellkit.models import correlation_of, trivial_witness
 from bellkit.presets import (block_padded_model, chsh_ideal_model, example_pair,
                              random_state, tensor_with_auxiliary)
@@ -18,7 +18,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def write(name: str, obj):
     path = FIXTURES / name
-    path.write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+    save_json(path, obj)
     print(f"wrote {path}")
 
 
