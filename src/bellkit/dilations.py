@@ -11,6 +11,8 @@ isometries block by block.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .linalg import (
@@ -132,27 +134,16 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
                    and structural_predicates(w.IB, tol).isometry)
     aux_norm_residual = abs(float(np.linalg.norm(w.aux)) - 1.0)
 
+    products = ((f"(x={x},a={a},y={y},b={b})",
+                 _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi)),
+                 _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi)))
+                for x in range(sc.nX) for a in range(sc.nA)
+                for y in range(sc.nY) for b in range(sc.nB))
     residuals: dict[str, float] = {}
-    pairs = [(None, None)] + [
-        ((x, a), (y, b))
-        for x in range(sc.nX) for a in range(sc.nA)
-        for y in range(sc.nY) for b in range(sc.nB)
-    ]
-    for la, lb in pairs:
-        if la is None:
-            measured = S.psi
-            target_core = T.psi
-            label = "identity"
-        else:
-            x, a = la
-            y, b = lb
-            measured = _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi))
-            target_core = _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi))
-            label = f"(x={x},a={a},y={y},b={b})"
+    for label, measured, target in chain([("identity", S.psi, T.psi)], products):
         lhs = _regroup(w.IA @ measured.reshape(S.dimA, S.dimB) @ w.IB.T,
                        T.dimA, w.dimAuxA, T.dimB, w.dimAuxB)
-        rhs = np.kron(target_core, w.aux)
-        residuals[label] = float(np.linalg.norm(lhs - rhs))
+        residuals[label] = float(np.linalg.norm(lhs - np.kron(target, w.aux)))
     max_residual = max(residuals.values())
 
     rank_psi = schmidt_decompose(S.psi, S.dimA, S.dimB, tol).rank

@@ -54,6 +54,9 @@ def record(cls):
       in the same order as one of dataclasses;
     - ``__setattr__`` and ``__delattr__``, which raise
       :class:`FrozenInstanceError`: a record is a value, built whole.
+
+    As on a dataclass, a field holding a numpy array of more than one entry
+    makes ``==`` raise numpy's ``ValueError`` and ``hash`` raise ``TypeError``.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}

@@ -216,40 +216,29 @@ def _reassemble(blocks: list[RepBlock], d: int, index: int) -> np.ndarray:
     return u @ full @ dagger(u)
 
 
-def _random_commutant_element(com_basis, rng) -> np.ndarray:
-    t = sum(rng.normal() * b for b in com_basis)
-    return (t + dagger(t)) / 2
-
-
 def _split_invariant(basis: np.ndarray, work_gens, rng, tol) -> list[np.ndarray]:
     """Certify an invariant subspace as irreducible, or split it recursively.
 
     ``basis`` is a d x s isometry; ``work_gens`` the *-closed family on the
     full space.  A scalar restricted commutant certifies the subspace, which
-    comes back whole.  Otherwise a random Hermitian element of the restricted
-    commutant is eigendecomposed and each eigenspace cluster is split in
-    turn.  ``_irreducible_leaves`` calls this on each seeded leaf, so it is
-    the fallback for a leaf that fails certification, and then runs on that
-    leaf's space only.
+    comes back whole.  Otherwise one random Hermitian element of the
+    restricted commutant, which almost surely has more than one eigenvalue
+    cluster, is eigendecomposed and each cluster is split in turn.
+    ``_irreducible_leaves`` calls this on each seeded leaf, so it is the
+    fallback for a leaf that fails certification, on that leaf's space only.
     """
     restricted = [dagger(basis) @ g @ basis for g in work_gens]
     com = commutant_basis(restricted, tol)
     if len(com) == 1:
         return [basis]
-    for _ in range(8):
-        t = _random_commutant_element(com, rng)
-        if mat_norm(t) <= tol.cut("cluster"):
-            continue
-        vals, vecs = hermitian_eig(t, tol)  # t is exactly Hermitian
-        clusters = cluster_eigenvalues(vals, tol.cut("cluster"))
-        if len(clusters) > 1:
-            out = []
-            for block in clusters:
-                out.extend(_split_invariant(basis @ vecs[:, block], work_gens, rng, tol))
-            return out
-    raise AlgebraNotSemisimpleNumerically(
-        "commutant is non-scalar but produced no splitting element"
-    )
+    t = sum(rng.normal() * b for b in com)
+    vals, vecs = hermitian_eig((t + dagger(t)) / 2, tol)  # exactly Hermitian
+    clusters = cluster_eigenvalues(vals, tol.cut("cluster"))
+    if len(clusters) == 1:
+        raise AlgebraNotSemisimpleNumerically(
+            "commutant is non-scalar but produced no splitting element")
+    return [piece for block in clusters
+            for piece in _split_invariant(basis @ vecs[:, block], work_gens, rng, tol)]
 
 
 def _generic_element(gens, rng) -> np.ndarray:
@@ -313,7 +302,10 @@ def _irreducible_leaves(gens, rng, tol) -> list[np.ndarray]:
     """Irreducible invariant subspaces of the *-algebra of ``gens`` that
     span the space: the seeded leaves, each certified or split by
     ``_split_invariant``.  An irreducible family keeps the identity as its
-    one leaf."""
+    one leaf, not the seeded basis of the whole space: conjugating by that
+    basis rounds every irrep image, which moves the reassembly defect off 0,
+    can refuse a model's dilation of itself at the floor tolerance, and
+    moves the intertwiner residual between inequivalent irreps."""
     d = gens[0].shape[0]
     # the generic element goes first: commutant_basis block-diagonalizes the
     # certification over the eigenspaces of its first Hermitian input
@@ -387,35 +379,31 @@ def irrep_decompose(generators, seed: int = 0,
     leaves = _irreducible_leaves(gens, np.random.default_rng(seed), tol)
 
     leaf_gens = [[dagger(v) @ g @ v for g in gens] for v in leaves]
-    # group unitarily equivalent leaves; classes[i] = (member leaf indices, U list)
-    classes: list[dict] = []
+    # group unitarily equivalent leaves; a class is its (leaf, intertwiner) pairs
+    classes: list[list[tuple[int, np.ndarray]]] = []
     ambiguous: list[tuple[int, int, float]] = []
     for k, lg in enumerate(leaf_gens):
-        placed = False
-        for c in classes:
-            rep_gens = leaf_gens[c["members"][0]]
-            if rep_gens[0].shape != lg[0].shape:
+        for members in classes:
+            rep = members[0][0]
+            if leaf_gens[rep][0].shape != lg[0].shape:
                 continue
-            u, res = _intertwiner(lg, rep_gens)
+            u, res = _intertwiner(lg, leaf_gens[rep])
+            if res <= tol.eps:
+                members.append((k, u))
+                break
             if res <= tol.cut("intertwiner"):
-                if res <= tol.eps:
-                    c["members"].append(k)
-                    c["intertwiners"].append(u)
-                    placed = True
-                    break
-                ambiguous.append((c["members"][0], k, res))
-        if not placed:
-            classes.append({"members": [k], "intertwiners": [np.eye(lg[0].shape[0])]})
+                ambiguous.append((rep, k, res))
+        else:
+            classes.append([(k, np.eye(lg[0].shape[0]))])
 
     blocks = []
-    for c in classes:
-        rep_idx = c["members"][0]
-        n = leaves[rep_idx].shape[1]
-        m = len(c["members"])
+    for members in classes:
+        rep = members[0][0]
+        n, m = leaves[rep].shape[1], len(members)
         cols = np.zeros((d, n * m), dtype=complex)
-        for j, (k, u) in enumerate(zip(c["members"], c["intertwiners"])):
+        for j, (k, u) in enumerate(members):
             cols[:, j::m] = leaves[k] @ dagger(u)  # column r carries rep basis vector r
-        blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep_idx]))
+        blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep]))
 
     blocks.sort(key=lambda b: (b.n, _trace_signature(b.generators)))
     defect = max(mat_norm(_reassemble(blocks, d, t) - gens[t]) for t in range(len(gens)))

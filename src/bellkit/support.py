@@ -46,14 +46,9 @@ def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
     PiA = basisA @ dagger(basisA)
     PiB = basisB @ dagger(basisB)
 
-    residuals: dict[str, float] = {}
-    worst = 0.0
-    for side, name, fam, Pi in (("A", "M", m.M, PiA), ("B", "N", m.N, PiB)):
-        for x, povm in enumerate(fam):
-            for a, op in enumerate(povm):
-                r = mat_norm(Pi @ op - op @ Pi)
-                residuals[f"[Pi{side},{name}[{x}][{a}]]"] = r
-                worst = max(worst, r)
+    residuals = {f"[Pi{side},{name}[{x}][{a}]]": mat_norm(Pi @ op - op @ Pi)
+                 for side, name, fam, Pi in (("A", "M", m.M, PiA), ("B", "N", m.N, PiB))
+                 for x, povm in enumerate(fam) for a, op in enumerate(povm)}
 
     psi_small = np.einsum("ai,ab,bj->ij", basisA.conj(), m.psi.reshape(m.dimA, m.dimB),
                           basisB.conj()).reshape(-1)
@@ -70,7 +65,7 @@ def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
         PiA=PiA,
         PiB=PiB,
         supportModel=support_model,
-        centrally_supported=bool(worst <= tol.eps),
+        centrally_supported=bool(max(residuals.values()) <= tol.eps),
         commutator_residuals=residuals,
         schmidt=sd,
     )
@@ -98,12 +93,7 @@ def is_centrally_supported_via_transfer(m: QuantumModel, tol: Tolerance = DEFAUL
     Agrees with ``support_of(m).centrally_supported`` on all inputs.
     """
     psi_mat = m.psi.reshape(m.dimA, m.dimB)
-    residuals: dict[str, float] = {}
-    worst = 0.0
-    for name, fam, P in (("M", m.M, psi_mat), ("N", m.N, psi_mat.T)):
-        for x, povm in enumerate(fam):
-            for a, op in enumerate(povm):
-                r = _best_transfer_residual(op, P)
-                residuals[f"transfer {name}[{x}][{a}]"] = r
-                worst = max(worst, r)
-    return bool(worst <= tol.eps), residuals
+    residuals = {f"transfer {name}[{x}][{a}]": _best_transfer_residual(op, P)
+                 for name, fam, P in (("M", m.M, psi_mat), ("N", m.N, psi_mat.T))
+                 for x, povm in enumerate(fam) for a, op in enumerate(povm)}
+    return bool(max(residuals.values()) <= tol.eps), residuals

@@ -366,6 +366,30 @@ class TestCliCommands:
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: {path}.p[0][0][0][0]: ")
 
+    def test_negative_probability_exits_2(self, tmp_path):
+        corr = copy.deepcopy(CHSH_CORR)
+        corr["p"][0][0][0][0] = -1e-3
+        path = tmp_path / "neg.json"
+        save_json(path, corr)
+        res = invoke(["xor", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert res.stderr.endswith("negative probability -1.000e-03\n")
+
+    def test_sync_verify_on_a_non_synchronous_scenario_exits_2(self, tmp_path):
+        """A valid (2,1,2,2) model: two inputs for Alice, one for Bob."""
+        m = chsh_ideal_model()
+        model = QuantumModel(scenario=Scenario(2, 1, 2, 2), dimA=2, dimB=2,
+                             M=m.M, N=m.N[:1], psi=m.psi)
+        path = tmp_path / "xy.json"
+        save_json(path, model_to_obj(model))
+        assert invoke(["validate", str(path)]).exit_code == 0
+        res = invoke(["sync-verify", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert res.stderr.endswith(
+            "scenario Scenario(nX=2, nY=1, nA=2, nB=2) is not synchronous (needs X=Y, A=B)\n")
+
     @pytest.mark.parametrize("field", ["p", "weight"])
     def test_huge_sum_gives_a_short_error_line(self, tmp_path, monkeypatch, field):
         """A sum of 1e308 is written in 9 significant digits, not in full."""
@@ -536,6 +560,25 @@ class TestCliCommands:
         assert res.exit_code == 1
         assert "extremality not asserted" in json.loads(res.stdout)["reasons"][0]
 
+    @pytest.mark.parametrize("components", [
+        # weights 0.5 + 0.5000005: the loader's 1e-6 sum rule accepts them,
+        # the eps rule of a refutation does not
+        [(0.5, "chsh"), (0.5000005, "chsh")],
+        # a valid decomposition of another correlation
+        [(0.5, "uniform"), (0.5, "uniform")],
+    ], ids=["weights-off-by-5e-7", "mixture-is-not-p"])
+    def test_xor_certify_decomposition_that_does_not_refute(self, tmp_path, components):
+        uniform = {"scenario": CHSH_CORR["scenario"], "p": [[[[0.25] * 2] * 2] * 2] * 2}
+        tables = {"chsh": CHSH_CORR, "uniform": uniform}
+        save_json(tmp_path / "dec.json", {"components": [
+            {"weight": w, "correlation": tables[name]} for w, name in components]})
+        res = invoke(["xor-certify", str(FIXTURES / "chsh.corr.json"), "--assert-extremal",
+                      "--decomposition", str(tmp_path / "dec.json")])
+        assert (res.exit_code, res.stderr) == (0, "")
+        verdicts = json.loads(res.stdout)["verdicts"]
+        assert verdicts["extremality_refuted"] is False
+        assert verdicts["granted"] is True
+
     def test_find_and_verify_dilation_via_files(self, tmp_path):
         m = chsh_ideal_model()
         big = tensor_with_auxiliary(m, np.array([0.8, 0, 0, 0.6]), 2, 2)
@@ -606,6 +649,18 @@ class TestCliCommands:
         res2 = invoke(["irrep", str(FIXTURES / "exA_S.model.json")])
         blocks = json.loads(res2.stdout)["side_A"]["blocks"]
         assert sorted((b["irrep_dim"], b["multiplicity"]) for b in blocks) == [(1, 1), (1, 2)]
+
+    def test_irrep_reports_a_split_failure_per_side(self, monkeypatch):
+        """A commutant of two identities is non-scalar by count, but its one
+        random element is scalar, so the split fails on each side: exit 1,
+        each side's error in the report, nothing on stderr."""
+        monkeypatch.setattr(cli.reps, "commutant_basis",
+                            lambda gens, tol: [np.eye(len(gens[0]))] * 2)
+        res = invoke(["irrep", str(FIXTURES / "chsh_ideal.model.json")])
+        assert (res.exit_code, res.stderr) == (1, "")
+        report = json.loads(res.stdout)
+        error = {"error": "commutant is non-scalar but produced no splitting element"}
+        assert report["side_A"] == report["side_B"] == error
 
     def test_cyclic_command(self, tmp_path):
         from bellkit.presets import commuting_from_tensor

@@ -163,6 +163,7 @@ def declare(decorate):
     class Log:
         entries: tuple = ()
         total: float = 0.0
+        table: np.ndarray | None = None
 
     return Point, Log
 
@@ -203,6 +204,17 @@ def test_record_equality_and_hash_match_dataclasses():
     words = [Word(((x, a),), ((y, 0),)) for x in range(3) for a in range(2) for y in range(2)]
     assert [hash(w) for w in words] == [hash((w.lettersA, w.lettersB)) for w in words]
     assert hash(Tolerance(1e-9)) == hash((1e-9,))
+
+
+def test_records_holding_arrays_fail_as_dataclasses_do():
+    """With an array field, ``==`` raises numpy's ValueError, for equal and
+    for distinct tables alike, and ``hash`` raises TypeError."""
+    for cls in (Log, RefLog):
+        for other in (np.zeros(2), np.ones(2)):
+            with pytest.raises(ValueError, match="truth value of an array"):
+                bool(cls(table=np.zeros(2)) == cls(table=other))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cls(table=np.zeros(2)))
 
 
 def test_frozen_record_refuses_assignment_and_deletion():
