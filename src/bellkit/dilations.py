@@ -86,7 +86,7 @@ class DilationReport:
     aux_norm_residual: float
     schmidt_ranks: dict[str, int]
     rank_consistent: bool
-    moment_residual: float | None = None
+    moment_residual: float | None
 
 
 def _regroup(vec: np.ndarray, dT_A: int, dAuxA: int, dT_B: int, dAuxB: int) -> np.ndarray:
@@ -147,13 +147,14 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
     max_residual = max(residuals.values())
 
     rank_psi = schmidt_decompose(S.psi, S.dimA, S.dimB, tol).rank
-    rank_tilde = schmidt_decompose(T.psi, T.dimA, T.dimB, tol).rank
+    support_t = support_of(T, tol)  # its Schmidt decomposition gives psi~'s rank
+    rank_tilde = support_t.schmidt.rank
     rank_aux = schmidt_decompose(w.aux, w.dimAuxA, w.dimAuxB, tol).rank
     schmidt_ranks = {"psi": rank_psi, "psi_tilde": rank_tilde, "aux": rank_aux}
     rank_consistent = rank_psi == rank_tilde * rank_aux
 
     same_state, moment_residual = True, None
-    if support_of(T, tol).centrally_supported:
+    if support_t.centrally_supported:
         same_state, found = states_equal(S, T, tol)
         moment_residual = (found.gram_residual if same_state
                            else abs(found.value1 - found.value2))
@@ -175,10 +176,10 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
 class NotDilatable(RuntimeError):
     """No local dilation witness exists (or the search does not apply)."""
 
-    def __init__(self, reason: str, obstruction: dict | None = None):
+    def __init__(self, reason: str, obstruction: dict):
         super().__init__(reason)
         self.reason = reason
-        self.obstruction = obstruction or {}
+        self.obstruction = obstruction
 
 
 def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
@@ -211,7 +212,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     rank_s = schmidt_decompose(S.psi, S.dimA, S.dimB, tol).rank
     rank_t = schmidt_decompose(T.psi, T.dimA, T.dimB, tol).rank
-    if rank_t == 0 or rank_s % rank_t != 0:
+    if rank_s % rank_t != 0:
         raise NotDilatable(
             f"schmidt-rank obstruction: rank(psi)={rank_s} is not a multiple of "
             f"rank(psi~)={rank_t}, but isometries preserve Schmidt rank",
@@ -243,16 +244,14 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
             if np.linalg.norm(mat) > tol.cut("dust"):
                 comp[(i, j)] = mat
 
-    lam_a = sorted({i for i, _ in comp})
-    lam_b = sorted({j for _, j in comp})
-
-    # intertwiners from the supported irreps of S onto T's operators
+    # intertwiners from the supported irreps of S onto T's operators; their
+    # keys are the blocks the state reaches
     inter_a: dict[int, np.ndarray] = {}
     inter_b: dict[int, np.ndarray] = {}
-    for side, dec, lam, inter, dim_tilde, ideal in (
-            ("A", dec_a, lam_a, inter_a, T.dimA, T.M),
-            ("B", dec_b, lam_b, inter_b, T.dimB, T.N)):
-        for i in lam:
+    for pos, (side, dec, inter, dim_tilde, ideal) in enumerate((
+            ("A", dec_a, inter_a, T.dimA, T.M),
+            ("B", dec_b, inter_b, T.dimB, T.N))):
+        for i in sorted({pair[pos] for pair in comp}):
             blk = dec.blocks[i]
             if blk.n != dim_tilde:
                 raise NotDilatable(
@@ -272,11 +271,11 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     # auxiliary offsets per block, dimAux last: a supported block contributes
     # its multiplicity space, an unreached block its whole subspace
-    def aux_offsets(dec, lam):
-        return np.cumsum([0] + [blk.m if idx in lam else blk.n * blk.m
+    def aux_offsets(dec, inter):
+        return np.cumsum([0] + [blk.m if idx in inter else blk.n * blk.m
                                 for idx, blk in enumerate(dec.blocks)])
 
-    off_a, off_b = aux_offsets(dec_a, lam_a), aux_offsets(dec_b, lam_b)
+    off_a, off_b = aux_offsets(dec_a, inter_a), aux_offsets(dec_b, inter_b)
 
     # validate each supported component and collect the auxiliary state
     aux = np.zeros((off_a[-1], off_b[-1]), dtype=complex)
@@ -325,13 +324,13 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     aux = aux.reshape(-1) / np.linalg.norm(aux)
 
-    def assemble(dec, lam, inter, off, tilde_dim, local_dim):
+    def assemble(dec, inter, off, tilde_dim, local_dim):
         # per block u_i (x) (embedding of its multiplicity space), or |0> (x)
         # (embedding of the whole block) if unreached; iso[p, a] is row p dimAux + a
         iso = np.zeros((tilde_dim, off[-1], local_dim), dtype=complex)
         col = 0
         for idx, blk in enumerate(dec.blocks):
-            if idx in lam:
+            if idx in inter:
                 r, k = np.arange(blk.n), np.arange(blk.m)
                 iso[:, off[idx] + k, col + r[:, None] * blk.m + k] = inter[idx][:, :, None]
             else:
@@ -340,8 +339,8 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
             col += blk.n * blk.m
         return iso.reshape(-1, local_dim) @ dagger(dec.change_of_basis())
 
-    ia = assemble(dec_a, lam_a, inter_a, off_a, T.dimA, S.dimA)
-    ib = assemble(dec_b, lam_b, inter_b, off_b, T.dimB, S.dimB)
+    ia = assemble(dec_a, inter_a, off_a, T.dimA, S.dimA)
+    ib = assemble(dec_b, inter_b, off_b, T.dimB, S.dimB)
     return DilationWitness(IA=ia, IB=ib, aux=aux,
                            dimAuxA=int(off_a[-1]), dimAuxB=int(off_b[-1]))
 

@@ -225,13 +225,13 @@ def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
 
 
 def _fix_column_phases(u: np.ndarray, negligible: float) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
+    """Rotate each column so its first non-negligible entry is real positive.
+
+    Every column must have one: the callers pass orthonormal columns."""
     u = u.copy()
     for j in range(u.shape[1]):
         col = u[:, j]
         idx = np.flatnonzero(np.abs(col) > negligible)
-        if len(idx) == 0:
-            continue
         pivot = col[idx[0]]
         u[:, j] = col * (abs(pivot) / pivot)
     return u
@@ -257,7 +257,7 @@ def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
         q, _ = np.linalg.qr(vecs[:, block])
         vecs[:, block] = q
     vecs = _fix_column_phases(vecs, tol.cut("dust"))
-    return vals.real, vecs
+    return vals, vecs
 
 
 @record

@@ -61,8 +61,11 @@ class Scenario:
             raise ValueError(f"scenario counts must be >= 1: {self}")
 
 
-def _family(ops) -> list[list[np.ndarray]]:
-    return [[as_matrix(m) for m in povm] for povm in ops]
+def _coerce_model(m) -> None:
+    """A model record's ``__post_init__``: its families and state as complex arrays."""
+    object.__setattr__(m, "M", [[as_matrix(op) for op in povm] for povm in m.M])
+    object.__setattr__(m, "N", [[as_matrix(op) for op in povm] for povm in m.N])
+    object.__setattr__(m, "psi", as_vector(m.psi))
 
 
 @record
@@ -79,14 +82,8 @@ class QuantumModel:
     N: list[list[np.ndarray]]
     psi: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", _family(self.M))
-        object.__setattr__(self, "N", _family(self.N))
-        object.__setattr__(self, "psi", as_vector(self.psi))
-
-    @property
-    def kind(self) -> str:
-        return "tensor"
+    kind = "tensor"
+    __post_init__ = _coerce_model
 
 
 @record
@@ -99,14 +96,8 @@ class CommutingModel:
     N: list[list[np.ndarray]]
     psi: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", _family(self.M))
-        object.__setattr__(self, "N", _family(self.N))
-        object.__setattr__(self, "psi", as_vector(self.psi))
-
-    @property
-    def kind(self) -> str:
-        return "commuting"
+    kind = "commuting"
+    __post_init__ = _coerce_model
 
 
 @record

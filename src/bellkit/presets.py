@@ -137,14 +137,12 @@ def tensor_with_auxiliary(m: QuantumModel, aux: np.ndarray,
     )
 
 
-def doubled_model(m: QuantumModel, weights=(0.8, 0.6)) -> QuantumModel:
+def doubled_model(m: QuantumModel) -> QuantumModel:
     """Direct sum of two copies of a model with the state spread across both.
 
     The measurement operators are block-diagonal copies; the state sits in
-    the two diagonal blocks with the given (normalized) amplitudes.
+    the two diagonal blocks with amplitudes 0.8 and 0.6.
     """
-    w = np.asarray(weights, dtype=float)
-    w = w / np.linalg.norm(w)
     dA, dB = m.dimA, m.dimB
 
     def double(op):
@@ -154,8 +152,8 @@ def doubled_model(m: QuantumModel, weights=(0.8, 0.6)) -> QuantumModel:
         return out
 
     psi = np.zeros((2 * dA, 2 * dB), dtype=complex)
-    psi[:dA, :dB] = w[0] * m.psi.reshape(dA, dB)
-    psi[dA:, dB:] = w[1] * m.psi.reshape(dA, dB)
+    psi[:dA, :dB] = 0.8 * m.psi.reshape(dA, dB)
+    psi[dA:, dB:] = 0.6 * m.psi.reshape(dA, dB)
     return QuantumModel(
         scenario=m.scenario, dimA=2 * dA, dimB=2 * dB,
         M=[[double(op) for op in povm] for povm in m.M],
@@ -191,12 +189,11 @@ def random_pvm(rng: np.random.Generator, dim: int, outcomes: int) -> list[np.nda
 
 
 def random_quantum_model(rng: np.random.Generator, scenario: Scenario,
-                         dimA: int, dimB: int, projective: bool = False) -> QuantumModel:
-    make = random_pvm if projective else random_povm
+                         dimA: int, dimB: int) -> QuantumModel:
     return QuantumModel(
         scenario=scenario, dimA=dimA, dimB=dimB,
-        M=[make(rng, dimA, scenario.nA) for _ in range(scenario.nX)],
-        N=[make(rng, dimB, scenario.nB) for _ in range(scenario.nY)],
+        M=[random_povm(rng, dimA, scenario.nA) for _ in range(scenario.nX)],
+        N=[random_povm(rng, dimB, scenario.nB) for _ in range(scenario.nY)],
         psi=random_state(rng, dimA * dimB),
     )
 

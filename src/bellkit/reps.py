@@ -184,7 +184,6 @@ class RepBlock:
 @record
 class RepDecomposition:
     blocks: list[RepBlock]
-    dim: int
     ambiguous_pairs: list[tuple[int, int, float]]
     reassembly_defect: float  # max over generators of ||reassemble(i) - g_i||
 
@@ -201,12 +200,13 @@ class RepDecomposition:
 
     def reassemble(self, index: int) -> np.ndarray:
         """The generator rebuilt from its block images, in the original basis."""
-        return _reassemble(self.blocks, self.dim, index)
+        return _reassemble(self.blocks, index)
 
 
-def _reassemble(blocks: list[RepBlock], d: int, index: int) -> np.ndarray:
+def _reassemble(blocks: list[RepBlock], index: int) -> np.ndarray:
     u = np.hstack([b.basis for b in blocks])
     parts = [np.kron(b.generators[index], np.eye(b.m)) for b in blocks]
+    d = len(u)
     full = np.zeros((d, d), dtype=complex)
     off = 0
     for part in parts:
@@ -406,12 +406,12 @@ def irrep_decompose(generators, seed: int = 0,
         blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep]))
 
     blocks.sort(key=lambda b: (b.n, _trace_signature(b.generators)))
-    defect = max(mat_norm(_reassemble(blocks, d, t) - gens[t]) for t in range(len(gens)))
+    defect = max(mat_norm(_reassemble(blocks, t) - gens[t]) for t in range(len(gens)))
     if defect > tol.cut("reassembly"):
         raise AlgebraNotSemisimpleNumerically(
             f"reassembly defect {defect:.3e} exceeds tolerance; input too ill-conditioned"
         )
-    return RepDecomposition(blocks=blocks, dim=d, ambiguous_pairs=ambiguous,
+    return RepDecomposition(blocks=blocks, ambiguous_pairs=ambiguous,
                             reassembly_defect=defect)
 
 

@@ -23,8 +23,6 @@ class SchmidtDecomposition:
     coefficients: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    dimA: int
-    dimB: int
 
     @property
     def rank(self) -> int:
@@ -33,7 +31,7 @@ class SchmidtDecomposition:
     @property
     def full_rank(self) -> bool:
         """rank == dimA == dimB, the hypothesis of the main self-testing theorem."""
-        return self.rank == self.dimA == self.dimB
+        return self.rank == len(self.left) == len(self.right)
 
 
 def schmidt_decompose(psi, dimA: int, dimB: int,
@@ -61,5 +59,5 @@ def schmidt_decompose(psi, dimA: int, dimB: int,
     u_fixed = _fix_column_phases(u, tol.cut("dust"))
     phases = np.array([np.vdot(u_fixed[:, i], u[:, i]) for i in range(r)])
     v = v * phases
-    return SchmidtDecomposition(svals[:r].copy(), u_fixed, v, dimA, dimB)
+    return SchmidtDecomposition(svals[:r].copy(), u_fixed, v)
 

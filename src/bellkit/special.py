@@ -203,7 +203,7 @@ def xor_of(p: Correlation, tol: Tolerance = DEFAULT_TOL) -> XorCorrelation:
             if margA > tol.eps or margB > tol.eps:
                 unbiased = False
     svals = np.linalg.svd(c, compute_uv=False)
-    rank = int(np.sum(svals > tol.eps * max(1.0, svals[0] if len(svals) else 0.0)))
+    rank = int(np.sum(svals > tol.eps * max(1.0, svals[0])))
     return XorCorrelation(c=c, unbiased=unbiased, rank=rank)
 
 

@@ -111,9 +111,6 @@ class NCPoly:
             out += coeff * term
         return out
 
-    def __repr__(self):
-        return f"NCPoly({len(self.terms)} terms)"
-
 
 @record
 class TiltedChshPolynomials:

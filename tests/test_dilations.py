@@ -244,7 +244,7 @@ class TestFindLocalDilation:
 
     def test_direct_sum_spread_state(self):
         m = chsh_ideal_model()
-        dbl = doubled_model(m, weights=(0.8, 0.6))
+        dbl = doubled_model(m)
         w = find_local_dilation(dbl, m, seed=2)
         rep = verify_local_dilation(dbl, m, w, Tolerance(1e-8))
         assert rep.passed

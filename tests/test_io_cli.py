@@ -750,6 +750,18 @@ class TestCliCommands:
         assert res.exit_code == 0
         assert "verdicts.valid = True" in res.stdout
 
+    def test_text_format_abbreviates_long_lists(self):
+        """A list whose repr passes 72 characters prints as its length; a
+        shorter one prints inline."""
+        res = invoke(["cyclic", str(FIXTURES / "chsh_ideal.model.json"), "--format", "text"])
+        assert res.exit_code == 0
+        lines = res.stdout.splitlines()
+        assert "basis_words = <4 entries>" in lines
+        assert "witnesses.restricted_model.psi = <4 entries>" in lines
+        res = invoke(["schmidt", str(FIXTURES / "exA_S.model.json"), "--format", "text"])
+        assert res.exit_code == 0
+        assert "coefficients = [0.7071067811865475, 0.5, 0.5]" in res.stdout.splitlines()
+
     def test_reports_deterministic(self):
         args = ["correlation", str(FIXTURES / "chsh_ideal.model.json")]
         assert invoke(args).stdout == invoke(args).stdout
