@@ -165,7 +165,7 @@ def report(*, tensor: bool = False, validated: bool = True):
                 tolerance = linalg.Tolerance() if tol is None else linalg.Tolerance(tol)
                 if seed < 0:
                     raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
-                paths, inputs = [], []
+                hashes, inputs = {}, []
                 for dest, kind in slots:
                     path = kwargs.pop(dest)
                     if path is None:
@@ -185,12 +185,12 @@ def report(*, tensor: bool = False, validated: bool = True):
                         rep = models.validate_model(obj, tolerance)
                         if not rep.valid:
                             raise ValueError(f"model is not valid: {rep}")
-                    paths.append(path)
+                    hashes[str(path)] = io.file_sha256(path)  # before the body can rewrite it
                     inputs.append(obj)
                 fields, passed = body(*inputs, tol=tolerance, seed=seed, **kwargs)
                 fields["command"] = name
                 fields["provenance"] = {
-                    "inputs": {str(p): io.file_sha256(p) for p in paths},
+                    "inputs": hashes,
                     "seed": seed,
                     "tol": tolerance.eps,
                     "version": __version__,

@@ -32,7 +32,7 @@ from .models import (
     _povm_violations,
     correlation_of,
 )
-from .reps import _flat, _intertwiner, irrep_decompose, states_equal
+from .reps import _flat, _intertwiner, block_components, irrep_decompose, states_equal
 from .schmidt import schmidt_decompose
 from .support import support_of
 
@@ -58,9 +58,9 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Canonical Naimark dilation of a POVM.
 
     On K = H (x) C^k the projections are P_i = Id (x) |i><i| and the isometry
-    sends |h> to sum_i M_i^{1/2} |h> (x) |i>, so V as a d x k x d array holds
-    M_i^{1/2} in slot ``[:, i]``.  The POVM is checked as ``validate_model``
-    checks a model's; a violation raises ValueError.
+    is V = sum_i M_i^{1/2} (x) |i>: the roots stacked so that row p k + i of V
+    is row p of M_i^{1/2}.  The POVM is checked as ``validate_model`` checks a
+    model's; a violation raises ValueError.
     """
     ops = [as_matrix(m) for m in povm]
     k = len(ops)
@@ -69,12 +69,8 @@ def naimark_dilate(povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     if not rep.valid:
         raise ValueError(f"POVM is not valid: {rep}")
 
-    v = np.zeros((d, k, d), dtype=complex)
-    for i, m in enumerate(ops):
-        v[:, i] += psd_sqrt(m, tol)
-    basis_k = np.eye(k)
-    projections = [np.diag(np.tile(basis_k[i], d)) for i in range(k)]
-    return NaimarkDilation(V=v.reshape(d * k, d), P=projections)
+    v = np.stack([psd_sqrt(m, tol) for m in ops], axis=1).reshape(d * k, d)
+    return NaimarkDilation(V=v, P=[np.kron(np.eye(d), np.diag(e)) for e in np.eye(k)])
 
 
 @record
@@ -230,19 +226,7 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
              "blocksB": [(b.n, b.m) for b in dec_tb.blocks]},
         )
 
-    dec_a = irrep_decompose(_flat(S.M), seed=seed, tol=tol)
-    dec_b = irrep_decompose(_flat(S.N), seed=seed + 1, tol=tol)
-    psi_mat = S.psi.reshape(S.dimA, S.dimB)
-
-    # per block pair: coefficient tensor reshaped to (irrep x irrep, mult x mult)
-    comp: dict[tuple[int, int], np.ndarray] = {}
-    for i, ba in enumerate(dec_a.blocks):
-        for j, bb in enumerate(dec_b.blocks):
-            c = dagger(ba.basis) @ psi_mat @ np.conj(bb.basis)
-            mat = (c.reshape(ba.n, ba.m, bb.n, bb.m)
-                   .transpose(0, 2, 1, 3).reshape(ba.n * bb.n, ba.m * bb.m))
-            if np.linalg.norm(mat) > tol.cut("dust"):
-                comp[(i, j)] = mat
+    dec_a, dec_b, comp = block_components(S, seed, tol)
 
     # intertwiners from the supported irreps of S onto T's operators; their
     # keys are the blocks the state reaches
@@ -324,23 +308,16 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     aux = aux.reshape(-1) / np.linalg.norm(aux)
 
-    def assemble(dec, inter, off, tilde_dim, local_dim):
-        # per block u_i (x) (embedding of its multiplicity space), or |0> (x)
-        # (embedding of the whole block) if unreached; iso[p, a] is row p dimAux + a
-        iso = np.zeros((tilde_dim, off[-1], local_dim), dtype=complex)
-        col = 0
-        for idx, blk in enumerate(dec.blocks):
-            if idx in inter:
-                r, k = np.arange(blk.n), np.arange(blk.m)
-                iso[:, off[idx] + k, col + r[:, None] * blk.m + k] = inter[idx][:, :, None]
-            else:
-                c = np.arange(blk.n * blk.m)
-                iso[0, off[idx] + c, col + c] = 1.0
-            col += blk.n * blk.m
-        return iso.reshape(-1, local_dim) @ dagger(dec.change_of_basis())
+    def assemble(dec, inter, off, tilde_dim):
+        # sum over blocks of kron(u_i, E_i) B_i^H, E_i the embedding of block
+        # i's aux slots; an unreached block is kron(|0>, E_i) over all its slots
+        slots = np.eye(off[-1])
+        ket0 = np.eye(tilde_dim, 1)
+        return sum(np.kron(inter.get(idx, ket0), slots[:, off[idx]:off[idx + 1]])
+                   @ dagger(blk.basis) for idx, blk in enumerate(dec.blocks))
 
-    ia = assemble(dec_a, inter_a, off_a, T.dimA, S.dimA)
-    ib = assemble(dec_b, inter_b, off_b, T.dimB, S.dimB)
+    ia = assemble(dec_a, inter_a, off_a, T.dimA)
+    ib = assemble(dec_b, inter_b, off_b, T.dimB)
     return DilationWitness(IA=ia, IB=ib, aux=aux,
                            dimAuxA=int(off_a[-1]), dimAuxB=int(off_b[-1]))
 

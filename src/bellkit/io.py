@@ -183,11 +183,7 @@ def _scenario_to_obj(sc: Scenario) -> dict:
 def _obj_to_scenario(obj, where: str) -> Scenario:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
-    counts = [_int_field(obj, key, where) for key in ("nX", "nY", "nA", "nB")]
-    try:
-        return Scenario(*counts)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad scenario ({exc})") from None
+    return Scenario(*[_int_field(obj, key, where) for key in ("nX", "nY", "nA", "nB")])
 
 
 def model_to_obj(m) -> dict:
@@ -234,16 +230,16 @@ def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
 
 
 def _int_field(obj: dict, key: str, where: str) -> int:
-    """``obj[key]`` as an int: a non-bool int or an integral float, else a
-    ParseError, also when the key is missing."""
+    """``obj[key]`` as a positive int: a non-bool int or an integral float of
+    at least 1, else a ParseError, also when the key is missing.  Every such
+    field is a count or a dimension."""
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError(f"{where}: field '{key}' must be an integer, got {value!r}")
+    n = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(n, int) and not isinstance(n, bool) and n >= 1:
+        return n
+    raise ParseError(f"{where}: field '{key}' must be a positive integer, got {value!r}")
 
 
 def correlation_to_obj(c: Correlation) -> dict:

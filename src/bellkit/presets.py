@@ -140,25 +140,15 @@ def tensor_with_auxiliary(m: QuantumModel, aux: np.ndarray,
 def doubled_model(m: QuantumModel) -> QuantumModel:
     """Direct sum of two copies of a model with the state spread across both.
 
-    The measurement operators are block-diagonal copies; the state sits in
-    the two diagonal blocks with amplitudes 0.8 and 0.6.
+    Each operator becomes ``kron(Id_2, op)``; the state's coefficient matrix
+    becomes ``kron(diag(0.8, 0.6), Psi)``, one copy in each diagonal block.
     """
-    dA, dB = m.dimA, m.dimB
-
-    def double(op):
-        out = np.zeros((2 * op.shape[0], 2 * op.shape[1]), dtype=complex)
-        out[: op.shape[0], : op.shape[1]] = op
-        out[op.shape[0]:, op.shape[1]:] = op
-        return out
-
-    psi = np.zeros((2 * dA, 2 * dB), dtype=complex)
-    psi[:dA, :dB] = 0.8 * m.psi.reshape(dA, dB)
-    psi[dA:, dB:] = 0.6 * m.psi.reshape(dA, dB)
+    eye = np.eye(2)
     return QuantumModel(
-        scenario=m.scenario, dimA=2 * dA, dimB=2 * dB,
-        M=[[double(op) for op in povm] for povm in m.M],
-        N=[[double(op) for op in povm] for povm in m.N],
-        psi=psi.reshape(-1),
+        scenario=m.scenario, dimA=2 * m.dimA, dimB=2 * m.dimB,
+        M=[[np.kron(eye, op) for op in povm] for povm in m.M],
+        N=[[np.kron(eye, op) for op in povm] for povm in m.N],
+        psi=np.kron(np.diag([0.8, 0.6]), m.psi.reshape(m.dimA, m.dimB)).reshape(-1),
     )
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "CyclicModel",
     "commutant_basis",
     "irrep_decompose",
+    "block_components",
     "cyclic_restrict",
     "states_equal",
     "EquivalenceWitness",
@@ -400,9 +401,8 @@ def irrep_decompose(generators, seed: int = 0,
     for members in classes:
         rep = members[0][0]
         n, m = leaves[rep].shape[1], len(members)
-        cols = np.zeros((d, n * m), dtype=complex)
-        for j, (k, u) in enumerate(members):
-            cols[:, j::m] = leaves[k] @ dagger(u)  # column r carries rep basis vector r
+        # copy j of rep basis vector r in column r m + j, the kron(g, Id_m) order
+        cols = np.stack([leaves[k] @ dagger(u) for k, u in members], axis=2).reshape(d, n * m)
         blocks.append(RepBlock(n=n, m=m, basis=cols, generators=leaf_gens[rep]))
 
     blocks.sort(key=lambda b: (b.n, _trace_signature(b.generators)))
@@ -413,6 +413,29 @@ def irrep_decompose(generators, seed: int = 0,
         )
     return RepDecomposition(blocks=blocks, ambiguous_pairs=ambiguous,
                             reassembly_defect=defect)
+
+
+def block_components(model: QuantumModel, seed: int = 0, tol: Tolerance = DEFAULT_TOL):
+    """The state of a tensor model over the block pairs of its two sides.
+
+    Returns ``(dec_a, dec_b, comp)``: the ``irrep_decompose`` of Alice's and
+    Bob's families (seeds ``seed`` and ``seed + 1``) and, for each block pair
+    ``(i, j)`` whose component has norm above the ``dust`` cut, the component
+    of psi as an ``(n_i n_j) x (m_i m_j)`` matrix: irrep indices in the rows,
+    multiplicity indices in the columns.
+    """
+    dec_a = irrep_decompose(_flat(model.M), seed=seed, tol=tol)
+    dec_b = irrep_decompose(_flat(model.N), seed=seed + 1, tol=tol)
+    psi_mat = model.psi.reshape(model.dimA, model.dimB)
+    comp: dict[tuple[int, int], np.ndarray] = {}
+    for i, ba in enumerate(dec_a.blocks):
+        for j, bb in enumerate(dec_b.blocks):
+            c = dagger(ba.basis) @ psi_mat @ np.conj(bb.basis)
+            mat = (c.reshape(ba.n, ba.m, bb.n, bb.m)
+                   .transpose(0, 2, 1, 3).reshape(ba.n * bb.n, ba.m * bb.m))
+            if np.linalg.norm(mat) > tol.cut("dust"):
+                comp[(i, j)] = mat
+    return dec_a, dec_b, comp
 
 
 @record

@@ -22,6 +22,7 @@ from bellkit.models import (
     validate_model,
 )
 from bellkit.presets import (
+    block_padded_model,
     chsh_ideal_model,
     doubled_model,
     example_pair,
@@ -30,7 +31,7 @@ from bellkit.presets import (
     random_state,
     tensor_with_auxiliary,
 )
-from bellkit.reps import cyclic_restrict, irrep_decompose, states_equal
+from bellkit.reps import block_components, cyclic_restrict, irrep_decompose, states_equal
 from bellkit.schmidt import schmidt_decompose
 from bellkit.support import support_of
 
@@ -250,6 +251,32 @@ class TestFindLocalDilation:
         assert rep.passed
         aux_rank = schmidt_decompose(w.aux, w.dimAuxA, w.dimAuxB).rank
         assert aux_rank == 2
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_padded_auxiliary_ladder(self, k):
+        """CHSH (x) a random k x k aux, padded with junk blocks of sizes 2 and
+        3: one reached block pair, rank one across its multiplicities, and
+        each junk block routed whole into the aux."""
+        m = chsh_ideal_model()
+        rng = np.random.default_rng(k)
+        big = tensor_with_auxiliary(m, random_state(rng, k * k), k, k)
+        padded = block_padded_model(big, rng, 2, 3)
+        w = find_local_dilation(padded, m, seed=0)
+        rep = verify_local_dilation(padded, m, w)
+        assert rep.passed
+        assert rep.schmidt_ranks == {"psi": 2 * k, "psi_tilde": 2, "aux": k}
+        assert (w.dimAuxA, w.dimAuxB) == (k + 2, k + 3)
+
+        dec_a, dec_b, comp = block_components(padded, seed=0)
+        assert len(comp) == 1
+        # the reached pair is the CHSH irrep with multiplicity k on each side,
+        # wherever the sort by trace signature puts it
+        [((i, j), mat)] = comp.items()
+        assert (dec_a.blocks[i].n, dec_a.blocks[i].m) == (2, k)
+        assert (dec_b.blocks[j].n, dec_b.blocks[j].m) == (2, k)
+        svals = np.linalg.svd(mat, compute_uv=False)
+        np.testing.assert_allclose(svals[0], 1.0, atol=1e-12)
+        assert svals[1] <= 1e-12
 
     def test_example_pair_schmidt_obstruction(self):
         s3, s2 = example_pair()

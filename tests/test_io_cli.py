@@ -1,6 +1,7 @@
 """File formats, canonical serialization, and the CLI contract."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -249,6 +250,10 @@ class TestCliCommands:
         ("decomposition", "components", []),
         ("decomposition", "components", [{"weight": w, "correlation": CHSH_CORR} for w in (0.0, 1.0)]),
         ("decomposition", "components", [{"weight": w, "correlation": CHSH_CORR} for w in (0.5, 0.4)]),
+        # counts and dimensions are positive
+        ("model", "dimA", -2), ("model", "dimB", 0),
+        ("witness", "dimAuxA", 0), ("witness", "dimAuxB", -1),
+        ("model", "scenario", {"nX": 0, "nY": 2, "nA": 2, "nB": 2}),
     ])
     def test_malformed_field_exits_2(self, tmp_path, kind, field, value):
         """A wrongly typed field is a parse error: exit 2, a message, no traceback."""
@@ -596,6 +601,19 @@ class TestCliCommands:
         assert res.exit_code == 0
         report = json.loads(res.stdout)
         assert report["residuals"]["max"] < 1e-8
+
+    def test_provenance_hashes_an_input_before_the_command_overwrites_it(self, tmp_path):
+        """``--witness-out`` onto the first input replaces that file; the
+        report still records the hash of the bytes the command read."""
+        original = (FIXTURES / "chsh_ideal.model.json").read_bytes()
+        s_path = tmp_path / "s.json"
+        s_path.write_bytes(original)
+        res = invoke(["find-dilation", str(s_path), str(FIXTURES / "chsh_ideal.model.json"),
+                      "--witness-out", str(s_path)])
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert s_path.read_bytes() != original
+        recorded = json.loads(res.stdout)["provenance"]["inputs"][str(s_path)]
+        assert recorded == hashlib.sha256(original).hexdigest()
 
     def test_find_dilation_across_scenarios_exits_2(self):
         """exA_S has scenario (1,1,2,2) and the CHSH model (2,2,2,2): bad
