@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import suppress
 from itertools import chain
 from pathlib import Path
@@ -230,16 +231,17 @@ def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
 
 
 def _int_field(obj: dict, key: str, where: str) -> int:
-    """``obj[key]`` as a positive int: a non-bool int or an integral float of
-    at least 1, else a ParseError, also when the key is missing.  Every such
-    field is a count or a dimension."""
+    """``obj[key]``, a count or a dimension, as an int: a non-bool int or an
+    integral float from 1 to ``sys.maxsize``, which keeps a size mismatch's
+    residual a finite float; else a ParseError, also when the key is missing."""
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     value = obj[key]
     n = int(value) if isinstance(value, float) and value.is_integer() else value
-    if isinstance(n, int) and not isinstance(n, bool) and n >= 1:
+    if isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= sys.maxsize:
         return n
-    raise ParseError(f"{where}: field '{key}' must be a positive integer, got {value!r}")
+    raise ParseError(f"{where}: field '{key}' must be a positive integer of at most "
+                     f"{sys.maxsize}, got {value!r:.40}")
 
 
 def correlation_to_obj(c: Correlation) -> dict:

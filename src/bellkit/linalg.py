@@ -212,16 +212,12 @@ def _project_off(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[slice]:
-    """Slices of index ranges in which adjacent eigenvalues differ by at most ``gap``."""
-    slices = []
-    start = 0
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[i - 1]) > gap:
-            slices.append(slice(start, i))
-            start = i
-    if len(vals):
-        slices.append(slice(start, len(vals)))
-    return slices
+    """Slices of index ranges in which adjacent eigenvalues differ by at most
+    ``gap``: neighbours exactly ``gap`` apart share a cluster."""
+    if not len(vals):
+        return []
+    cuts = [0, *(np.flatnonzero(np.abs(np.diff(vals)) > gap) + 1).tolist(), len(vals)]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
 def _fix_column_phases(u: np.ndarray, negligible: float) -> np.ndarray:

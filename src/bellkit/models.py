@@ -225,7 +225,6 @@ def _povm_violations(ops, label: str, n_inputs: int, n_outputs: int, dim: int,
             yield Violation("POVM outcome count", f"{label}[{x}]",
                             float(abs(len(povm) - n_outputs)))
             continue
-        total = np.zeros((dim, dim), dtype=complex)
         for a, m in enumerate(povm):
             loc = f"{label}[{x}][{a}]"
             if m.shape != (dim, dim):
@@ -239,8 +238,8 @@ def _povm_violations(ops, label: str, n_inputs: int, n_outputs: int, dim: int,
                 min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
                 if min_eig < -tol.eps:
                     yield Violation("positivity", loc, -min_eig)
-            total = total + m
         else:
+            total = sum(povm)
             comp_res = _operator_excess(total - np.eye(dim), tol, lambda: 1 + mat_norm(total))
             if comp_res is not None:
                 yield Violation("POVM completeness", f"{label}[{x}]", comp_res)
@@ -358,24 +357,19 @@ def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
     ``Correlation.notes``.
     """
     sc = model.scenario
-    p = np.zeros((sc.nA, sc.nB, sc.nX, sc.nY))
-    max_imag = 0.0
+    shape = (sc.nA, sc.nB, sc.nX, sc.nY)
     table: dict = {}
-    for x in range(sc.nX):
-        for y in range(sc.nY):
-            for a in range(sc.nA):
-                for b in range(sc.nB):
-                    val = _moment(model, ((x, a),), ((y, b),), table)
-                    max_imag = max(max_imag, abs(val.imag))
-                    p[a, b, x, y] = val.real
+    vals = np.array([_moment(model, ((x, a),), ((y, b),), table)
+                     for a, b, x, y in np.ndindex(shape)]).reshape(shape)
+    max_imag = float(np.abs(vals.imag).max())
     if max_imag > tol.eps:
         raise ValueError(
             f"correlation has residual imaginary part {max_imag:.3e}; model is not valid"
         )
-    clamped = float(-min(p.min(), 0.0))
+    clamped = float(-min(vals.real.min(), 0.0))
     if clamped > tol.eps:
         raise ValueError(f"correlation entry below -eps: {-clamped:.3e}; model is not valid")
-    p = np.clip(p, 0.0, None)
+    p = np.clip(vals.real, 0.0, None)
     for x in range(sc.nX):
         for y in range(sc.nY):
             p[:, :, x, y] /= p[:, :, x, y].sum()

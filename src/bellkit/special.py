@@ -70,12 +70,8 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
     if sc.nX != sc.nY or sc.nA != sc.nB:
         raise ValueError(f"scenario {sc} is not synchronous (needs X=Y, A=B)")
     p = correlation_of(m, tol).p
-    worst_sync = 0.0
-    for x in range(sc.nX):
-        for a in range(sc.nA):
-            for b in range(sc.nB):
-                if a != b:
-                    worst_sync = max(worst_sync, p[a, b, x, x])
+    s = np.arange(sc.nX)
+    worst_sync = p[:, :, s, s][~np.eye(sc.nA, dtype=bool)].max(initial=0.0)  # a != b
     if worst_sync > tol.eps:
         raise ValueError(
             f"correlation is not synchronous: max off-diagonal p(a,b|x,x) = {worst_sync:.3e}"
@@ -192,16 +188,10 @@ def xor_of(p: Correlation, tol: Tolerance = DEFAULT_TOL) -> XorCorrelation:
     sc = p.scenario
     if sc.nA != 2 or sc.nB != 2:
         raise ValueError(f"XOR correlation needs binary outputs, got {sc}")
-    c = np.zeros((sc.nX, sc.nY))
-    unbiased = True
-    for x in range(sc.nX):
-        for y in range(sc.nY):
-            tab = p.p[:, :, x, y]
-            c[x, y] = tab[0, 0] - tab[0, 1] - tab[1, 0] + tab[1, 1]
-            margA = abs(tab[0, :].sum() - tab[1, :].sum())
-            margB = abs(tab[:, 0].sum() - tab[:, 1].sum())
-            if margA > tol.eps or margB > tol.eps:
-                unbiased = False
+    t = p.p
+    c = t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1]
+    marginals = np.stack([t.sum(axis=1), t.sum(axis=0)])  # p(a|x,y), p(b|x,y)
+    unbiased = bool(np.abs(marginals[:, 0] - marginals[:, 1]).max() <= tol.eps)
     svals = np.linalg.svd(c, compute_uv=False)
     rank = int(np.sum(svals > tol.eps * max(1.0, svals[0])))
     return XorCorrelation(c=c, unbiased=unbiased, rank=rank)

@@ -20,8 +20,6 @@ __all__ = ["SupportData", "support_of", "is_centrally_supported_via_transfer"]
 
 @record
 class SupportData:
-    PiA: np.ndarray
-    PiB: np.ndarray
     supportModel: QuantumModel
     centrally_supported: bool
     commutator_residuals: dict[str, float]
@@ -34,10 +32,10 @@ def _compress(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
-    """Support projections and the compressed support model.
+    """The compressed support model and the commutator criterion.
 
     The support model's dimensions equal the Schmidt rank of psi and its
-    operators are the compressions ``Pi M Pi`` written in the Schmidt bases.
+    operators are the compressions ``Pi M Pi``, ``Pi = B B^H``, in the Schmidt bases B.
     The model is centrally supported iff every commutator residual
     ``||[Pi_A, M^x_a]||`` and ``||[Pi_B, N^y_b]||`` vanishes within tolerance.
     """
@@ -62,8 +60,6 @@ def support_of(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SupportData:
         psi=psi_small,
     )
     return SupportData(
-        PiA=PiA,
-        PiB=PiB,
         supportModel=support_model,
         centrally_supported=bool(max(residuals.values()) <= tol.eps),
         commutator_residuals=residuals,

@@ -198,6 +198,35 @@ class TestCliCommands:
             {"location": "M[1]", "name": "POVM completeness", "residual": 5},
         ]
 
+    @pytest.mark.parametrize("dimA", [3, 10 ** 6, sys.maxsize])
+    def test_validate_declared_dimension_the_arrays_lack(self, tmp_path, dimA):
+        """A declared dimension that the operators and the state do not have is
+        a violation at each misshapen place, however large it is: nothing of
+        the declared size is allocated."""
+        obj = json.loads((FIXTURES / "chsh_ideal.model.json").read_text())
+        obj["dimA"] = dimA
+        path = tmp_path / "dimA.json"
+        path.write_text(json.dumps(obj))
+        res = invoke(["validate", str(path)])
+        assert (res.exit_code, res.stderr) == (1, "")
+        report = json.loads(res.stdout)
+        assert report["verdicts"]["valid"] is False
+        assert [(v["name"], v["location"]) for v in report["violations"]] == [
+            ("operator shape", "M[0][0]"), ("operator shape", "M[1][0]"),
+            ("state dimension", "psi")]
+
+    def test_validate_dimension_past_sys_maxsize_exits_2(self, tmp_path):
+        """A count or dimension above ``sys.maxsize`` is a parse error that
+        names the file and the field, its value cut to 40 characters."""
+        obj = json.loads((FIXTURES / "chsh_ideal.model.json").read_text())
+        obj["dimA"] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        res = invoke(["validate", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (f"error: {path}: field 'dimA' must be a positive integer of "
+                              f"at most {sys.maxsize}, got {'1' + '0' * 39}\n")
+
     def test_parse_error_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

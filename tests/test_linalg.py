@@ -13,6 +13,7 @@ from bellkit import linalg
 from bellkit.linalg import (
     FrozenInstanceError,
     Tolerance,
+    cluster_eigenvalues,
     hermitian_eig,
     mat_norm,
     psd_sqrt,
@@ -145,6 +146,39 @@ def test_mat_norm_is_bitwise_the_numpy_2_norm():
                 assert mat_norm(a) == float(np.linalg.norm(a, 2))
                 assert mat_norm(a.real) == float(np.linalg.norm(a.real.astype(complex), 2))
     assert mat_norm(np.zeros((3, 3))) == 0.0
+
+
+def reference_clusters(vals, gap):
+    """The loop ``cluster_eigenvalues`` ran before it cut at ``np.diff``."""
+    slices = []
+    start = 0
+    for i in range(1, len(vals)):
+        if abs(vals[i] - vals[i - 1]) > gap:
+            slices.append(slice(start, i))
+            start = i
+    if len(vals):
+        slices.append(slice(start, len(vals)))
+    return slices
+
+
+def test_cluster_eigenvalues_is_the_loop():
+    """Same slices as the loop on seeded spectra with repeated eigenvalues,
+    on no value and on one; neighbours exactly ``gap`` apart share a cluster."""
+    rng = np.random.default_rng(41)
+    gap = Tolerance().cut("cluster")
+    exact = np.array([0.0, gap, 2 * gap, 1.0])  # steps of exactly gap, then a jump
+    past = np.array([0.0, np.nextafter(gap, 1.0)])
+    spectra = [np.array([]), np.array([0.5]), exact, past]
+    for n in (2, 5, 17, 40):
+        vals = np.sort(np.round(rng.normal(size=n), 1))  # ties and near-ties
+        spectra += [vals, vals + rng.normal(size=n) * gap, hermitian_eig(rand_herm(rng, n))[0]]
+    for vals in spectra:
+        got = cluster_eigenvalues(vals, gap)
+        assert got == reference_clusters(vals, gap)
+        assert all(type(s.start) is int and type(s.stop) is int for s in got)
+    assert cluster_eigenvalues(exact, gap) == [slice(0, 3), slice(3, 4)]
+    assert cluster_eigenvalues(past, gap) == [slice(0, 1), slice(1, 2)]
+    assert cluster_eigenvalues(np.array([]), gap) == []
 
 
 # The same declarations through the standard library, as the reference.

@@ -360,3 +360,39 @@ class TestWordVectorTable:
             for x, y in np.ndindex(sc.nX, sc.nY):
                 p[:, :, x, y] /= p[:, :, x, y].sum()
             assert correlation_of(m).p.tobytes() == p.tobytes()
+
+
+def reference_correlation_of(model, tol=DEFAULT_TOL):
+    """The index loops ``correlation_of`` ran before it built one array of
+    moments: the table and the ``max_imag`` note."""
+    sc = model.scenario
+    p = np.zeros((sc.nA, sc.nB, sc.nX, sc.nY))
+    max_imag = 0.0
+    for x in range(sc.nX):
+        for y in range(sc.nY):
+            for a in range(sc.nA):
+                for b in range(sc.nB):
+                    val = evaluate_moment(model, Word(((x, a),), ((y, b),)))
+                    max_imag = max(max_imag, abs(val.imag))
+                    p[a, b, x, y] = val.real
+    p = np.clip(p, 0.0, None)
+    for x in range(sc.nX):
+        for y in range(sc.nY):
+            p[:, :, x, y] /= p[:, :, x, y].sum()
+    return p, max_imag
+
+
+@pytest.mark.parametrize("scenario", [Scenario(2, 2, 2, 2), Scenario(2, 3, 3, 2),
+                                      Scenario(3, 1, 2, 4)])
+def test_correlation_of_is_bitwise_the_index_loop(scenario):
+    """Table and imaginary-part note equal the loop's bit for bit, on tensor
+    models and their commuting embeddings, binary or not."""
+    rng = np.random.default_rng(31)
+    for dimA, dimB in ((2, 3), (4, 2)):
+        m = random_quantum_model(rng, scenario, dimA, dimB)
+        for model in (m, commuting_from_tensor(m)):
+            ref_p, ref_imag = reference_correlation_of(model)
+            corr = correlation_of(model)
+            assert corr.p.tobytes() == ref_p.tobytes()
+            assert corr.notes["max_imag_discarded"] == ref_imag
+            assert type(corr.notes["max_imag_discarded"]) is float

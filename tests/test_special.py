@@ -1,9 +1,12 @@
 """Synchronous verification, binary rounding, XOR certificates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bellkit.linalg import mat_norm
+from bellkit import special
+from bellkit.linalg import Tolerance, mat_norm
 from bellkit.models import (
     Correlation,
     Scenario,
@@ -16,6 +19,7 @@ from bellkit.presets import (
     block_padded_model,
     chsh_ideal_model,
     example_pair,
+    random_quantum_model,
     synchronous_model,
 )
 from bellkit.special import (
@@ -65,6 +69,43 @@ class TestSynchronous:
             m = synchronous_model(rng, int(rng.integers(2, 4)),
                                   int(rng.integers(1, 3)), int(rng.integers(2, 4)))
             assert synchronous_verify(m).projective_state, f"fixture {k}"
+
+    @staticmethod
+    def reference_off_diagonal_mass(p):
+        """The loop ``synchronous_verify`` ran before it took the ``x = y`` slice."""
+        nA, nB, nX, _ = p.shape
+        worst = 0.0
+        for x in range(nX):
+            for a in range(nA):
+                for b in range(nB):
+                    if a != b:
+                        worst = max(worst, p[a, b, x, x])
+        return worst
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_off_diagonal_mass_is_bitwise_the_loop(self, monkeypatch, seed):
+        """The largest p(a,b|x,x), a != b, is the loop's to the bit: the check
+        passes at eps equal to the loop's value and fails one ulp below it.
+
+        A synchronous 3-outcome model's off-diagonal entries are rounding
+        residue far below the smallest eps, so its table is scaled by 2**50
+        (exact for these entries); a random model in the same scenario is
+        probed unscaled."""
+        rng = np.random.default_rng(seed)
+        sync = synchronous_model(rng, 3, 2, 3)
+        scaled = correlation_of(sync).p * 2.0 ** 50
+        ref = self.reference_off_diagonal_mass(scaled)
+        monkeypatch.setattr(special, "correlation_of", lambda m, tol: SimpleNamespace(p=scaled))
+        synchronous_verify(sync, Tolerance(ref))
+        with pytest.raises(ValueError, match="not synchronous"):
+            synchronous_verify(sync, Tolerance(np.nextafter(ref, 0.0)))
+        monkeypatch.undo()
+
+        m = random_quantum_model(rng, Scenario(2, 2, 3, 3), 2, 3)
+        ref = self.reference_off_diagonal_mass(correlation_of(m).p)
+        synchronous_verify(m, Tolerance(ref))
+        with pytest.raises(ValueError, match="not synchronous"):
+            synchronous_verify(m, Tolerance(np.nextafter(ref, 0.0)))
 
     def test_full_rank_nonprojective_cannot_be_synchronous(self):
         """A full-rank POVM model violating projectivity can never pass all
@@ -182,6 +223,58 @@ class TestXor:
         np.testing.assert_allclose(xor_of(mix).c,
                                    t * xor_of(p1).c + (1 - t) * xor_of(p2).c,
                                    atol=1e-12)
+
+    @staticmethod
+    def reference_xor_of(p, tol):
+        """The loop ``xor_of`` ran before it took c and the marginals over the
+        whole (x, y) grid; it also returns the largest marginal difference."""
+        sc = p.scenario
+        c = np.zeros((sc.nX, sc.nY))
+        unbiased = True
+        worst = 0.0
+        for x in range(sc.nX):
+            for y in range(sc.nY):
+                tab = p.p[:, :, x, y]
+                c[x, y] = tab[0, 0] - tab[0, 1] - tab[1, 0] + tab[1, 1]
+                margA = abs(tab[0, :].sum() - tab[1, :].sum())
+                margB = abs(tab[:, 0].sum() - tab[:, 1].sum())
+                if margA > tol.eps or margB > tol.eps:
+                    unbiased = False
+                worst = max(worst, margA, margB)
+        return c, unbiased, worst
+
+    def test_bitwise_the_loop(self):
+        """c and the unbiased verdict equal the loop's on seeded biased tables,
+        on unbiased ones, and on tables whose A or B marginal sits exactly at
+        eps (unbiased) or one ulp past it (biased), dyadic or not."""
+        rng = np.random.default_rng(23)
+        eps = 2.0 ** -20
+        at_eps = np.full((2, 2, 3, 2), 0.25)
+        at_eps[0, :, 1, 0] += eps / 4  # A's marginal difference is eps at (x, y) = (1, 0)
+        at_eps[1, :, 1, 0] -= eps / 4
+        cases = [(Correlation(Scenario(3, 2, 2, 2), at_eps), eps),
+                 (Correlation(Scenario(2, 3, 2, 2), at_eps.transpose(1, 0, 3, 2)), eps),
+                 (correlation_of(chsh_ideal_model()), 1e-9),
+                 (Correlation(Scenario(2, 2, 2, 2), np.full((2, 2, 2, 2), 0.25)), 1e-9)]
+        for shape in ((2, 2, 2, 2), (2, 2, 3, 4), (2, 2, 1, 5)):
+            p = rng.random(shape)
+            p /= p.sum(axis=(0, 1), keepdims=True)
+            cases.append((Correlation(Scenario(*shape[2:], 2, 2), p), 1e-9))
+            near = 0.25 + 1e-7 * rng.normal(size=shape)  # marginals off uniform by ~1e-7
+            near = Correlation(Scenario(*shape[2:], 2, 2), near / near.sum(axis=(0, 1)))
+            cases.append((near, self.reference_xor_of(near, Tolerance())[2]))
+        edges = 0
+        for corr, e in cases:
+            # a table probed at its largest marginal is unbiased there, biased one ulp below
+            edge = self.reference_xor_of(corr, Tolerance(e))[2] == e
+            edges += edge
+            for tol in (Tolerance(e), Tolerance(np.nextafter(e, 0.0))):
+                ref_c, ref_unbiased, _ = self.reference_xor_of(corr, tol)
+                xc = xor_of(corr, tol)
+                assert xc.c.tobytes() == ref_c.tobytes()
+                assert xc.unbiased == ref_unbiased
+                assert not edge or ref_unbiased == (tol.eps == e)
+        assert edges == 5
 
     def test_non_binary_rejected(self):
         sc = Scenario(1, 1, 3, 3)

@@ -17,8 +17,8 @@ from bellkit.support import is_centrally_supported_via_transfer, support_of
 def test_full_rank_model_trivial_support():
     m = chsh_ideal_model()
     data = support_of(m)
-    np.testing.assert_allclose(data.PiA, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(data.PiB, np.eye(2), atol=1e-12)
+    for basis in (data.schmidt.left, data.schmidt.right):
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-12)
     assert data.centrally_supported
     assert data.supportModel.dimA == 2
     ok, residuals = is_centrally_supported_via_transfer(m)
@@ -61,7 +61,8 @@ def test_support_projection_equals_reduced_density_image():
         vals, vecs = hermitian_eig(rho_a)
         cols = vecs[:, vals > 1e-9]
         pi_from_rho = cols @ cols.conj().T
-        assert mat_norm(pi_from_rho - data.PiA) < 1e-10
+        basis = data.schmidt.left
+        assert mat_norm(pi_from_rho - basis @ basis.conj().T) < 1e-10
 
 
 def test_criteria_agree_on_mixed_corpus():
