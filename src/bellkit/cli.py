@@ -59,19 +59,19 @@ def run():
     loads, so a default run prints one thread's bytes.  Stdout and stderr
     are flushed and ``os._exit`` ends the process with ``main``'s code, so
     neither ``atexit`` nor the teardown of the heap the numpy and bellkit
-    imports built runs.  A flush that fails (a reader that closed the pipe)
-    exits 120, as the interpreter does when its own final flush fails.
+    imports built runs.  Output that cannot be written (a closed pipe) exits
+    120 at any size and buffering, as a failed final flush of Python's does.
     In-process callers use ``main``, which returns the code, never exits the
     process and sets no thread count.
     """
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except OSError:
-            code = 120
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 120
     os._exit(code)
 
 

@@ -62,16 +62,10 @@ def canonical_dumps(obj) -> str:
 
 
 def _emit(obj, parts: list[str]):
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np.floating)):
         parts.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+    elif obj is None or isinstance(obj, (bool, int, str, np.integer)):
+        parts.append(json.dumps(int(obj) if isinstance(obj, np.integer) else obj))
     elif isinstance(obj, list) and (rows := _float_pairs(obj)) is not None:
         parts.append(rows)
     elif isinstance(obj, (list, tuple)):
@@ -88,8 +82,7 @@ def _emit(obj, parts: list[str]):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
             if k:
                 parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
+            parts.append(json.dumps(key) + ":")
             _emit(obj[key], parts)
         parts.append("}")
     else:
@@ -210,17 +203,13 @@ def obj_to_model(obj, where: str = "model"):
     if kind not in ("tensor", "commuting"):
         raise ParseError(f"{where}: field 'kind' must be 'tensor' or 'commuting', got {kind!r}")
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
-    try:
-        M = _obj_to_family(obj["M"], f"{where}.M")
-        N = _obj_to_family(obj["N"], f"{where}.N")
-        psi = obj_to_vector(obj["psi"], f"{where}.psi")
-        if kind == "tensor":
-            return QuantumModel(scenario=sc, dimA=_int_field(obj, "dimA", where),
-                                dimB=_int_field(obj, "dimB", where), M=M, N=N, psi=psi)
-        return CommutingModel(scenario=sc, dim=_int_field(obj, "dim", where),
-                              M=M, N=N, psi=psi)
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from None
+    M = _obj_to_family(_field(obj, "M", where), f"{where}.M")
+    N = _obj_to_family(_field(obj, "N", where), f"{where}.N")
+    psi = obj_to_vector(_field(obj, "psi", where), f"{where}.psi")
+    if kind == "tensor":
+        return QuantumModel(scenario=sc, dimA=_int_field(obj, "dimA", where),
+                            dimB=_int_field(obj, "dimB", where), M=M, N=N, psi=psi)
+    return CommutingModel(scenario=sc, dim=_int_field(obj, "dim", where), M=M, N=N, psi=psi)
 
 
 def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
@@ -230,13 +219,18 @@ def _obj_to_family(obj, where: str) -> list[list[np.ndarray]]:
             for x, povm in enumerate(obj)]
 
 
+def _field(obj: dict, key: str, where: str):
+    """``obj[key]``, or a ParseError naming the missing field."""
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
 def _int_field(obj: dict, key: str, where: str) -> int:
     """``obj[key]``, a count or a dimension, as an int: a non-bool int or an
     integral float from 1 to ``sys.maxsize``, which keeps a size mismatch's
     residual a finite float; else a ParseError, also when the key is missing."""
-    if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    value = obj[key]
+    value = _field(obj, key, where)
     n = int(value) if isinstance(value, float) and value.is_integer() else value
     if isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= sys.maxsize:
         return n
@@ -255,9 +249,7 @@ def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
     sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
-    if "p" not in obj:
-        raise ParseError(f"{where}: missing field 'p'")
-    p = _numbers(obj["p"], f"{where}.p", (None,) * 4)
+    p = _numbers(_field(obj, "p", where), f"{where}.p", (None,) * 4)
     if p.shape != (sc.nA, sc.nB, sc.nX, sc.nY):
         raise ParseError(
             f"{where}: table shape {p.shape} does not match scenario "
@@ -287,26 +279,29 @@ def witness_to_obj(w: DilationWitness) -> dict:
 def obj_to_witness(obj, where: str = "witness") -> DilationWitness:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
+    return DilationWitness(
+        IA=obj_to_matrix(_field(obj, "IA", where), f"{where}.IA"),
+        IB=obj_to_matrix(_field(obj, "IB", where), f"{where}.IB"),
+        aux=obj_to_vector(_field(obj, "aux", where), f"{where}.aux"),
+        dimAuxA=_int_field(obj, "dimAuxA", where),
+        dimAuxB=_int_field(obj, "dimAuxB", where),
+    )
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``, or a ParseError naming it."""
     try:
-        return DilationWitness(
-            IA=obj_to_matrix(obj["IA"], f"{where}.IA"),
-            IB=obj_to_matrix(obj["IB"], f"{where}.IB"),
-            aux=obj_to_vector(obj["aux"], f"{where}.aux"),
-            dimAuxA=_int_field(obj, "dimAuxA", where),
-            dimAuxB=_int_field(obj, "dimAuxB", where),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from None
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{Path(path)}: {exc.strerror or exc}") from None
 
 
 def _load_json(path) -> object:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return json.loads(text)
+        return json.loads(_read(path).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
@@ -356,4 +351,4 @@ def save_json(path, obj):
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read(path)).hexdigest()

@@ -366,7 +366,7 @@ def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
         raise ValueError(
             f"correlation has residual imaginary part {max_imag:.3e}; model is not valid"
         )
-    clamped = float(-min(vals.real.min(), 0.0))
+    clamped = max(0.0, -float(vals.real.min()))
     if clamped > tol.eps:
         raise ValueError(f"correlation entry below -eps: {-clamped:.3e}; model is not valid")
     p = np.clip(vals.real, 0.0, None)

@@ -42,18 +42,11 @@ def example_pair() -> tuple[QuantumModel, QuantumModel]:
     Schmidt ranks 2 and 3 have no common nontrivial divisor.
     """
     sc = Scenario(nX=1, nY=1, nA=2, nB=2)
-    e = np.eye(3)
-    m0 = np.outer(e[0], e[0])
-    m1 = np.outer(e[1], e[1]) + np.outer(e[2], e[2])
-    psi3 = np.zeros(9)
-    psi3[0] = 1 / np.sqrt(2)   # |00>
-    psi3[4] = 1 / 2            # |11>
-    psi3[8] = 1 / 2            # |22>
+    m0, m1 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])
+    psi3 = np.diag([1 / np.sqrt(2), 1 / 2, 1 / 2]).reshape(-1)
     s3 = QuantumModel(scenario=sc, dimA=3, dimB=3, M=[[m0, m1]], N=[[m0, m1]], psi=psi3)
 
-    f = np.eye(2)
-    n0 = np.outer(f[0], f[0])
-    n1 = np.outer(f[1], f[1])
+    n0, n1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     psi2 = np.array([1, 0, 0, 1]) / np.sqrt(2)
     s2 = QuantumModel(scenario=sc, dimA=2, dimB=2, M=[[n0, n1]], N=[[n0, n1]], psi=psi2)
     return s3, s2
@@ -173,9 +166,7 @@ def random_pvm(rng: np.random.Generator, dim: int, outcomes: int) -> list[np.nda
     """Random projective measurement: Haar-ish unitary columns split in groups."""
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(x)
-    splits = np.array_split(np.arange(dim), outcomes)
-    return [q[:, idx] @ dagger(q[:, idx]) if len(idx) else np.zeros((dim, dim), dtype=complex)
-            for idx in splits]
+    return [q[:, idx] @ dagger(q[:, idx]) for idx in np.array_split(np.arange(dim), outcomes)]
 
 
 def random_quantum_model(rng: np.random.Generator, scenario: Scenario,
@@ -207,26 +198,16 @@ def block_padded_model(m: QuantumModel, rng: np.random.Generator,
     supported with the original as its support model.
     """
     def pad_family(family, d, junk, outcomes):
-        out = []
-        for povm in family:
-            junk_povm = random_povm(rng, junk, outcomes) if junk else None
-            block = []
-            for a, op in enumerate(povm):
-                big = np.zeros((d + junk, d + junk), dtype=complex)
-                big[:d, :d] = op
-                if junk:
-                    big[d:, d:] = junk_povm[a]
-                block.append(big)
-            out.append(block)
-        return out
+        zero = np.zeros((d, junk))
+        return [[np.block([[op, zero], [zero.T, junk_op]])
+                 for op, junk_op in zip(povm, random_povm(rng, junk, outcomes))]
+                for povm in family]
 
-    psi = np.zeros(((m.dimA + junkA), (m.dimB + junkB)), dtype=complex)
-    psi[: m.dimA, : m.dimB] = m.psi.reshape(m.dimA, m.dimB)
     return QuantumModel(
         scenario=m.scenario, dimA=m.dimA + junkA, dimB=m.dimB + junkB,
         M=pad_family(m.M, m.dimA, junkA, m.scenario.nA),
         N=pad_family(m.N, m.dimB, junkB, m.scenario.nB),
-        psi=psi.reshape(-1),
+        psi=np.pad(m.psi.reshape(m.dimA, m.dimB), ((0, junkA), (0, junkB))).reshape(-1),
     )
 
 
@@ -244,9 +225,7 @@ def support_mixing_model(rng: np.random.Generator, dim: int, rank: int,
         raise ValueError("the mixing measurement is binary; scenario needs nA == 2")
     coeffs = rng.uniform(0.5, 1.0, size=rank)
     coeffs = coeffs / np.linalg.norm(coeffs)
-    psi = np.zeros((dim, dim), dtype=complex)
-    for i, c in enumerate(coeffs):
-        psi[i, i] = c
+    psi = np.diag(np.pad(coeffs, (0, dim - rank)))
     mixing = np.zeros(dim, dtype=complex)
     mixing[0] = 1 / np.sqrt(2)
     mixing[rank] = 1 / np.sqrt(2)  # strictly outside the support

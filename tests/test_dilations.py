@@ -252,15 +252,17 @@ class TestFindLocalDilation:
         aux_rank = schmidt_decompose(w.aux, w.dimAuxA, w.dimAuxB).rank
         assert aux_rank == 2
 
-    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 16])
     def test_padded_auxiliary_ladder(self, k):
         """CHSH (x) a random k x k aux, padded with junk blocks of sizes 2 and
-        3: one reached block pair, rank one across its multiplicities, and
-        each junk block routed whole into the aux."""
+        3 (up to d = 34/35 per side): the same abstract state as CHSH, one
+        reached block pair, rank one across its multiplicities, and each junk
+        block routed whole into the aux."""
         m = chsh_ideal_model()
         rng = np.random.default_rng(k)
         big = tensor_with_auxiliary(m, random_state(rng, k * k), k, k)
         padded = block_padded_model(big, rng, 2, 3)
+        assert states_equal(padded, m)[0]
         w = find_local_dilation(padded, m, seed=0)
         rep = verify_local_dilation(padded, m, w)
         assert rep.passed

@@ -18,6 +18,7 @@ from bellkit.io import (
     ParseError,
     canonical_dumps,
     correlation_to_obj,
+    file_sha256,
     load_model,
     model_to_obj,
     obj_to_correlation,
@@ -84,6 +85,16 @@ class TestCanonicalForm:
         for obj in (np.stack((m.real, m.imag), -1).tolist(), special, [special, []],
                     {"v": special, "s": [[1, 2.0]], "t": [(1.5, 2.5)], "u": [[1.5, True]]}):
             assert canonical_dumps(obj) == _walk_dumps(obj)
+
+    def test_non_float_scalars_are_json_dumps(self):
+        """None, bools, ints (numpy's too) and strings are written as
+        ``json.dumps`` writes them; a numpy bool is not a JSON scalar."""
+        for x in (None, True, False, 0, -7, 2**70, "", "caf\u00e9 \"q\" \\ \n", "\u2028"):
+            assert canonical_dumps([x]) == f"[{json.dumps(x)}]"
+        for x in (np.int64(-3), np.int32(12), np.uint8(255), np.intp(2**40)):
+            assert canonical_dumps({"n": x}) == f'{{"n":{int(x)}}}'
+        with pytest.raises(TypeError):
+            canonical_dumps([np.True_])
 
     @pytest.mark.parametrize("bad", [NAN, math.inf, -math.inf])
     def test_float_pair_rows_reject_non_finite(self, bad):
@@ -532,6 +543,56 @@ class TestCliCommands:
         assert res.stdout == ""
         assert res.stderr == f"error: {missing}: No such file or directory\n"
         assert res.stderr.count(missing) == 1
+
+    @pytest.mark.parametrize("parse, obj, absent", [
+        (obj_to_model, model_to_obj(chsh_ideal_model()), ("M", "N", "psi", "dimA", "dimB")),
+        (obj_to_model, model_to_obj(commuting_from_tensor(chsh_ideal_model())), ("psi", "dim")),
+        (obj_to_correlation, correlation_to_obj(correlation_of(chsh_ideal_model())), ("p",)),
+        (obj_to_witness, witness_to_obj(trivial_witness(chsh_ideal_model())),
+         ("IA", "IB", "aux", "dimAuxA", "dimAuxB")),
+    ], ids=["tensor", "commuting", "correlation", "witness"])
+    def test_missing_field_names_the_first_in_reading_order(self, parse, obj, absent):
+        """Without one field, or without it and every later one, the message
+        names that field: fields are read in the order listed."""
+        for k, key in enumerate(absent):
+            for dropped in ((key,), absent[k:]):
+                partial = {f: v for f, v in obj.items() if f not in dropped}
+                with pytest.raises(ParseError) as err:
+                    parse(partial, "where.json")
+                assert str(err.value) == f"where.json: missing field '{key}'"
+
+    def test_undecodable_input_exits_2_naming_it(self, tmp_path):
+        """The second of two models is Latin-1, not UTF-8: one error line
+        that names that file."""
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"kind": "tensor", "name": "café"}'.encode("latin-1"))
+        res = invoke(["state-equal", str(FIXTURES / "exA_S.model.json"), str(bad)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+        assert res.stderr.count("\n") == 1
+
+    def test_syntax_error_position_is_the_same_with_crlf_line_ends(self, tmp_path):
+        text = '{\n  "kind": "tensor",\n  "M": [,]\n}\n'
+        for name, data in (("lf.json", text), ("crlf.json", text.replace("\n", "\r\n"))):
+            (tmp_path / name).write_bytes(data.encode())
+            with pytest.raises(ParseError) as err:
+                load_model(tmp_path / name)
+            assert str(err.value) == f"{tmp_path / name}:3:9: Expecting value"
+
+    def test_file_sha256_names_an_unreadable_file(self, tmp_path):
+        with pytest.raises(ParseError, match=f"^{tmp_path}/gone.json: No such file"):
+            file_sha256(tmp_path / "gone.json")
+        with pytest.raises(ParseError, match=f"^{tmp_path}: Is a directory"):
+            file_sha256(tmp_path)
+        (tmp_path / "x").write_bytes(b"\xe9")
+        assert file_sha256(tmp_path / "x") == hashlib.sha256(b"\xe9").hexdigest()
+
+    def test_correlation_text_clamp_note_is_unsigned(self):
+        """No entry of the ideal CHSH table is negative: the clamp note reads 0.0."""
+        res = invoke(["correlation", str(FIXTURES / "chsh_ideal.model.json"), "--format", "text"])
+        assert res.exit_code == 0
+        assert "notes.max_negative_clamped = 0.0" in res.stdout.splitlines()
 
     def test_correlation_matches_ideal_values(self):
         res = invoke(["correlation", str(FIXTURES / "chsh_ideal.model.json")])

@@ -4,7 +4,8 @@ A local unitary conjugates every operator on its side and rotates the state,
 so the rotated model induces the same abstract state, and the ideal model is
 still a local dilation of it.  The models are CHSH and the tilted-CHSH
 optimum at alpha = 1.5, each tensored with a random k x k auxiliary state
-(k <= 8, so up to d = 16 per side) and rotated by Haar-random unitaries.
+(k <= 8 drawn, k = 16 as pinned examples, so up to d = 32 per side) and
+rotated by Haar-random unitaries.
 """
 
 import numpy as np
@@ -44,6 +45,8 @@ def rotate(m: QuantumModel, ua: np.ndarray, ub: np.ndarray) -> QuantumModel:
 @given(st.sampled_from(sorted(IDEALS)), st.integers(1, 8), st.integers(0, 2**32 - 1))
 @example("chsh", 8, 1)
 @example("tilted", 8, 2)  # d = 16 per side
+@example("chsh", 16, 3)
+@example("tilted", 16, 4)  # d = 32 per side
 def test_local_unitaries_keep_the_state_and_the_dilation(ideal, k, seed):
     rng = np.random.default_rng(seed)
     t = IDEALS[ideal]()

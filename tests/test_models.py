@@ -1,5 +1,6 @@
 """Model validation, correlation extraction, and word moments."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -173,6 +174,12 @@ class TestCorrelation:
             assert p.min() >= 0
             sums = p.sum(axis=(0, 1))
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-10)
+
+    def test_clamp_note_is_never_negative_zero(self):
+        """A table with no negative entry notes a clamp of +0.0, not -0.0."""
+        for m in (chsh_ideal_model(), *example_pair()):
+            clamped = correlation_of(m).notes["max_negative_clamped"]
+            assert clamped == 0.0 and math.copysign(1.0, clamped) == 1.0
 
     def test_commuting_extension_agrees(self):
         rng = np.random.default_rng(29)

@@ -4,9 +4,11 @@ The other CLI tests call ``main`` in-process through ``run_cli.invoke``.  A
 child goes through the process entry ``bellkit.cli.run`` instead, which
 flushes stdout and stderr after ``main`` and leaves through ``os._exit``,
 skipping the interpreter's teardown.  These tests check that the child's exit code,
-stdout and stderr are still exactly the in-process ones, that a failed flush
-still exits non-zero, that ``os._exit`` stays out of in-process calls, and
-that a child left to its default BLAS thread count prints one thread's bytes.
+stdout and stderr are still exactly the in-process ones, that a report or
+message that cannot be written exits 120 whatever its size and buffering, that
+an unreadable or undecodable input exits 2 naming the file, that ``os._exit``
+stays out of in-process calls, and that a child left to its default BLAS
+thread count prints one thread's bytes.
 """
 
 import importlib
@@ -40,9 +42,9 @@ ONE_PER_COMMAND = sorted(FIRST_CASE.values())
 CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
 
 
-def child(args, stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+def child(args, stdout=subprocess.PIPE, env=CHILD_ENV, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          timeout=120, env=CHILD_ENV, **kwargs)
+                          timeout=120, env=env, **kwargs)
 
 
 def test_one_case_per_subcommand():
@@ -127,22 +129,39 @@ def test_in_process_main_never_calls_os_exit(monkeypatch):
         assert invoke(args).exit_code == code
 
 
-@pytest.mark.parametrize("large, code", [(False, 120), (True, 1)],
-                         ids=["report-in-the-buffer", "report-over-1MB"])
-def test_child_exits_nonzero_when_the_reader_has_gone(large, code, large_model):
-    """Stdout is a block-buffered pipe whose read end is already closed.  A
-    short report stays in the buffer until ``run``'s flush fails, which
-    exits 120 as the interpreter's own final flush would; a long one fails
-    in ``print`` with a traceback and exits 1."""
+@pytest.mark.parametrize("large, unbuffered", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["report-in-the-buffer", "report-over-1MB", "unbuffered", "unbuffered-over-1MB"])
+def test_child_exits_nonzero_when_the_reader_has_gone(large, unbuffered, large_model):
+    """Stdout is a pipe whose read end is already closed.  A short report
+    in a block buffer fails in ``run``'s flush; a long one, or any report
+    with ``PYTHONUNBUFFERED=1``, fails in ``print``.  Either way the child
+    exits 120, as the interpreter's own final flush would, with empty stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
+    env = {**CHILD_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else CHILD_ENV
     try:
         args = ["naimark", large_model] if large else CASES["validate"]
-        res = child(["-m", "bellkit.cli", *args], stdout=write_end, cwd=ROOT)
+        res = child(["-m", "bellkit.cli", *args], stdout=write_end, env=env, cwd=ROOT)
     finally:
         os.close(write_end)
-    assert res.returncode == code
-    assert (b"BrokenPipeError" in res.stderr) == (code == 1)
+    assert res.returncode == 120
+    assert res.stderr == b""
+
+
+@pytest.mark.parametrize("content", [None, b'{"kind": "tensor", "name": "caf\xe9"}'],
+                         ids=["missing", "undecodable"])
+def test_child_unreadable_input_exits_2_naming_it(content, tmp_path):
+    """The second of two models cannot be read or is not UTF-8: one
+    ``error:`` line that names that file, nothing on stdout."""
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    res = child(["-m", "bellkit.cli", "state-equal", CHSH, str(bad)], cwd=ROOT)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(f"error: {bad}: ".encode())
+    assert res.stderr.count(b"\n") == 1
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
