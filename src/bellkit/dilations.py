@@ -28,7 +28,7 @@ from .models import (
     DilationWitness,
     QuantumModel,
     ValidationReport,
-    _act,
+    _apply_letter,
     _povm_violations,
     correlation_of,
 )
@@ -131,8 +131,8 @@ def verify_local_dilation(S: QuantumModel, T: QuantumModel, w: DilationWitness,
     aux_norm_residual = abs(float(np.linalg.norm(w.aux)) - 1.0)
 
     products = ((f"(x={x},a={a},y={y},b={b})",
-                 _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi)),
-                 _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi)))
+                 _apply_letter(S, ("B", y, b), _apply_letter(S, ("A", x, a), S.psi)),
+                 _apply_letter(T, ("B", y, b), _apply_letter(T, ("A", x, a), T.psi)))
                 for x in range(sc.nX) for a in range(sc.nA)
                 for y in range(sc.nY) for b in range(sc.nB))
     residuals: dict[str, float] = {}

@@ -202,7 +202,7 @@ def obj_to_model(obj, where: str = "model"):
     kind = obj.get("kind")
     if kind not in ("tensor", "commuting"):
         raise ParseError(f"{where}: field 'kind' must be 'tensor' or 'commuting', got {kind!r}")
-    sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
+    sc = _obj_to_scenario(_field(obj, "scenario", where), f"{where}.scenario")
     M = _obj_to_family(_field(obj, "M", where), f"{where}.M")
     N = _obj_to_family(_field(obj, "N", where), f"{where}.N")
     psi = obj_to_vector(_field(obj, "psi", where), f"{where}.psi")
@@ -248,7 +248,7 @@ def correlation_to_obj(c: Correlation) -> dict:
 def obj_to_correlation(obj, where: str = "correlation") -> Correlation:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object")
-    sc = _obj_to_scenario(obj.get("scenario", {}), f"{where}.scenario")
+    sc = _obj_to_scenario(_field(obj, "scenario", where), f"{where}.scenario")
     p = _numbers(_field(obj, "p", where), f"{where}.p", (None,) * 4)
     if p.shape != (sc.nA, sc.nB, sc.nX, sc.nY):
         raise ParseError(
@@ -293,11 +293,10 @@ def _read(path) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"{Path(path)}: {exc.strerror or exc}") from None
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_json(path) -> object:
-    path = Path(path)
     try:
         return json.loads(_read(path).decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -330,13 +329,13 @@ def load_decomposition(path) -> list[tuple[float, Correlation]]:
     out = []
     for k, comp in enumerate(obj["components"]):
         here = f"{where}.components[{k}]"
-        if not isinstance(comp, dict) or "weight" not in comp or "correlation" not in comp:
+        if not isinstance(comp, dict):
             raise ParseError(f"{here}: expected an object with 'weight' and 'correlation'")
-        weight = comp["weight"]
+        weight, corr = _field(comp, "weight", here), _field(comp, "correlation", here)
         if not _is_finite_number(weight) or weight <= 0:
             raise ParseError(f"{here}: field 'weight' must be a positive finite number, "
                              f"got {weight!r}")
-        out.append((float(weight), obj_to_correlation(comp["correlation"], here)))
+        out.append((float(weight), obj_to_correlation(corr, here)))
     total = sum(w for w, _ in out)
     if abs(total - 1.0) > DEFAULT_TOL.cut("coarse"):
         raise ParseError(f"{where}: weights sum to {total:.9g}, not 1")

@@ -4,14 +4,14 @@ A quantum model is a pair of local POVM families plus a bipartite pure state;
 a commuting model puts both families on one space and requires them to
 commute.  Word moments ``<psi| M^{x1}_{a1}...  (x) N^{y1}_{b1}... |psi>`` are
 the single currency for everything observable: correlations are just the
-degree-(1,1) moments.  Word vectors ``pi_A(A) pi_B(B) psi`` of moments, frames
-and cyclic restrictions come from ``_word_vector``'s per-call table, one letter
-acting on the word one letter shorter (``tilted`` keeps its own monomials).
+degree-(1,1) moments.  A letter is ``(side, x, a)``, and every word vector
+``pi_A(A) pi_B(B) psi`` (moments, frames, tilted-CHSH state terms) comes from
+``_word_vector``'s per-call table, one letter acting on the word one shorter.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -161,11 +161,15 @@ class Word:
     def length(self) -> int:
         return len(self.lettersA) + len(self.lettersB)
 
+    @cached_property
+    def letters(self) -> tuple[tuple[str, int, int], ...]:
+        """``(side, x, a)`` letters, A's first; cached in the instance dict, not a field."""
+        return (tuple(("A", x, a) for x, a in self.lettersA)
+                + tuple(("B", y, b) for y, b in self.lettersB))
+
     def key(self):
         """Length-lex sort key: length, then A's letters before B's."""
-        flat = tuple(("A", x, a) for x, a in self.lettersA)
-        flat += tuple(("B", y, b) for y, b in self.lettersB)
-        return (self.length, flat)
+        return (self.length, self.letters)
 
     def prepend(self, letter) -> "Word":
         """The letter ``(side, x, a)`` times this word."""
@@ -180,6 +184,12 @@ class Word:
             tuple(reversed(self.lettersA)) + other.lettersA,
             tuple(reversed(self.lettersB)) + other.lettersB,
         )
+
+
+def scenario_letters(sc: Scenario) -> list[tuple[str, int, int]]:
+    """All generator letters ``(side, x, a)``, ordered (side A before B, input, output)."""
+    return ([("A", x, a) for x in range(sc.nX) for a in range(sc.nA)]
+            + [("B", y, b) for y in range(sc.nY) for b in range(sc.nB)])
 
 
 @record
@@ -306,29 +316,23 @@ def _act(model, side: str, op: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (vec.T.reshape(-1, model.dimB) @ op.T).reshape(vec.T.shape).T
 
 
-def _word_vector(model, lettersA, lettersB, table: dict) -> np.ndarray:
-    """pi_A(lettersA) pi_B(lettersB) psi, cached in ``table`` by letter tuples.
-
-    B's letters act first, rightmost first, then A's: the vector of a word is
-    its first letter acting on the vector of the rest.
-    """
-    key = (lettersA, lettersB)
-    if key not in table:
-        if lettersA:
-            x, a = lettersA[0]
-            rest = _word_vector(model, lettersA[1:], lettersB, table)
-            table[key] = _act(model, "A", model.M[x][a], rest)
-        elif lettersB:
-            y, b = lettersB[0]
-            rest = _word_vector(model, (), lettersB[1:], table)
-            table[key] = _act(model, "B", model.N[y][b], rest)
-        else:
-            table[key] = model.psi
-    return table[key]
+def _apply_letter(model, letter, vec: np.ndarray) -> np.ndarray:
+    """The operator of ``letter`` ``(side, x, a)`` acting on ``vec``."""
+    side, x, a = letter
+    return _act(model, side, (model.M if side == "A" else model.N)[x][a], vec)
 
 
-def _moment(model, lettersA, lettersB, table: dict) -> complex:
-    return complex(np.vdot(model.psi, _word_vector(model, lettersA, lettersB, table)))
+def _word_vector(model, letters, table: dict) -> np.ndarray:
+    """The word ``letters``, in either side order, acting on psi: its first
+    letter on the vector of the rest, cached in ``table`` by letter tuple."""
+    if letters not in table:
+        table[letters] = (_apply_letter(model, letters[0], _word_vector(model, letters[1:], table))
+                          if letters else model.psi)
+    return table[letters]
+
+
+def _moment(model, letters, table: dict) -> complex:
+    return complex(np.vdot(model.psi, _word_vector(model, letters, table)))
 
 
 def evaluate_moment(model, word: Word) -> complex:
@@ -338,15 +342,12 @@ def evaluate_moment(model, word: Word) -> complex:
     identity, so ``evaluate_moment(m, Word()) == 1``.
     """
     sc = model.scenario
-    lettersA = tuple((int(x), int(a)) for x, a in word.lettersA)
-    lettersB = tuple((int(y), int(b)) for y, b in word.lettersB)
-    for x, a in lettersA:
-        if not (0 <= x < sc.nX and 0 <= a < sc.nA):
-            raise IndexError(f"A-letter ({x},{a}) outside scenario {sc}")
-    for y, b in lettersB:
-        if not (0 <= y < sc.nY and 0 <= b < sc.nB):
-            raise IndexError(f"B-letter ({y},{b}) outside scenario {sc}")
-    return _moment(model, lettersA, lettersB, {})
+    letters = tuple((side, int(x), int(a)) for side, x, a in word.letters)
+    for side, x, a in letters:
+        n_in, n_out = (sc.nX, sc.nA) if side == "A" else (sc.nY, sc.nB)
+        if not (0 <= x < n_in and 0 <= a < n_out):
+            raise IndexError(f"{side}-letter ({x},{a}) outside scenario {sc}")
+    return _moment(model, letters, {})
 
 
 def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
@@ -359,7 +360,7 @@ def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:
     sc = model.scenario
     shape = (sc.nA, sc.nB, sc.nX, sc.nY)
     table: dict = {}
-    vals = np.array([_moment(model, ((x, a),), ((y, b),), table)
+    vals = np.array([_moment(model, (("A", x, a), ("B", y, b)), table)
                      for a, b, x, y in np.ndindex(shape)]).reshape(shape)
     max_imag = float(np.abs(vals.imag).max())
     if max_imag > tol.eps:
@@ -399,9 +400,6 @@ def is_projective_state(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     generators, via linearity from word moments.  A non-projective POVM acting
     only outside the support of psi still yields True: the state cannot see it.
     """
-    sc = m.scenario
-    pairs = [(((x, a),), ()) for x in range(sc.nX) for a in range(sc.nA)]
-    pairs += [((), ((y, b),)) for y in range(sc.nY) for b in range(sc.nB)]
     table: dict = {}
-    return all(abs(_moment(m, wa, wb, table) - _moment(m, wa * 2, wb * 2, table)) <= tol.eps
-               for wa, wb in pairs)  # one letter, then the letter squared
+    return all(abs(_moment(m, (g,), table) - _moment(m, (g, g), table)) <= tol.eps
+               for g in scenario_letters(m.scenario))  # one letter, then the letter squared

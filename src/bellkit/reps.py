@@ -25,7 +25,14 @@ from .linalg import (
     _project_off,
     record,
 )
-from .models import CommutingModel, QuantumModel, Scenario, Word, _act, _word_vector
+from .models import (
+    CommutingModel,
+    QuantumModel,
+    Word,
+    _apply_letter,
+    _word_vector,
+    scenario_letters,
+)
 
 __all__ = [
     "AlgebraNotSemisimpleNumerically",
@@ -45,18 +52,6 @@ __all__ = [
 
 class AlgebraNotSemisimpleNumerically(RuntimeError):
     """Block structure could not be resolved within tolerance."""
-
-
-def scenario_letters(sc: Scenario) -> list[tuple[str, int, int]]:
-    """All generator letters ``(side, x, a)``, ordered (side A before B, input, output)."""
-    out = [("A", x, a) for x in range(sc.nX) for a in range(sc.nA)]
-    out += [("B", y, b) for y in range(sc.nY) for b in range(sc.nB)]
-    return out
-
-
-def _apply_letter(model, letter, vec: np.ndarray) -> np.ndarray:
-    side, x, a = letter
-    return _act(model, side, (model.M if side == "A" else model.N)[x][a], vec)
 
 
 def _principal_generators(gens, floor: float) -> list[np.ndarray]:
@@ -480,7 +475,7 @@ def _cyclic_frame(model, tol: Tolerance):
         candidates = {w.prepend(letter) for letter in letters for w in level}
         next_level = []
         for w in sorted(candidates, key=Word.key):
-            resid = _project_off(Q[:, :r], _word_vector(model, w.lettersA, w.lettersB, table))
+            resid = _project_off(Q[:, :r], _word_vector(model, w.letters, table))
             norm = float(np.linalg.norm(resid))
             if norm > cutoff:
                 if r == Q.shape[1]:
@@ -508,16 +503,16 @@ def cyclic_restrict(model, tol: Tolerance = DEFAULT_TOL) -> CyclicModel:
     if r == len(model.psi):
         return CyclicModel(model=model, basis_words=words, dim=r, restricted=False)
 
-    def compress(side: str, op: np.ndarray) -> np.ndarray:
-        t = dagger(q) @ _act(model, side, op, q)
+    def compress(letter) -> np.ndarray:
+        t = dagger(q) @ _apply_letter(model, letter, q)
         return (t + dagger(t)) / 2
 
     sc = model.scenario
     small = CommutingModel(
         scenario=sc,
         dim=r,
-        M=[[compress("A", model.M[x][a]) for a in range(sc.nA)] for x in range(sc.nX)],
-        N=[[compress("B", model.N[y][b]) for b in range(sc.nB)] for y in range(sc.nY)],
+        M=[[compress(("A", x, a)) for a in range(sc.nA)] for x in range(sc.nX)],
+        N=[[compress(("B", y, b)) for b in range(sc.nB)] for y in range(sc.nY)],
         psi=dagger(q) @ model.psi,
     )
     return CyclicModel(model=small, basis_words=words, dim=r, restricted=True)
@@ -584,8 +579,7 @@ def states_equal(m1, m2, tol: Tolerance = DEFAULT_TOL):
 
     def frame(model) -> np.ndarray:
         table: dict = {}
-        return np.column_stack([_word_vector(model, w.lettersA, w.lettersB, table)
-                                for w in frame_words])
+        return np.column_stack([_word_vector(model, w.letters, table) for w in frame_words])
 
     rows = [k for k, w in enumerate(frame_words) if w in merged]
     v1, v2 = frame(c1.model), frame(c2.model)

@@ -27,6 +27,7 @@ from .models import (
     DilationWitness,
     QuantumModel,
     _act,
+    _apply_letter,
     correlation_of,
     is_projective_state,
     trivial_witness,
@@ -77,12 +78,9 @@ def synchronous_verify(m: QuantumModel, tol: Tolerance = DEFAULT_TOL) -> SyncRep
             f"correlation is not synchronous: max off-diagonal p(a,b|x,x) = {worst_sync:.3e}"
         )
 
-    swap: dict[str, float] = {}
-    for x in range(sc.nX):
-        for a in range(sc.nA):
-            lhs = _act(m, "A", m.M[x][a], m.psi)
-            rhs = _act(m, "B", m.N[x][a], m.psi)
-            swap[f"(x={x},a={a})"] = float(np.linalg.norm(lhs - rhs))
+    swap = {f"(x={x},a={a})": float(np.linalg.norm(_apply_letter(m, ("A", x, a), m.psi)
+                                                   - _apply_letter(m, ("B", x, a), m.psi)))
+            for x in range(sc.nX) for a in range(sc.nA)}
 
     full_rank = schmidt_decompose(m.psi, m.dimA, m.dimB, tol).full_rank
     proj_res = None

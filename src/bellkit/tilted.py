@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, mat_norm, record
-from .models import QuantumModel, Scenario, _act, _commutation_violations
+from .linalg import DEFAULT_TOL, Tolerance, mat_norm, record, replace
+from .models import QuantumModel, Scenario, _commutation_violations, _word_vector
 
 __all__ = [
     "NCPoly",
@@ -226,9 +226,10 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     reported, not cut, so both commands accept the same models.  The state
     residuals f(r_i^2) = ||r_i psi||^2 and f(s_j) are nonnegative and must
     all vanish exactly when f(eta) reaches lam, which is what ``optimal``
-    reports (at the given tolerance).  They are read from one table of word
-    vectors, so on a tensor model no operator on the composite space is
-    formed.
+    reports (at the given tolerance).  They are read from the models' word
+    vector table (``_word_vector``) of the model whose one-outcome families
+    are a0, a1, b0, b1, so on a tensor model no operator on the composite
+    space is formed.
     """
     sc = m.scenario
     if sc != Scenario(2, 2, 2, 2):
@@ -237,7 +238,6 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
     # the +-1 observables, each on its own factor
     gens = [m.M[0][0] - m.M[0][1], m.M[1][0] - m.M[1][1],
             m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
-    psi = m.psi
 
     lhs, rhs1, rhs2 = polys.identity_sides()
     residual1, swaps1 = _identity_defect(lhs - rhs1)
@@ -247,24 +247,25 @@ def verify_tilted_sos(m, alpha: float, tol: Tolerance = DEFAULT_TOL) -> TiltedCh
         commutator = max(mat_norm(a @ b - b @ a) for a in gens[:B0] for b in gens[B0:])
         commutes = not any(_commutation_violations(m, tol))
 
-    # a monomial's vector is its first generator acting on the vector of the rest
-    vec = {(): psi}
-
-    def word(mono):
-        if mono not in vec:
-            vec[mono] = _act(m, "B" if mono[0] >= B0 else "A", gens[mono[0]], word(mono[1:]))
-        return vec[mono]
+    # a monomial is a word of the model whose one-outcome families are the
+    # observables, read in its own order: an a-then-b sort moves bits on a
+    # commuting model
+    obs = replace(m, scenario=Scenario(2, 2, 1, 1), M=[[gens[A0]], [gens[A1]]],
+                  N=[[gens[B0]], [gens[B1]]])
+    letter = [("A", 0, 0), ("A", 1, 0), ("B", 0, 0), ("B", 1, 0)]  # of A0, A1, B0, B1
+    table: dict = {}
 
     def on_psi(poly):
-        return sum(coeff * word(mono) for mono, coeff in poly.terms.items())
+        return sum(coeff * _word_vector(obs, tuple(letter[g] for g in mono), table)
+                   for mono, coeff in poly.terms.items())
 
-    f_eta = float(np.real(np.vdot(psi, on_psi(polys.eta))))
+    f_eta = float(np.real(np.vdot(m.psi, on_psi(polys.eta))))
     residuals: dict[str, float] = {}
     for i, r in enumerate(polys.r, 1):
         v = on_psi(r)
         residuals[f"r{i}^2"] = float(np.real(np.vdot(v, v)))
     for j, s in enumerate(polys.s, 1):
-        residuals[f"s{j}"] = float(np.real(np.vdot(psi, on_psi(s))))
+        residuals[f"s{j}"] = float(np.real(np.vdot(m.psi, on_psi(s))))
 
     identities_ok = max(residual1, residual2) <= tol.cut("identity") and commutes
     optimal = abs(f_eta - polys.lam) <= tol.eps

@@ -1,5 +1,6 @@
 """Naimark dilation and local-dilation search/verification."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from bellkit.models import (
     DilationWitness,
     QuantumModel,
     Scenario,
+    _act,
     correlation_of,
     trivial_witness,
     validate_model,
@@ -113,7 +115,48 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def _nested_act_residuals(S, T, w):
+    """verify_local_dilation's residuals with each product vector formed by
+    nested ``_act`` calls on the operators, A's acting on psi first."""
+    def residual(measured, target):
+        lhs = (w.IA @ measured.reshape(S.dimA, S.dimB) @ w.IB.T).reshape(
+            T.dimA, w.dimAuxA, T.dimB, w.dimAuxB).transpose(0, 2, 1, 3).reshape(-1)
+        return float(np.linalg.norm(lhs - np.kron(target, w.aux)))
+
+    sc = S.scenario
+    out = {"identity": residual(S.psi, T.psi)}
+    for x, a, y, b in itertools.product(range(sc.nX), range(sc.nA), range(sc.nY), range(sc.nB)):
+        out[f"(x={x},a={a},y={y},b={b})"] = residual(
+            _act(S, "B", S.N[y][b], _act(S, "A", S.M[x][a], S.psi)),
+            _act(T, "B", T.N[y][b], _act(T, "A", T.M[x][a], T.psi)))
+    return out
+
+
 class TestVerifyLocalDilation:
+    def test_residuals_are_the_nested_act_forms(self):
+        """Every residual is bitwise the nested ``_act`` form's, on seeded
+        POVM models with seeded witnesses and on a found dilation."""
+        rng = np.random.default_rng(149)
+        sc = Scenario(2, 3, 3, 2)
+        cases = []
+        for dims_s, dims_t, aux in (((3, 4), (2, 3), (2, 2)), ((4, 2), (3, 3), (1, 2))):
+            S = random_quantum_model(rng, sc, *dims_s)
+            T = random_quantum_model(rng, sc, *dims_t)
+            w = DilationWitness(
+                IA=rng.standard_normal((dims_t[0] * aux[0], dims_s[0])),
+                IB=rng.standard_normal((dims_t[1] * aux[1], dims_s[1]))
+                + 1j * rng.standard_normal((dims_t[1] * aux[1], dims_s[1])),
+                aux=random_state(rng, aux[0] * aux[1]), dimAuxA=aux[0], dimAuxB=aux[1])
+            cases.append((S, T, w))
+        m = chsh_ideal_model()
+        big = tensor_with_auxiliary(m, random_state(rng, 6), 2, 3)
+        cases.append((big, m, find_local_dilation(big, m, seed=0)))
+        for S, T, w in cases:
+            got = verify_local_dilation(S, T, w).residuals
+            want = _nested_act_residuals(S, T, w)
+            assert got.keys() == want.keys()
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
     def test_reflexivity(self):
         m = chsh_ideal_model()
         rep = verify_local_dilation(m, m, trivial_witness(m))

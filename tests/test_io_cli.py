@@ -561,6 +561,53 @@ class TestCliCommands:
                     parse(partial, "where.json")
                 assert str(err.value) == f"where.json: missing field '{key}'"
 
+    @pytest.mark.parametrize("parse, obj", [
+        (obj_to_model, model_to_obj(chsh_ideal_model())),
+        (obj_to_model, model_to_obj(commuting_from_tensor(chsh_ideal_model()))),
+        (obj_to_correlation, CHSH_CORR),
+    ], ids=["tensor", "commuting", "correlation"])
+    def test_missing_scenario_is_named(self, parse, obj):
+        """The scenario is read first, through the same rule as every field:
+        its absence is not reported as a missing count inside it."""
+        for dropped in (("scenario",), tuple(k for k in obj if k != "kind")):
+            with pytest.raises(ParseError) as err:
+                parse({f: v for f, v in obj.items() if f not in dropped}, "where.json")
+            assert str(err.value) == "where.json: missing field 'scenario'"
+
+    @pytest.mark.parametrize("component, expected", [
+        ({"correlation": CHSH_CORR}, "missing field 'weight'"),
+        ({}, "missing field 'weight'"),
+        ({"weight": 1.0}, "missing field 'correlation'"),
+        ({"weight": -1.0}, "missing field 'correlation'"),
+        ({"weight": -1.0, "correlation": CHSH_CORR},
+         "field 'weight' must be a positive finite number, got -1"),
+        ([1.0, CHSH_CORR], "expected an object with 'weight' and 'correlation'"),
+    ], ids=["no-weight", "empty", "no-correlation", "bad-weight-no-correlation",
+            "bad-weight", "not-an-object"])
+    def test_decomposition_component_missing_field_is_named(self, tmp_path, component, expected):
+        save_json(tmp_path / "dec.json", {"components": [component]})
+        res = invoke(["xor-certify", str(FIXTURES / "chsh.corr.json"), "--assert-extremal",
+                      "--decomposition", str(tmp_path / "dec.json")])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: {tmp_path / 'dec.json'}.components[0]: {expected}\n"
+
+    def test_relative_path_is_named_as_given(self, tmp_path, monkeypatch):
+        """A ``./`` path keeps its ``./`` in every error line: a file that
+        cannot be read, one that does not parse, and one that lacks a field."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "syntax.json").write_text("{,}")
+        (tmp_path / "nopsi.json").write_text(json.dumps(
+            {k: v for k, v in model_to_obj(chsh_ideal_model()).items() if k != "psi"}))
+        for name, message in (("gone.json", "No such file or directory"),
+                              ("syntax.json:1:2", "Expecting property name enclosed in "
+                                                  "double quotes"),
+                              ("nopsi.json", "missing field 'psi'")):
+            res = invoke(["validate", "./" + name.split(":")[0]])
+            assert (res.exit_code, res.stdout) == (2, "")
+            assert res.stderr == f"error: ./{name}: {message}\n"
+        with pytest.raises(ParseError, match=r"^\./gone\.json: No such file"):
+            file_sha256("./gone.json")
+
     def test_undecodable_input_exits_2_naming_it(self, tmp_path):
         """The second of two models is Latin-1, not UTF-8: one error line
         that names that file."""

@@ -351,10 +351,34 @@ class TestWordVectorTable:
             for k in order:
                 wa, wb = words[k]
                 ref = reference_word_vector(m, wa, wb)
-                assert _word_vector(m, wa, wb, table).tobytes() == ref.tobytes()
+                assert _word_vector(m, Word(wa, wb).letters, table).tobytes() == ref.tobytes()
                 moment = evaluate_moment(m, Word(wa, wb))
                 assert np.complex128(moment).tobytes() == np.vdot(m.psi, ref).tobytes()
             assert len(table) == len(words)
+
+    def test_b_before_a_letters(self):
+        """B's letters written first act last: the rightmost letter acts first,
+        in either side order, and in one table with the A-first tuples."""
+        words = self.mixed_words(4)
+        for m in self.models():
+            table = {}
+            for wa, wb in words:
+                w = Word(wa, wb)
+                b_first = w.letters[len(wa):] + w.letters[:len(wa)]
+                v = m.psi
+                for side, x, a in reversed(b_first):
+                    v = _act(m, side, (m.M if side == "A" else m.N)[x][a], v)
+                assert _word_vector(m, b_first, table).tobytes() == v.tobytes()
+                assert (_word_vector(m, w.letters, table).tobytes()
+                        == reference_word_vector(m, wa, wb).tobytes())
+
+    def test_letters_are_a_then_b_and_formed_once(self):
+        w = Word(((1, 0), (0, 1)), ((2, 1),))
+        assert w.letters == (("A", 1, 0), ("A", 0, 1), ("B", 2, 1))
+        assert w.letters is w.letters
+        assert w.key() == (3, w.letters)
+        assert w == Word(((1, 0), (0, 1)), ((2, 1),)) and Word._fields == ("lettersA", "lettersB")
+        assert repr(w) == "Word(lettersA=((1, 0), (0, 1)), lettersB=((2, 1),))"
 
     def test_correlation_of(self):
         sc = self.SC

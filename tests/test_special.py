@@ -11,6 +11,7 @@ from bellkit.models import (
     Correlation,
     Scenario,
     QuantumModel,
+    _act,
     classify,
     correlation_of,
     validate_model,
@@ -106,6 +107,22 @@ class TestSynchronous:
         synchronous_verify(m, Tolerance(ref))
         with pytest.raises(ValueError, match="not synchronous"):
             synchronous_verify(m, Tolerance(np.nextafter(ref, 0.0)))
+
+    def test_swap_residuals_are_the_nested_act_forms(self):
+        """Each swap residual is bitwise ||M^x_a psi - N^x_a psi|| with both
+        vectors formed by ``_act`` on the operators."""
+        rng = np.random.default_rng(151)
+        models = [synchronous_model(rng, d, n_in, n_out)
+                  for d, n_in, n_out in ((3, 2, 3), (4, 3, 2), (5, 2, 4))]
+        models.append(block_padded_model(models[0], rng, 2, 1))
+        for m in models:
+            got = synchronous_verify(m).swap_residuals
+            sc = m.scenario
+            want = {f"(x={x},a={a})": float(np.linalg.norm(
+                        _act(m, "A", m.M[x][a], m.psi) - _act(m, "B", m.N[x][a], m.psi)))
+                    for x in range(sc.nX) for a in range(sc.nA)}
+            assert got.keys() == want.keys()
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     def test_full_rank_nonprojective_cannot_be_synchronous(self):
         """A full-rank POVM model violating projectivity can never pass all

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellkit.linalg import dagger, mat_norm, replace
-from bellkit.models import CommutingModel, Scenario, validate_model
+from bellkit.models import CommutingModel, Scenario, _act, validate_model
 from bellkit.presets import (
     _X,
     _Z,
@@ -250,6 +250,58 @@ class TestStateTerms:
                 assert got.keys() == want.keys()
                 for key, value in want.items():
                     assert abs(got[key] - value) <= 1e-12, key
+
+
+def _memo_state_terms(m, alpha):
+    """f(eta) and the state residuals as ``verify_tilted_sos`` read them from
+    its own memo of monomial vectors, before they came from the models' word
+    table: a monomial's first generator acting on the vector of the rest."""
+    polys = tilted_chsh_build(alpha)
+    gens = [m.M[0][0] - m.M[0][1], m.M[1][0] - m.M[1][1],
+            m.N[0][0] - m.N[0][1], m.N[1][0] - m.N[1][1]]
+    vec = {(): m.psi}
+
+    def word(mono):
+        if mono not in vec:
+            vec[mono] = _act(m, "B" if mono[0] >= 2 else "A", gens[mono[0]], word(mono[1:]))
+        return vec[mono]
+
+    def on_psi(poly):
+        return sum(coeff * word(mono) for mono, coeff in poly.terms.items())
+
+    terms = {"eta": float(np.real(np.vdot(m.psi, on_psi(polys.eta))))}
+    for i, r in enumerate(polys.r, 1):
+        v = on_psi(r)
+        terms[f"r{i}^2"] = float(np.real(np.vdot(v, v)))
+    for j, s in enumerate(polys.s, 1):
+        terms[f"s{j}"] = float(np.real(np.vdot(m.psi, on_psi(s))))
+    return terms
+
+
+def _seeded_models():
+    rng = np.random.default_rng(139)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        base = random_quantum_model(rng, Scenario(2, 2, 2, 2), *dims)
+        yield base
+        yield commuting_from_tensor(base)
+    big = tensor_with_auxiliary(_b_turned(optimal_tilted_model(1.5), 0.3),
+                                random_state(np.random.default_rng(109), 64), 8, 8)
+    yield big
+    yield commuting_from_tensor(big)
+
+
+class TestStateTermsBitwise:
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.5, 1.9])
+    def test_word_table_terms_are_the_memo_terms(self, alpha):
+        """f(eta) and every state residual are bitwise the monomial memo's, on
+        seeded tensor and commuting POVM models and a dimA=16 auxiliary model:
+        the generators act in each monomial's own order."""
+        for m in _seeded_models():
+            cert = verify_tilted_sos(m, alpha)
+            got = {"eta": cert.f_eta, **cert.state_residuals}
+            want = _memo_state_terms(m, alpha)
+            assert got.keys() == want.keys()
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 class TestOptimizer:
