@@ -4,8 +4,8 @@ A local dilation of a model T by a model S is a pair of local isometries and
 an auxiliary state transporting every measured state of S onto the measured
 states of T tensored with the auxiliary.  ``verify_local_dilation`` checks
 the defining equation index by index; ``find_local_dilation`` constructs a
-witness by decomposing both sides of S into irreducibles, matching every
-state-supported component against the ideal model, and assembling the
+witness by decomposing both sides of S into irreducibles, projecting every
+state-supported component onto the ideal state, and assembling the
 isometries block by block.
 """
 
@@ -184,15 +184,16 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     Requires T's associated representation to be irreducible on both sides
     (reducible targets raise NotDilatable).  Both sides of S are decomposed
-    into (irrep (x) multiplicity) blocks; the state is expanded over block
-    pairs, every supported component must carry the correlation and the same
-    component state as T (rank-one cross-multiplicity structure, unit overlap
-    after intertwining), and the block isometries are assembled with phases
-    chosen so each component overlap with psi~ is real positive.  For blocks
-    the state never touches, the isometry routes into the first standard
-    basis vector of T's space.  When several assemblies exist (multiplicity
-    on the auxiliary), the lexicographically-first one is returned.  Models
-    from different scenarios raise ValueError.
+    into (irrep (x) multiplicity) blocks and the state is expanded over block
+    pairs.  Each reached irrep must be intertwined onto T's; then, with w the
+    ideal state psi~ pulled back through the intertwiners, every reached
+    component must equal w (x) kappa up to the ``intertwiner`` cut on its
+    relative residual, and kappa = <w, component> is that block pair's part
+    of the auxiliary state.  For blocks the state never touches, the
+    isometry routes into the first standard basis vector of T's space.  When
+    several assemblies exist (multiplicity on the auxiliary), the
+    lexicographically-first one is returned.  Models from different
+    scenarios raise ValueError.
     """
     if S.scenario != T.scenario:
         raise ValueError("models live in different scenarios")
@@ -261,50 +262,22 @@ def find_local_dilation(S: QuantumModel, T: QuantumModel, seed: int = 0,
 
     off_a, off_b = aux_offsets(dec_a, inter_a), aux_offsets(dec_b, inter_b)
 
-    # validate each supported component and collect the auxiliary state
+    # a dilation needs each reached component to be w (x) kappa, with w the
+    # ideal state pulled back through the intertwiners; kappa = <w, .> then
+    # fills the block pair's aux slots, phase included
     aux = np.zeros((off_a[-1], off_b[-1]), dtype=complex)
-    sc = S.scenario
     for (i, j), mat in sorted(comp.items()):
-        ba, bb = dec_a.blocks[i], dec_b.blocks[j]
-        u_svd, svals, vh_svd = np.linalg.svd(mat)
-        if len(svals) > 1 and svals[1] > tol.cut("multiplicity") * svals[0]:
+        w = dagger(np.kron(inter_a[i], inter_b[j])) @ T.psi
+        kappa = w.conj() @ mat
+        res = float(np.linalg.norm(mat - np.outer(w, kappa)) / np.linalg.norm(mat))
+        if res > tol.cut("intertwiner"):
             raise NotDilatable(
-                f"component ({i},{j}) carries several distinct states across its "
-                f"multiplicity space (second singular value {svals[1]:.3e}); "
-                "the component state differs from the ideal state",
-                {"kind": "component-state", "block": (i, j), "sv_ratio": svals[1] / svals[0]},
+                f"component ({i},{j}) differs from the ideal state times a multiplicity "
+                f"vector (relative residual {res:.3e})",
+                {"kind": "component-state", "block": (i, j), "residual": res},
             )
-        psi_ij = u_svd[:, 0]
-        kappa = svals[0] * vh_svd[0, :]  # mat = outer(psi_ij, kappa): lambda_ij |kappa_ij>
-
-        comp_model = QuantumModel(
-            scenario=sc, dimA=ba.n, dimB=bb.n,
-            M=[[ba.generators[x * sc.nA + a] for a in range(sc.nA)] for x in range(sc.nX)],
-            N=[[bb.generators[y * sc.nB + b] for b in range(sc.nB)] for y in range(sc.nY)],
-            psi=psi_ij,
-        )
-        comp_p = correlation_of(comp_model, Tolerance(tol.cut("coarse"))).p
-        gap = float(np.abs(comp_p - p_t).max())
-        if gap > tol.cut("reassembly"):
-            raise NotDilatable(
-                f"component ({i},{j}) has correlation differing from p by {gap:.3e}",
-                {"kind": "component-correlation", "block": (i, j), "gap": gap},
-            )
-
-        mapped = np.kron(inter_a[i], inter_b[j]) @ psi_ij
-        overlap = complex(np.vdot(T.psi, mapped))
-        if abs(abs(overlap) - 1.0) > tol.cut("overlap"):
-            raise NotDilatable(
-                f"component ({i},{j}) state has overlap modulus {abs(overlap):.6f} with "
-                "the ideal state; the component state differs from the ideal state",
-                {"kind": "component-state", "block": (i, j), "overlap": abs(overlap)},
-            )
-        phase = overlap / abs(overlap)
-        # scalar products on purpose: numpy rounds an array complex multiply
-        # differently from a scalar one, which would move aux by an ulp
-        for k in range(ba.m):
-            for l in range(bb.m):
-                aux[off_a[i] + k, off_b[j] + l] += phase * kappa[k * bb.m + l]
+        aux[off_a[i]:off_a[i + 1], off_b[j]:off_b[j + 1]] = kappa.reshape(
+            dec_a.blocks[i].m, dec_b.blocks[j].m)
 
     aux = aux.reshape(-1) / np.linalg.norm(aux)
 

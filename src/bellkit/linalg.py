@@ -128,15 +128,13 @@ _CUTS = {
     "dust": (0.0, 1e-12),           # phase pivots, component weights, merge-gap floor
     "rank": (0.0, 1e-9),            # Schmidt/support rank (relative), negative probabilities
     "cluster": (0.0, 1e-8),         # eigenvalue clusters, a vanishing commutant element
-    "overlap": (0.0, 1e-7),         # component-state overlap modulus against 1
-    "coarse": (0.0, 1e-6),          # probability sums, component correlations
+    "coarse": (0.0, 1e-6),          # probability and weight sums of input files
     "commutant": (1.0, 1e-12),      # commutant rank cut (times the generator scale)
     "identity": (1.0, 1e-8),        # tilted-CHSH SOS identity coefficient residuals
     "frame": (2.0, 0.0),            # cyclic frame residuals, state-equal Gram gaps
     "residual": (10.0, 0.0),        # Naimark and rounding residuals, correlation gap
-    "intertwiner": (100.0, 0.0),    # irrep intertwiner residuals
-    "multiplicity": (100.0, 1e-10),  # component singular-value ratio across multiplicity
-    "reassembly": (100.0, 1e-8),    # irrep reassembly defect, component correlation gap
+    "intertwiner": (100.0, 0.0),    # irrep intertwiner residuals, dilation component residual
+    "reassembly": (100.0, 1e-8),    # irrep reassembly defect
 }
 
 

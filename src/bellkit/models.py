@@ -339,15 +339,17 @@ def evaluate_moment(model, word: Word) -> complex:
     """Abstract-state value f(word) = <psi| pi_A(lettersA) pi_B(lettersB) |psi>.
 
     Works for tensor and commuting models alike; the empty word acts as the
-    identity, so ``evaluate_moment(m, Word()) == 1``.
+    identity, so ``evaluate_moment(m, Word()) == 1``.  A letter's indices
+    are Python or numpy integers; a bool, float or string raises TypeError.
     """
     sc = model.scenario
-    letters = tuple((side, int(x), int(a)) for side, x, a in word.letters)
-    for side, x, a in letters:
+    for side, x, a in word.letters:
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in (x, a)):
+            raise TypeError(f"{side}-letter ({x!r},{a!r}) has a non-integer index")
         n_in, n_out = (sc.nX, sc.nA) if side == "A" else (sc.nY, sc.nB)
         if not (0 <= x < n_in and 0 <= a < n_out):
             raise IndexError(f"{side}-letter ({x},{a}) outside scenario {sc}")
-    return _moment(model, letters, {})
+    return _moment(model, word.letters, {})
 
 
 def correlation_of(model, tol: Tolerance = DEFAULT_TOL) -> Correlation:

@@ -15,6 +15,7 @@ on the left, flipped against a negated cut: ``min_eig < -tol.eps``).
 
 import ast
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -186,23 +187,30 @@ def test_each_cut_equals_the_expression_it_replaced(eps):
     assert cut("dust") == 1e-12
     assert cut("rank") == 1e-9
     assert cut("cluster") == 1e-8
-    assert cut("overlap") == 1e-7
     assert cut("coarse") == 1e-6
     assert cut("commutant") == max(eps, 1e-12)
     assert cut("identity") == max(eps, 1e-8)
     assert cut("frame") == eps * 2.0
     assert cut("residual") == eps * 10
     assert cut("intertwiner") == eps * 100.0 == eps * 100
-    assert cut("multiplicity") == max(100 * eps, 1e-10)
     assert cut("reassembly") == max(100 * eps, 1e-8) == max(eps * 100.0, 1e-8)
 
 
 def test_tolerance_has_the_one_field_eps():
     assert Tolerance._fields == ("eps",)
-    assert set(_CUTS) == {"dust", "rank", "cluster", "overlap", "coarse", "commutant",
-                          "identity", "frame", "residual", "intertwiner",
-                          "multiplicity", "reassembly"}
+    assert set(_CUTS) == {"dust", "rank", "cluster", "coarse", "commutant",
+                          "identity", "frame", "residual", "intertwiner", "reassembly"}
     assert len(set(_CUTS.values())) == len(_CUTS)  # one name per rule
+
+
+def test_readme_cut_table_names_the_cuts():
+    """The README's cut table has one row per entry of ``_CUTS``, so a row
+    removed from one is removed from the other."""
+    lines = (SRC.parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| name | cut | decides |") + 2
+    rows = takewhile(lambda line: line.startswith("|"), lines[start:])
+    names = [row.split("|")[1].strip(" `") for row in rows]
+    assert names == list(_CUTS)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.0, -1e-300, float("nan"), float("inf"),

@@ -13,7 +13,7 @@ from bellkit.dilations import (
     naimark_dilate,
     verify_local_dilation,
 )
-from bellkit.linalg import Tolerance, mat_norm, replace, structural_predicates
+from bellkit.linalg import Tolerance, dagger, mat_norm, replace, structural_predicates
 from bellkit.models import (
     DilationWitness,
     QuantumModel,
@@ -28,14 +28,23 @@ from bellkit.presets import (
     chsh_ideal_model,
     doubled_model,
     example_pair,
+    optimal_tilted_model,
     random_povm,
     random_quantum_model,
     random_state,
     tensor_with_auxiliary,
 )
-from bellkit.reps import block_components, cyclic_restrict, irrep_decompose, states_equal
+from bellkit.reps import (
+    _flat,
+    _intertwiner,
+    block_components,
+    cyclic_restrict,
+    irrep_decompose,
+    states_equal,
+)
 from bellkit.schmidt import schmidt_decompose
 from bellkit.support import support_of
+from test_local_unitary import haar_unitary, rotate
 
 
 class TestNaimark:
@@ -375,7 +384,6 @@ class TestFindLocalDilation:
         m = chsh_ideal_model()
         aux = np.array([0.8 * np.exp(1j * 0.7), 0, 0, 0.6 * np.exp(-1j * 1.2)])
         big = tensor_with_auxiliary(m, aux, 2, 2)
-        from bellkit.linalg import dagger
         ua, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         ub, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         rotated = QuantumModel(
@@ -434,75 +442,103 @@ def _obstruction(S, T, tol=Tolerance()):
     return exc_info.value.obstruction
 
 
+def irrep_dimension_pair():
+    """Commuting effects: two 1-dim irreps per side, not T's 2-dim one."""
+    T = _model(_ZX, _ZX, np.kron(_E0, _E0))
+    com = [[np.eye(2), np.zeros((2, 2))], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]]
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    return _model(com, com, np.kron(plus, plus)), T
+
+
+def intertwiner_pair():
+    """A: two inequivalent qubit irreps, |<0|v>|^2 = 0.3 and 0.7, equally
+    weighted: the mixture has T's correlation, neither component does."""
+    def v_pvm(c):
+        p = np.outer([np.sqrt(c), np.sqrt(1 - c)], [np.sqrt(c), np.sqrt(1 - c)])
+        return [p, np.eye(2) - p]
+
+    T = _model(_ZX, _ZX, np.kron(_E0, _E0))
+    M = [[_blocks(p, p) for p in _pvm(_Z)],
+         [_blocks(a, b) for a, b in zip(v_pvm(0.3), v_pvm(0.7))]]
+    psi_a = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+    return _model(M, _ZX, np.kron(psi_a, _E0)), T
+
+
+def multiplicity_pair(theta=np.pi / 4):
+    """S = T_A (x) C^2 on A; the two multiplicity copies carry
+    cos(theta) |0>|+i> and sin(theta) |0>|-i>, which have the same Z/X
+    correlation for every theta: the component has rank two, and only the
+    |0>|+i> part lies along the ideal state."""
+    T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+    M = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
+    coeff = np.zeros((2, 2, 2), dtype=complex)  # (i_A, aux, i_B)
+    coeff[:, 0, :] = np.cos(theta) * np.outer(_E0, _PLUS_I)
+    coeff[:, 1, :] = np.sin(theta) * np.outer(_E0, _MINUS_I)
+    return _model(M, _ZX, coeff.reshape(-1)), T
+
+
+def overlap_pair():
+    """T's own representation with the complex-conjugate state: equal
+    correlation, but f(Z_B X_B) differs; the state is orthogonal to the
+    ideal one, so nothing of it lies along the ideal state."""
+    T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+    return _model(_ZX, _ZX, np.kron(_E0, _MINUS_I)), T
+
+
+def component_correlation_pair():
+    """Reached only through the ambiguous intertwiner band: S's A side is
+    T_A (+) T_A', where A' measures X rotated by delta = 10 eps.  The two
+    irreps are 2.5 eps apart, inside [eps, 100 eps), so irrep_decompose
+    keeps them split and each still matches T_A.  B = T_B (x) C^2, and the
+    state puts |00> on the first A block and |01> on the second: the mixture
+    has T's correlation up to 2.5 eps, each component's is off by 1/2, and
+    |00> has overlap 1/sqrt(2) with the ideal |0>|+i>."""
+    delta = 10 * Tolerance().eps
+    x_rot = np.cos(delta) * _X + np.sin(delta) * _Z
+    M = [[_blocks(p, p) for p in _pvm(_Z)],
+         [_blocks(a, b) for a, b in zip(_pvm(_X), _pvm(x_rot))]]
+    N = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
+    coeff = np.zeros((4, 4))  # (block_A i_A, i_B aux_B)
+    coeff[0, 0] = coeff[2, 3] = 1 / np.sqrt(2)
+    return _model(M, N, coeff.reshape(-1)), _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
+
+
+COMPONENT_PAIRS = [irrep_dimension_pair, intertwiner_pair, multiplicity_pair, overlap_pair,
+                   component_correlation_pair]
+
+
 class TestComponentObstructions:
     """Each pair has T's correlation and a Schmidt rank that T's divides, so
     only the per-component checks can refuse it.  T measures Z and X on both
-    sides and is irreducible."""
+    sides and is irreducible.  A reached component that is not the pulled-back
+    ideal state times a multiplicity vector reports its relative residual."""
 
     def test_irrep_dimension(self):
-        # commuting effects: two 1-dim irreps per side, not T's 2-dim one
-        T = _model(_ZX, _ZX, np.kron(_E0, _E0))
-        com = [[np.eye(2), np.zeros((2, 2))], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]]
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        ob = _obstruction(_model(com, com, np.kron(plus, plus)), T)
+        ob = _obstruction(*irrep_dimension_pair())
         assert ob == {"kind": "component-state", "side": "A", "block": 0}
 
     def test_intertwiner(self):
-        # A: two inequivalent qubit irreps, |<0|v>|^2 = 0.3 and 0.7, equally
-        # weighted: the mixture has T's correlation, neither component does
-        def v_pvm(c):
-            p = np.outer([np.sqrt(c), np.sqrt(1 - c)], [np.sqrt(c), np.sqrt(1 - c)])
-            return [p, np.eye(2) - p]
-
-        T = _model(_ZX, _ZX, np.kron(_E0, _E0))
-        M = [[_blocks(p, p) for p in _pvm(_Z)],
-             [_blocks(a, b) for a, b in zip(v_pvm(0.3), v_pvm(0.7))]]
-        psi_a = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
-        ob = _obstruction(_model(M, _ZX, np.kron(psi_a, _E0)), T)
+        ob = _obstruction(*intertwiner_pair())
         assert (ob["kind"], ob["side"]) == ("component-state", "A")
         assert ob["residual"] > 1e-2
 
     def test_multiplicity_singular_value_ratio(self):
-        # S = T_A (x) C^2 on A; the two multiplicity copies carry |0>|+i>
-        # and |0>|-i>, which have the same Z/X correlation
-        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
-        M = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
-        coeff = np.zeros((2, 2, 2), dtype=complex)  # (i_A, aux, i_B)
-        coeff[:, 0, :] = np.outer(_E0, _PLUS_I) / np.sqrt(2)
-        coeff[:, 1, :] = np.outer(_E0, _MINUS_I) / np.sqrt(2)
-        ob = _obstruction(_model(M, _ZX, coeff.reshape(-1)), T)
+        ob = _obstruction(*multiplicity_pair())
         assert (ob["kind"], ob["block"]) == ("component-state", (0, 0))
-        assert ob["sv_ratio"] == pytest.approx(1.0)
+        assert ob["residual"] == pytest.approx(1 / np.sqrt(2))
 
     def test_overlap(self):
-        # T's own representation with the complex-conjugate state: equal
-        # correlation, but f(Z_B X_B) differs
-        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
-        ob = _obstruction(_model(_ZX, _ZX, np.kron(_E0, _MINUS_I)), T)
-        assert ob == {"kind": "component-state", "block": (0, 0), "overlap": 0.0}
+        ob = _obstruction(*overlap_pair())
+        assert ob == {"kind": "component-state", "block": (0, 0), "residual": 1.0}
 
     def test_component_correlation(self):
-        """Reached only through the ambiguous intertwiner band: S's A side is
-        T_A (+) T_A', where A' measures X rotated by delta = 10 eps.  The two
-        irreps are 2.5 eps apart, inside [eps, 100 eps), so irrep_decompose
-        keeps them split and each still matches T_A.  B = T_B (x) C^2, and
-        the state puts |00> on the first A block and |01> on the second: the
-        mixture has T's correlation up to 2.5 eps, each component is off by 1/2."""
-        delta = 10 * Tolerance().eps
-        x_rot = np.cos(delta) * _X + np.sin(delta) * _Z
-        M = [[_blocks(p, p) for p in _pvm(_Z)],
-             [_blocks(a, b) for a, b in zip(_pvm(_X), _pvm(x_rot))]]
-        N = [[np.kron(p, np.eye(2)) for p in povm] for povm in _ZX]
-        coeff = np.zeros((4, 4))  # (block_A i_A, i_B aux_B)
-        coeff[0, 0] = coeff[2, 3] = 1 / np.sqrt(2)
-        S = _model(M, N, coeff.reshape(-1))
-        dec = irrep_decompose([op for povm in M for op in povm])
+        S, T = component_correlation_pair()
+        dec = irrep_decompose([op for povm in S.M for op in povm])
         assert [(b.n, b.m) for b in dec.blocks] == [(2, 1), (2, 1)]
         assert len(dec.ambiguous_pairs) == 1
-        T = _model(_ZX, _ZX, np.kron(_E0, _PLUS_I))
         ob = _obstruction(S, T)
-        assert (ob["kind"], ob["block"]) == ("component-correlation", (0, 0))
-        assert ob["gap"] == pytest.approx(0.5)
+        assert (ob["kind"], ob["block"]) == ("component-state", (0, 0))
+        assert ob["residual"] == pytest.approx(1 / np.sqrt(2))
 
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -534,3 +570,141 @@ class TestConjugatePair:
         ob = _obstruction(S, T)
         assert (ob["kind"], ob["side"], ob["block"]) == ("component-state", "A", 0)
         assert ob["residual"] == pytest.approx(1.0)
+
+
+def reference_find_local_dilation(S, T, seed=0, tol=Tolerance()):
+    """``find_local_dilation`` as it was before each reached component was
+    projected onto the pulled-back ideal state.  A component then had to pass
+    three tests: an SVD whose second-to-first singular value ratio was at most
+    max(100 eps, 1e-10), its own correlation within ``reassembly`` of T's, and
+    an overlap modulus with psi~ within a fixed 1e-7 of 1.  Its aux slots
+    were the leading right singular vector times the overlap's phase, added
+    one scalar at a time.  The rest is the library's code, unchanged."""
+    p_t = correlation_of(T, tol).p
+    if np.abs(correlation_of(S, tol).p - p_t).max() > tol.cut("residual"):
+        raise NotDilatable("correlations differ", {"kind": "correlation"})
+    rank_s = schmidt_decompose(S.psi, S.dimA, S.dimB, tol).rank
+    if rank_s % schmidt_decompose(T.psi, T.dimA, T.dimB, tol).rank != 0:
+        raise NotDilatable("schmidt-rank obstruction", {"kind": "schmidt-rank"})
+    dec_ta = irrep_decompose(_flat(T.M), seed=seed + 2, tol=tol)
+    dec_tb = irrep_decompose(_flat(T.N), seed=seed + 3, tol=tol)
+    if not (dec_ta.irreducible and dec_tb.irreducible):
+        raise NotDilatable("reducible ideal", {"kind": "reducible-ideal"})
+
+    dec_a, dec_b, comp = block_components(S, seed, tol)
+    inter_a, inter_b = {}, {}
+    for pos, (dec, inter, dim_tilde, ideal) in enumerate((
+            (dec_a, inter_a, T.dimA, T.M), (dec_b, inter_b, T.dimB, T.N))):
+        for i in sorted({pair[pos] for pair in comp}):
+            blk = dec.blocks[i]
+            if blk.n != dim_tilde:
+                raise NotDilatable("irrep dimension", {"kind": "component-state"})
+            u, res = _intertwiner(blk.generators, _flat(ideal))
+            if res > tol.cut("intertwiner"):
+                raise NotDilatable("intertwiner", {"kind": "component-state"})
+            inter[i] = u
+
+    def aux_offsets(dec, inter):
+        return np.cumsum([0] + [blk.m if idx in inter else blk.n * blk.m
+                                for idx, blk in enumerate(dec.blocks)])
+
+    off_a, off_b = aux_offsets(dec_a, inter_a), aux_offsets(dec_b, inter_b)
+    aux = np.zeros((off_a[-1], off_b[-1]), dtype=complex)
+    sc = S.scenario
+    for (i, j), mat in sorted(comp.items()):
+        ba, bb = dec_a.blocks[i], dec_b.blocks[j]
+        u_svd, svals, vh_svd = np.linalg.svd(mat)
+        if len(svals) > 1 and svals[1] > max(100 * tol.eps, 1e-10) * svals[0]:
+            raise NotDilatable("multiplicity", {"kind": "component-state"})
+        psi_ij = u_svd[:, 0]
+        kappa = svals[0] * vh_svd[0, :]
+        comp_model = QuantumModel(
+            scenario=sc, dimA=ba.n, dimB=bb.n,
+            M=[[ba.generators[x * sc.nA + a] for a in range(sc.nA)] for x in range(sc.nX)],
+            N=[[bb.generators[y * sc.nB + b] for b in range(sc.nB)] for y in range(sc.nY)],
+            psi=psi_ij,
+        )
+        comp_p = correlation_of(comp_model, Tolerance(tol.cut("coarse"))).p
+        if float(np.abs(comp_p - p_t).max()) > tol.cut("reassembly"):
+            raise NotDilatable("component correlation", {"kind": "component-correlation"})
+        overlap = complex(np.vdot(T.psi, np.kron(inter_a[i], inter_b[j]) @ psi_ij))
+        if abs(abs(overlap) - 1.0) > 1e-7:
+            raise NotDilatable("overlap", {"kind": "component-state"})
+        phase = overlap / abs(overlap)
+        for k in range(ba.m):
+            for l in range(bb.m):
+                aux[off_a[i] + k, off_b[j] + l] += phase * kappa[k * bb.m + l]
+    aux = aux.reshape(-1) / np.linalg.norm(aux)
+
+    def assemble(dec, inter, off, tilde_dim):
+        slots = np.eye(off[-1])
+        ket0 = np.eye(tilde_dim, 1)
+        return sum(np.kron(inter.get(idx, ket0), slots[:, off[idx]:off[idx + 1]])
+                   @ dagger(blk.basis) for idx, blk in enumerate(dec.blocks))
+
+    return DilationWitness(IA=assemble(dec_a, inter_a, off_a, T.dimA),
+                           IB=assemble(dec_b, inter_b, off_b, T.dimB), aux=aux,
+                           dimAuxA=int(off_a[-1]), dimAuxB=int(off_b[-1]))
+
+
+IDEALS = {"chsh": chsh_ideal_model, "tilted0.6": lambda: optimal_tilted_model(0.6),
+          "tilted1.5": lambda: optimal_tilted_model(1.5)}
+REFERENCE_GRID = ([("chsh", k, padded, rotated) for k in range(2, 9)
+                   for padded in (False, True) for rotated in (False, True)]
+                  + [(ideal, k, padded, rotated) for ideal in ("tilted0.6", "tilted1.5")
+                     for k in (2, 5) for padded in (False, True) for rotated in (False, True)])
+
+
+def near_miss_pairs():
+    """A 1e-3 rotation of one multiplicity copy, keyed by the obstruction it
+    meets: the correlation (CHSH, a self-test) or the component state (Z/X
+    on |0>|+i>, whose copies may carry |+i> and |-i> with T's correlation)."""
+    chsh = chsh_ideal_model()
+    big = tensor_with_auxiliary(chsh, random_state(np.random.default_rng(2), 4), 2, 2)
+    theta = 1e-3
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    # A = irrep (x) copy: rotate the irrep of copy 1 only
+    ua = np.kron(rot, np.diag([0.0, 1.0])) + np.kron(np.eye(2), np.diag([1.0, 0.0]))
+    return {"correlation": (replace(big, psi=np.kron(ua, np.eye(4)) @ big.psi), chsh),
+            "component-state": multiplicity_pair(theta)}
+
+
+class TestReferenceComponentPath:
+    """The projection test against the replaced SVD / component-correlation /
+    overlap / phase path: the same verdict, the same isometries bit for bit,
+    and the auxiliary state within a few ulps."""
+
+    @pytest.mark.parametrize("ideal, k, padded, rotated", REFERENCE_GRID)
+    def test_dilatable_grid(self, ideal, k, padded, rotated):
+        T = IDEALS[ideal]()
+        rng = np.random.default_rng(k)
+        S = tensor_with_auxiliary(T, random_state(rng, k * k), k, k)
+        if padded:
+            S = block_padded_model(S, rng, 2, 3)
+        if rotated:
+            S = rotate(S, haar_unitary(rng, S.dimA), haar_unitary(rng, S.dimB))
+        new, ref = find_local_dilation(S, T, seed=0), reference_find_local_dilation(S, T)
+        assert (new.dimAuxA, new.dimAuxB) == (ref.dimAuxA, ref.dimAuxB)
+        for a, b in ((new.IA, ref.IA), (new.IB, ref.IB)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the rotated CHSH (x) aux(k) at k = 4, 6, 8 differ by 1.4e-15 to
+        # 1.6e-15, and there the projection's witness has the smaller verify
+        # residual (1.7e-15 to 2.2e-15 against 4.2e-15 to 5.7e-15)
+        assert np.abs(new.aux - ref.aux).max() <= 2e-15
+        assert verify_local_dilation(S, T, new).passed
+
+    @pytest.mark.parametrize("pair", COMPONENT_PAIRS + [conjugate_pair],
+                             ids=lambda f: f.__name__)
+    def test_both_refuse_the_component_pairs(self, pair):
+        S, T = pair()
+        for search in (find_local_dilation, reference_find_local_dilation):
+            with pytest.raises(NotDilatable):
+                search(S, T, seed=0)
+
+    @pytest.mark.parametrize("kind", ["correlation", "component-state"])
+    def test_both_refuse_a_near_miss(self, kind):
+        S, T = near_miss_pairs()[kind]
+        for search in (find_local_dilation, reference_find_local_dilation):
+            with pytest.raises(NotDilatable) as exc_info:
+                search(S, T, seed=0)
+            assert exc_info.value.obstruction["kind"] == kind

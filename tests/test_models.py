@@ -1,6 +1,7 @@
 """Model validation, correlation extraction, and word moments."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -234,6 +235,24 @@ class TestMoments:
         m = chsh_ideal_model()
         with pytest.raises(IndexError):
             evaluate_moment(m, Word(((5, 0),)))
+
+    @pytest.mark.parametrize("letter, shown", [
+        ((1.9, 0), "A-letter (1.9,0)"),
+        ((True, 0), "A-letter (True,0)"),
+        (("1", 0), "A-letter ('1',0)"),
+        ((0, 1.0), "A-letter (0,1.0)"),
+    ])
+    def test_non_integer_index_is_named(self, letter, shown):
+        """No index is truncated or read as a number: 1.9 is not letter 1."""
+        with pytest.raises(TypeError, match=re.escape(shown) + " has a non-integer index$"):
+            evaluate_moment(chsh_ideal_model(), Word((letter,)))
+        with pytest.raises(TypeError, match="^B-letter"):
+            evaluate_moment(chsh_ideal_model(), Word((), (letter,)))
+
+    def test_numpy_integer_index(self):
+        m = chsh_ideal_model()
+        word = Word(((np.int64(1), np.int64(0)),), ((np.int32(1), 1),))
+        assert evaluate_moment(m, word) == evaluate_moment(m, Word(((1, 0),), ((1, 1),)))
 
 
 class TestClassify:
